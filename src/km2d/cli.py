@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 
@@ -87,9 +87,22 @@ def _window(value: str) -> Window:
             f"window must be 'Wz,Wa,N', got {value!r}") from None
 
 
-def _threads() -> int | None:
-    val = os.environ.get("KM2D_THREADS")
-    return int(val) if val else None
+def _tolerance(value: str) -> float:
+    try:
+        tol = float(value)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite nonnegative number, got {value!r}")
+    return tol
+
+
+def _count(value: str) -> int:
+    if not value.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def _apply_config_file(argv: list) -> list:
@@ -125,7 +138,7 @@ def build_parser() -> _Parser:
                        help="Lie algebra representation name")
         p.add_argument("--d", type=int, default=None,
                        help="expected flavour count (checked against the rep)")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None, help=argparse.SUPPRESS)
@@ -137,7 +150,7 @@ def build_parser() -> _Parser:
     pt.add_argument("--cutoff-m", type=_half, default=Fraction(9, 2))
     pt.add_argument("--cutoff-p", type=_half, default=Fraction(9, 2))
     pt.add_argument("--window", type=_window, default=Window.of(1, 1, 2))
-    pt.add_argument("--max-mode", type=int, default=2)
+    pt.add_argument("--max-mode", type=_count, default=2)
     pt.add_argument("--method", choices=("analytic", "eps", "raw"),
                     default="analytic")
 
@@ -145,22 +158,23 @@ def build_parser() -> _Parser:
     add_common(ps)
     ps.add_argument("--sectors", default="R", help="z sector, R or NS")
     ps.add_argument("--cutoff-l", type=_half, default=Fraction(4))
-    ps.add_argument("--lmax", type=int, default=None,
-                    help="structure-table degree (default: cutoff)")
+    ps.add_argument("--lmax", type=_count, default=None,
+                    help="structure-table degree (default: cutoff, "
+                         "rounded up)")
     ps.add_argument("--window", type=_window, default=Window.of(1, 1, 2))
-    ps.add_argument("--max-l", type=int, default=1)
-    ps.add_argument("--central-tol", type=float, default=1e-8)
+    ps.add_argument("--max-l", type=_count, default=1)
+    ps.add_argument("--central-tol", type=_tolerance, default=1e-8)
     ps.add_argument("--method", choices=("analytic", "raw"), default="analytic")
 
     pa = sub.add_parser("sphere-abstract", help="abstract Jacobi identities")
     add_common(pa)
-    pa.add_argument("--lmax", type=int, default=8)
-    pa.add_argument("--l-probe", type=int, default=2)
+    pa.add_argument("--lmax", type=_count, default=8)
+    pa.add_argument("--l-probe", type=_count, default=2)
     pa.set_defaults(tol=1e-10)
 
     pc = sub.add_parser("structure-constants", help="export the product table")
     add_common(pc)
-    pc.add_argument("--lmax", type=int, default=4)
+    pc.add_argument("--lmax", type=_count, default=4)
     pc.set_defaults(format="csv")
 
     pr = sub.add_parser("regularization", help="finite-part table")
@@ -182,7 +196,11 @@ def build_parser() -> _Parser:
 
 
 def _check_rep(args):
-    rep = get_rep(args.rep)
+    try:
+        rep = get_rep(args.rep)
+    except (KeyError, ValueError) as exc:
+        sys.stderr.write(f"error: --rep {args.rep}: {exc.args[0]}\n")
+        sys.exit(EXIT_USAGE)
     if args.d is not None and args.d != rep.d:
         sys.stderr.write(
             f"error: --d {args.d} does not match representation "
@@ -213,7 +231,7 @@ def _cmd_verify_torus(args) -> int:
     method = {"eps": "eps_extrapolated"}.get(args.method, args.method)
     report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
                                  max_mode=args.max_mode,
-                                 central_method=method, threads=_threads())
+                                 central_method=method)
     payload = report.to_dict()
     _write_report(payload, args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -227,16 +245,16 @@ def _cmd_verify_sphere(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    l_max = args.lmax if args.lmax is not None else int(args.cutoff_l)
-    if l_max < int(args.cutoff_l):
+    l_min = math.ceil(args.cutoff_l)
+    l_max = args.lmax if args.lmax is not None else l_min
+    if l_max < l_min:
         sys.stderr.write("error: --lmax below --cutoff-l\n")
         return EXIT_USAGE
     table = structure_table(l_max)
     try:
         report = check_sphere_realization(
             cfg, rep, table, args.window, tol=args.tol, max_l=args.max_l,
-            central_method=args.method, central_tol=args.central_tol,
-            threads=_threads())
+            central_method=args.method, central_tol=args.central_tol)
     except UnresolvedPrescriptionError as exc:
         sys.stderr.write(f"unresolved prescription: {exc}\n")
         return EXIT_UNRESOLVED
@@ -258,9 +276,6 @@ def _cmd_sphere_abstract(args) -> int:
 
 
 def _cmd_structure_constants(args) -> int:
-    if args.lmax < 0:
-        sys.stderr.write("error: --lmax must be nonnegative\n")
-        return EXIT_USAGE
     table = structure_table(args.lmax)
     if args.format == "csv":
         if args.output:

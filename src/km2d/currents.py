@@ -24,19 +24,15 @@ whenever eps = 0 and the generator matrices are integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .fock import (Mode, ModeOperator, SectorConfig, TableCoverageError,
                    add_normal_ordered)
-from .halfints import fmt_half
 from .harmonics import StructureTable, triple_product_ns
 from .lie_core import LieAlgebraRep
 from .scalars import SqrtTwoScalar
 
 __all__ = [
-    "CurrentSpec",
     "lam_constant",
     "torus_T",
     "torus_L",
@@ -44,22 +40,6 @@ __all__ = [
     "sphere_L",
     "TableCoverageError",
 ]
-
-
-@dataclass(frozen=True)
-class CurrentSpec:
-    """What a built generator is: kind T(a)/L, target mode, eps, lam."""
-
-    kind: str                   # "T" | "L"
-    a: Optional[int]            # generator index for T, None for L
-    mode: tuple                 # doubled target mode (z, angular/degree)
-    eps: float
-    lam: Fraction
-
-    def label(self) -> str:
-        m, p = self.mode
-        tag = f"T{self.a}" if self.kind == "T" else "L"
-        return f"{tag}[{fmt_half(m)},{fmt_half(p)}]"
 
 
 def lam_constant(cfg: SectorConfig) -> Fraction:
@@ -120,8 +100,7 @@ def torus_T(rep: LieAlgebraRep, a: int, m: int, p: int, cfg: SectorConfig,
             x = Mode(i, n2, q2, 0)
             y = Mode(j, m2 - n2, p2 - q2, 0)
             add_normal_ordered(terms, cfg, x, y, coeff)
-    spec = CurrentSpec("T", a, (m2, p2), eps, lam_constant(cfg))
-    return ModeOperator(cfg, terms, spec=spec)
+    return ModeOperator(cfg, terms)
 
 
 def torus_L(m: int, p: int, cfg: SectorConfig, eps: float = 0.0,
@@ -147,8 +126,7 @@ def torus_L(m: int, p: int, cfg: SectorConfig, eps: float = 0.0,
             add_normal_ordered(terms, cfg, x, y, coeff)
     if m2 == 0 and p2 == 0 and lam:
         terms[()] = lam * cfg.d if exact else float(lam) * cfg.d
-    spec = CurrentSpec("L", None, (m2, p2), eps, lam)
-    return ModeOperator(cfg, terms, spec=spec)
+    return ModeOperator(cfg, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +173,7 @@ def sphere_T(rep: LieAlgebraRep, a: int, l: int, m: int, cfg: SectorConfig,
                 coeff = complex(0.0, 0.25 * mij * c)
                 add_normal_ordered(terms, cfg, Mode(i, l1d, m1d, e1),
                                    Mode(j, l2d, m2d, e2), coeff)
-    spec = CurrentSpec("T", a, (2 * m, 2 * l), 0.0, lam_constant(cfg))
-    return ModeOperator(cfg, terms, spec=spec)
+    return ModeOperator(cfg, terms)
 
 
 def sphere_L(l: int, m: int, cfg: SectorConfig,
@@ -223,8 +200,7 @@ def sphere_L(l: int, m: int, cfg: SectorConfig,
                                    Mode(i, l2d, m2d, e2), coeff)
     if l == 0 and m == 0 and lam:
         terms[()] = lam * cfg.d
-    spec = CurrentSpec("L", None, (2 * m, 2 * l), 0.0, lam)
-    return ModeOperator(cfg, terms, spec=spec)
+    return ModeOperator(cfg, terms)
 
 
 def _sphere_ns_pairs(cfg: SectorConfig, l: int, m: int):

@@ -56,9 +56,7 @@ __all__ = [
     "OutOfCutoffError",
     "ModeOperator",
     "b_operator",
-    "annihilator",
     "creation",
-    "normal_ordered_pair",
     "vacuum_states",
     "check_car",
     "enumerate_states",
@@ -346,18 +344,6 @@ class StateVector(dict):
             else:
                 self[state] = s
 
-    def scaled(self, c) -> "StateVector":
-        out = StateVector()
-        for s, a in self.items():
-            out[s] = scalar_mul(a, c)
-        return out
-
-    def sub(self, other: "StateVector") -> "StateVector":
-        out = StateVector(self)
-        for s, a in other.items():
-            out.add_term(s, scalar_mul(-1, a))
-        return out
-
     def inner(self, other: "StateVector") -> complex:
         """<self|other> with conjugation on self."""
         if len(self) > len(other):
@@ -423,12 +409,11 @@ class ModeOperator:
     anticommutation relations, and materialization on an explicit basis.
     """
 
-    __slots__ = ("cfg", "terms", "spec", "_groups")
+    __slots__ = ("cfg", "terms", "_groups")
 
-    def __init__(self, cfg: SectorConfig, terms: dict, spec=None):
+    def __init__(self, cfg: SectorConfig, terms: dict):
         self.cfg = cfg
         self.terms = terms
-        self.spec = spec
         self._groups = None
 
     # -- algebraic combinations -------------------------------------------
@@ -618,45 +603,19 @@ def b_operator(mode: Mode, cfg: SectorConfig) -> ModeOperator:
     return ModeOperator(cfg, {(mode,): 1})
 
 
-def annihilator(mode: Mode, cfg: SectorConfig) -> ModeOperator:
-    return b_operator(mode, cfg)
-
-
 def creation(mode: Mode, cfg: SectorConfig) -> ModeOperator:
     """Adjoint of b_mode under the reality map of the sector."""
     return b_operator(mode, cfg).adjoint()
 
 
-def normal_ordered_pair(mode_a: Mode, mode_b: Mode, cfg: SectorConfig) -> ModeOperator:
-    """Normal-ordered product of two mode operators.
+def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
+                       mode_b: Mode, scale) -> None:
+    """Accumulate scale * :b_a b_b: into a term dict.
 
     The case split is on the z index of the first factor: reversed with a
     sign for positive z, untouched for negative z, and the antisymmetrized
     half-difference on the z = 0 line.
     """
-    for m in (mode_a, mode_b):
-        cfg.validate_mode(m)
-        cfg.require_in_cutoff(m)
-    z = cfg.z_index2(mode_a)
-    if z > 0:
-        terms = {(mode_b, mode_a): -1}
-    elif z < 0:
-        terms = {(mode_a, mode_b): 1}
-    else:
-        terms = {(mode_a, mode_b): Fraction(1, 2)}
-        key = (mode_b, mode_a)
-        if key in terms:
-            terms[key] = terms[key] - Fraction(1, 2)
-            if terms[key] == 0:
-                del terms[key]
-        else:
-            terms[key] = Fraction(-1, 2)
-    return ModeOperator(cfg, terms)
-
-
-def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
-                       mode_b: Mode, scale) -> None:
-    """Accumulate scale * (normal-ordered pair) into a term dict."""
     z = cfg.z_index2(mode_a)
     if z > 0:
         items = (((mode_b, mode_a), scalar_mul(-1, scale)),)

@@ -17,8 +17,6 @@ The raw divergence remains available as a documented diagnostic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -41,7 +39,6 @@ __all__ = [
     "BracketResult",
     "CommutatorReport",
     "probe_states",
-    "commutator_on_window",
     "measure_central",
     "measure_virasoro_shape",
     "central_raw_scan",
@@ -71,7 +68,6 @@ class Window:
 
     @staticmethod
     def of(w_z, w_a, n, sigmas=None) -> "Window":
-        from .halfints import to_doubled
         return Window(to_doubled(w_z), to_doubled(w_a), int(n), sigmas)
 
     def describe(self) -> str:
@@ -105,11 +101,50 @@ def probe_states(cfg: SectorConfig, window: Window) -> list:
 class TorusAlgebra:
     """Builds torus generators and the expected right-hand sides."""
 
+    kappa_bound = 1e-9          # least bound on the [L, T] refit deviation
+
     def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep, eps: float = 0.0):
         self.cfg = cfg
         self.rep = rep
         self.eps = eps
         self._ops: dict = {}
+
+    def modes(self, max_mode: int) -> list:
+        rng = range(-max_mode, max_mode + 1)
+        return [(m, p) for m in rng for p in rng]
+
+    def header(self) -> dict:
+        cfg = self.cfg
+        return {"task": "verify-torus", "geometry": "torus",
+                "sectors": f"{cfg.z_sector},{cfg.angular_sector}",
+                "cutoffs": {"m": fmt_half(cfg.m2_cut),
+                            "p": fmt_half(cfg.p2_cut)}}
+
+    def z_mode(self, mode) -> int:
+        return mode[0]
+
+    def central_key(self, family, a, b, mode1, mode2):
+        return (family, a, b, mode1[0])
+
+    def central(self, family, a, b, mode1, mode2, method) -> float:
+        return measure_central(family, mode1[0], rep=self.rep, cfg=self.cfg,
+                               a=a, b=b, p=mode1[1], method=method)
+
+    def charges(self, method):
+        """Report block of c and k, and the (measured, expected) pairs."""
+        cfg, rep = self.cfg, self.rep
+        k_val = measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
+                                method=method)
+        c_val = 2.0 * measure_central("LL", 2, rep=rep, cfg=cfg, method=method)
+        charges = {"c_measured": c_val, "k_measured": k_val,
+                   "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0}
+        return charges, [(c_val, cfg.d / 2.0), (k_val, rep.C_M / 2.0)]
+
+    def lt_variant(self, kappas, tol) -> dict:
+        """Whether the printed rule -(angular mode of L) fits the refit."""
+        return {"printed_variant": "-(angular mode of L)",
+                "printed_variant_matches": all(abs(k - (-m1[1])) <= tol
+                                               for m1, _, k in kappas)}
 
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
@@ -200,12 +235,65 @@ class TorusAlgebra:
 class SphereAlgebra:
     """Builds sphere generators and table-contracted right-hand sides."""
 
+    kappa_bound = 1e-8          # table entries carry quadrature round-off
+
     def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep,
                  table: StructureTable):
         self.cfg = cfg
         self.rep = rep
         self.table = table
         self._ops: dict = {}
+
+    def modes(self, max_l: int) -> list:
+        return [(l, m) for l in range(max_l + 1) for m in range(-l, l + 1)]
+
+    def header(self) -> dict:
+        return {"task": "verify-sphere", "geometry": "sphere",
+                "sectors": self.cfg.z_sector,
+                "cutoffs": {"l": fmt_half(self.cfg.l2_cut),
+                            "table_L_max": self.table.L_max}}
+
+    def z_mode(self, mode) -> int:
+        return mode[1]
+
+    def central_key(self, family, a, b, mode1, mode2):
+        return (family, a, b, mode1, mode2)
+
+    def central(self, family, a, b, mode1, mode2, method) -> float:
+        return measure_central(family, mode1[1], rep=self.rep, cfg=self.cfg,
+                               a=a or 1, b=b or 1,
+                               degrees=(mode1[0], mode2[0]), method=method,
+                               table=self.table)
+
+    def charges(self, method, central_ms):
+        """Report block of c, k and the Virasoro centrals at central_ms.
+
+        The diagonal current bracket at m = 1 carries (-1)^1 k; c is read
+        at m = 2, and is nan when the degree cutoff is below 2.
+        """
+        cfg, rep, table = self.cfg, self.rep, self.table
+        k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
+                                 degrees=(1, 1), method=method, table=table)
+        c_col = {}
+        for m in central_ms:
+            l = max(abs(m), 2)
+            if l > cfg.l2_cut // 2:
+                continue
+            val = measure_central("LL", m, rep=rep, cfg=cfg, degrees=(l, l),
+                                  method=method, table=table)
+            sgn = -1.0 if m % 2 else 1.0
+            c_col[m] = (val, sgn * (cfg.d / 2.0 / 12.0) * m * (m * m - 1))
+        c_val = 2.0 * c_col[2][0] if 2 in c_col else float("nan")
+        charges = {
+            "c_measured": c_val, "k_measured": k_val,
+            "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0,
+            "virasoro_centrals": {str(m): {"measured": v[0], "expected": v[1]}
+                                  for m, v in sorted(c_col.items())},
+        }
+        return charges, [(k_val, rep.C_M / 2.0)] + list(c_col.values())
+
+    def lt_variant(self, kappas, tol) -> dict:
+        return {}
 
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
@@ -323,6 +411,30 @@ def _one_dim_reduction(z_sector: str, d: int, m: int) -> SectorConfig:
     return torus_sector(z_sector, "R", d, Fraction(m2_cut, 2), 0)
 
 
+def _torus_pair(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
+                p: int, cfg: SectorConfig, eps: float = 0.0,
+                exact: bool = False):
+    """X_{m,p}, X_{-m,-p} and the operator part of their bracket."""
+    if family == "TT":
+        A = torus_T(rep, a, m, p, cfg, eps, exact)
+        B = torus_T(rep, b, -m, -p, cfg, eps, exact)
+        rhs = None
+        for c in range(1, rep.dim_g + 1):
+            fabc = int(rep.f[a - 1, b - 1, c - 1])
+            if fabc:
+                scale = (SqrtTwoScalar(ia=Fraction(fabc)) if exact
+                         else complex(0.0, fabc))
+                piece = torus_T(rep, c, 0, 0, cfg, eps, exact).scaled(scale)
+                rhs = piece if rhs is None else rhs + piece
+    elif family == "LL":
+        A = torus_L(m, p, cfg, eps, exact)
+        B = torus_L(-m, -p, cfg, eps, exact)
+        rhs = torus_L(0, 0, cfg, eps, exact).scaled(2 * m) if m else None
+    else:
+        raise ValueError("central terms exist for TT and LL only")
+    return A, B, rhs
+
+
 def _anomaly_1d(z_sector: str, rep: LieAlgebraRep, family: str, a: int, b: int,
                 m: int) -> float:
     """Exact z-direction anomaly of [X_m, X_-m] on the reduced sector.
@@ -331,22 +443,7 @@ def _anomaly_1d(z_sector: str, rep: LieAlgebraRep, family: str, a: int, b: int,
     anomaly values are exact dyadic rationals.
     """
     cfg1 = _one_dim_reduction(z_sector, rep.d, m)
-    if family == "TT":
-        A = torus_T(rep, a, m, 0, cfg1, exact=True)
-        B = torus_T(rep, b, -m, 0, cfg1, exact=True)
-        rhs = None
-        for c in range(1, rep.dim_g + 1):
-            fabc = int(rep.f[a - 1, b - 1, c - 1])
-            if fabc:
-                piece = torus_T(rep, c, 0, 0, cfg1, exact=True).scaled(
-                    SqrtTwoScalar(ia=Fraction(fabc)))
-                rhs = piece if rhs is None else rhs + piece
-    elif family == "LL":
-        A = torus_L(m, 0, cfg1, exact=True)
-        B = torus_L(-m, 0, cfg1, exact=True)
-        rhs = torus_L(0, 0, cfg1, exact=True).scaled(2 * m) if m else None
-    else:
-        raise ValueError("central terms exist for TT and LL only")
+    A, B, rhs = _torus_pair(family, rep, a, b, m, 0, cfg1, exact=True)
     return _vacuum_sandwich(A, B, rhs, cfg1)
 
 
@@ -408,20 +505,7 @@ def _central_eps_extrapolated(family, m, p, rep, cfg, a, b, eps0, levels):
             p2 += 1
         cfge = torus_sector(cfg.z_sector, cfg.angular_sector, cfg.d,
                             z_cut, Fraction(p2, 2))
-        if family == "TT":
-            A = torus_T(rep, a, m, p, cfge, eps)
-            B = torus_T(rep, b, -m, -p, cfge, eps)
-            rhs = None
-            for c in range(1, rep.dim_g + 1):
-                fabc = int(rep.f[a - 1, b - 1, c - 1])
-                if fabc:
-                    piece = torus_T(rep, c, 0, 0, cfge, eps).scaled(
-                        complex(0.0, fabc))
-                    rhs = piece if rhs is None else rhs + piece
-        else:
-            A = torus_L(m, p, cfge, eps)
-            B = torus_L(-m, -p, cfge, eps)
-            rhs = torus_L(0, 0, cfge, eps).scaled(2 * m) if m else None
+        A, B, rhs = _torus_pair(family, rep, a, b, m, p, cfge, eps)
         return _vacuum_sandwich(A, B, rhs, cfge, check_sigmas=False)
 
     _, finite = richardson_finite_part(value, eps0=eps0, levels=levels)
@@ -570,7 +654,7 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
     zero_tot = alg.zero_total(mode1, mode2)
 
     # independent refit of the [L, T] coefficient against the unit RHS
-    field_coeff = _lt_field_coefficient(alg, mode2)
+    field_coeff = -alg.z_mode(mode2)
     w_op = None
     if want_kappa and rhs is not None and field_coeff != 0:
         w_op = _strip_boundary_zero_modes(rhs.scaled(1.0 / field_coeff),
@@ -627,18 +711,10 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
                          offender)
 
 
-def _lt_field_coefficient(alg, mode2):
-    if alg.cfg.geometry == "torus":
-        return -mode2[0]
-    return -mode2[1]
-
-
 def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
     parts = []
     for scale, kind, c, mode in alg.rhs_terms(family, a, b, mode1, mode2):
-        if isinstance(scale, SqrtTwoScalar):
-            txt = f"i*({scale.ia})"
-        elif isinstance(scale, complex):
+        if isinstance(scale, complex):
             txt = f"({scale.real:+.6g}{scale.imag:+.6g}i)"
         else:
             txt = f"{float(scale):+.6g}"
@@ -646,113 +722,76 @@ def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _run_jobs(jobs, threads: Optional[int]):
-    if threads is None:
-        threads = int(os.environ.get("KM2D_THREADS", "1") or "1")
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
+             lt_flavour: int, central_method: str, central_tol: float,
+             **charge_opts) -> CommutatorReport:
+    """Certify the bracket relations of one geometry on a safe window.
 
+    Sweeps all pairs of the adapter's mode grid of the given size for the
+    three bracket families, measures the regulated central charges, and
+    refits the [L, T] coefficient independently.
+    """
+    modes = alg.modes(size)
+    if not modes:
+        raise ValueError(f"empty bracket sweep at size {size}")
+    cfg, rep = alg.cfg, alg.rep
+    probes = probe_states(cfg, window)
+    report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
+                              tol=tol, **alg.header())
 
-def _mode_grid(max_mode: int):
-    rng = range(-max_mode, max_mode + 1)
-    return [(m, p) for m in rng for p in rng]
+    central_cache: dict = {}
+
+    def central_lookup(family, a, b, mode1, mode2):
+        if family == "LT":
+            return 0.0
+        key = alg.central_key(family, a, b, mode1, mode2)
+        if key not in central_cache:
+            central_cache[key] = alg.central(family, a, b, mode1, mode2,
+                                             central_method)
+        return central_cache[key]
+
+    fa, fb = flavour_pair
+    tasks = [("TT", fa, fb, m1, m2) for m1 in modes for m2 in modes]
+    tasks += [("LL", None, None, m1, m2)
+              for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
+    tasks += [("LT", lt_flavour, lt_flavour, m1, m2)
+              for m1 in modes for m2 in modes]
+    for family, a, b, mode1, mode2 in tasks:
+        alg.guard(window, probes, mode1, mode2)
+    report.brackets = [
+        _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
+                     central_lookup, central_tol, family == "LT")
+        for family, a, b, mode1, mode2 in tasks]
+
+    report.charges, charge_pairs = alg.charges(central_method, **charge_opts)
+
+    kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)
+              in zip(report.brackets, tasks)
+              if family == "LT" and r.kappa is not None]
+    max_dev = max((abs(k - (-alg.z_mode(m2))) for _, m2, k in kappas),
+                  default=0.0)
+    report.lt_summary = {
+        "rule": "-(z mode of T)",
+        "max_deviation_from_rule": max_dev,
+        **alg.lt_variant(kappas, tol),
+        "pairs_measured": len(kappas),
+    }
+
+    charges_ok = all(abs(v - e) <= central_tol for v, e in charge_pairs)
+    report.passed = (all(r.passed for r in report.brackets) and charges_ok
+                     and max_dev <= max(tol, alg.kappa_bound))
+    return report
 
 
 def check_torus_algebra(cfg: SectorConfig, rep: LieAlgebraRep, window: Window,
                         tol: float = 1e-9, max_mode: int = 2,
                         flavour_pair=(1, 2), lt_flavour: int = 1,
                         central_method: str = "analytic",
-                        central_tol: Optional[float] = None,
-                        threads: Optional[int] = None) -> CommutatorReport:
-    """Certify the torus bracket relations on a safe window.
-
-    Sweeps all operator mode pairs with |m|, |p| <= max_mode for the three
-    bracket families, measures the regulated central charges, and refits the
-    [L, T] coefficient independently.
-    """
-    if central_tol is None:
-        central_tol = tol
-    alg = TorusAlgebra(cfg, rep)
-    probes = probe_states(cfg, window)
-    report = CommutatorReport(
-        task="verify-torus", geometry="torus",
-        sectors=f"{cfg.z_sector},{cfg.angular_sector}", d=cfg.d, rep=rep.name,
-        cutoffs={"m": fmt_half(cfg.m2_cut), "p": fmt_half(cfg.p2_cut)},
-        window=window.describe(), tol=tol)
-
-    central_cache: dict = {}
-
-    def central_for(family, a, b, mode1, mode2):
-        key = (family, a, b, mode1[0])
-        if key not in central_cache:
-            central_cache[key] = measure_central(
-                family, mode1[0], rep=rep, cfg=cfg, a=a, b=b, p=mode1[1],
-                method=central_method)
-        return central_cache[key]
-
-    def central_lookup(family, a, b, mode1, mode2):
-        if family == "LT":
-            return 0.0
-        return central_for(family, a, b, mode1, mode2)
-
-    grid = _mode_grid(max_mode)
-    tasks = []
-    for m1 in grid:
-        for m2 in grid:
-            tasks.append(("TT", flavour_pair[0], flavour_pair[1], m1, m2, False))
-    for i1, m1 in enumerate(grid):
-        for m2 in grid[i1:]:
-            tasks.append(("LL", None, None, m1, m2, False))
-    for m1 in grid:
-        for m2 in grid:
-            tasks.append(("LT", lt_flavour, lt_flavour, m1, m2, True))
-
-    for family, a, b, mode1, mode2, _ in tasks:
-        alg.guard(window, probes, mode1, mode2)
-
-    jobs = [
-        (lambda fam=family, aa=a, bb=b, mm1=mode1, mm2=mode2, wk=wk:
-         _bracket_job(alg, fam, aa, bb, mm1, mm2, probes, window, tol,
-                      central_lookup, central_tol, wk))
-        for family, a, b, mode1, mode2, wk in tasks
-    ]
-    results = _run_jobs(jobs, threads)
-    report.brackets = results
-
-    # charges from the regulated pipeline
-    k_val = measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
-                            method=central_method)
-    c_val = 2.0 * measure_central("LL", 2, rep=rep, cfg=cfg,
-                                  method=central_method)
-    report.charges = {
-        "c_measured": c_val, "k_measured": k_val,
-        "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0,
-    }
-
-    # [L, T] coefficient resolution
-    kappas = []
-    for res, (family, a, b, mode1, mode2, wk) in zip(results, tasks):
-        if family == "LT" and res.kappa is not None:
-            kappas.append((mode1, mode2, res.kappa))
-    max_dev_field = max((abs(k - (-m2[0])) for _, m2, k in kappas),
-                        default=0.0)
-    printed_rule_holds = all(abs(k - (-m1[1])) <= tol for m1, _, k in kappas)
-    report.lt_summary = {
-        "rule": "-(z mode of T)",
-        "max_deviation_from_rule": max_dev_field,
-        "printed_variant": "-(angular mode of L)",
-        "printed_variant_matches": printed_rule_holds,
-        "pairs_measured": len(kappas),
-    }
-
-    charges_ok = (abs(c_val - cfg.d / 2.0) <= central_tol
-                  and abs(k_val - rep.C_M / 2.0) <= central_tol)
-    report.passed = (all(r.passed for r in results) and charges_ok
-                     and max_dev_field <= max(tol, 1e-9))
-    return report
+                        central_tol: Optional[float] = None) -> CommutatorReport:
+    """Certify the torus bracket relations for all |m|, |p| <= max_mode."""
+    return _certify(TorusAlgebra(cfg, rep), window, max_mode, tol,
+                    flavour_pair, lt_flavour, central_method,
+                    tol if central_tol is None else central_tol)
 
 
 def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
@@ -761,88 +800,11 @@ def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
                              flavour_pair=(1, 2), lt_flavour: int = 1,
                              central_method: str = "analytic",
                              central_tol: float = 1e-8,
-                             central_ms=(1, 2),
-                             threads: Optional[int] = None) -> CommutatorReport:
-    """Certify the sphere bracket relations in the fermionic realization."""
-    alg = SphereAlgebra(cfg, rep, table)
-    probes = probe_states(cfg, window)
-    report = CommutatorReport(
-        task="verify-sphere", geometry="sphere", sectors=cfg.z_sector,
-        d=cfg.d, rep=rep.name,
-        cutoffs={"l": fmt_half(cfg.l2_cut), "table_L_max": table.L_max},
-        window=window.describe(), tol=tol)
-
-    central_cache: dict = {}
-
-    def central_lookup(family, a, b, mode1, mode2):
-        if family == "LT":
-            return 0.0
-        key = (family, a, b, mode1, mode2)
-        if key not in central_cache:
-            central_cache[key] = measure_central(
-                family, mode1[1], rep=rep, cfg=cfg, a=a or 1, b=b or 1,
-                degrees=(mode1[0], mode2[0]), method=central_method,
-                table=table)
-        return central_cache[key]
-
-    modes = [(l, m) for l in range(max_l + 1) for m in range(-l, l + 1)]
-    tasks = []
-    for m1 in modes:
-        for m2 in modes:
-            tasks.append(("TT", flavour_pair[0], flavour_pair[1], m1, m2, False))
-    for i1, m1 in enumerate(modes):
-        for m2 in modes[i1:]:
-            tasks.append(("LL", None, None, m1, m2, False))
-    for m1 in modes:
-        for m2 in modes:
-            tasks.append(("LT", lt_flavour, lt_flavour, m1, m2, True))
-
-    for family, a, b, mode1, mode2, _ in tasks:
-        alg.guard(window, probes, mode1, mode2)
-
-    jobs = [
-        (lambda fam=family, aa=a, bb=b, mm1=mode1, mm2=mode2, wk=wk:
-         _bracket_job(alg, fam, aa, bb, mm1, mm2, probes, window, tol,
-                      central_lookup, central_tol, wk))
-        for family, a, b, mode1, mode2, wk in tasks
-    ]
-    results = _run_jobs(jobs, threads)
-    report.brackets = results
-
-    # charges: the diagonal current bracket at m = 1 carries (-1)^1 k
-    k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
-                             degrees=(1, 1), method=central_method, table=table)
-    c_col = {}
-    l_cut = cfg.l2_cut // 2
-    for m in central_ms:
-        l = max(abs(m), 2)
-        if l > l_cut:
-            continue
-        val = measure_central("LL", m, rep=rep, cfg=cfg, degrees=(l, l),
-                              method=central_method, table=table)
-        sgn = -1.0 if m % 2 else 1.0
-        c_col[m] = (val, sgn * (cfg.d / 2.0 / 12.0) * m * (m * m - 1))
-    c_val = 2.0 * c_col[2][0] if 2 in c_col else float("nan")
-    report.charges = {
-        "c_measured": c_val, "k_measured": k_val,
-        "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0,
-        "virasoro_centrals": {str(m): {"measured": v[0], "expected": v[1]}
-                              for m, v in sorted(c_col.items())},
-    }
-
-    kappas = [(m1, m2, r.kappa) for r, (fam, _, _, m1, m2, wk)
-              in zip(results, tasks) if fam == "LT" and r.kappa is not None]
-    max_dev = max((abs(k - (-m2[1])) for _, m2, k in kappas), default=0.0)
-    report.lt_summary = {
-        "rule": "-(z mode of T)",
-        "max_deviation_from_rule": max_dev,
-        "pairs_measured": len(kappas),
-    }
-    charges_ok = (abs(k_val - rep.C_M / 2.0) <= central_tol
-                  and all(abs(v - e) <= central_tol for v, e in c_col.values()))
-    report.passed = (all(r.passed for r in results) and charges_ok
-                     and max_dev <= max(tol, 1e-8))
-    return report
+                             central_ms=(1, 2)) -> CommutatorReport:
+    """Certify the sphere bracket relations for all degrees l <= max_l."""
+    return _certify(SphereAlgebra(cfg, rep, table), window, max_l, tol,
+                    flavour_pair, lt_flavour, central_method, central_tol,
+                    central_ms=central_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -962,42 +924,3 @@ def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
         "pass": worst <= tol,
     }
 
-
-def commutator_on_window(A: ModeOperator, B: ModeOperator, cfg: SectorConfig,
-                         window: Window) -> tuple:
-    """Matrix of <probe'|[A,B]|probe> with the c-number part split off.
-
-    Returns (matrix, raw_central); the raw central value is the common
-    diagonal c-number (nonzero only when the total mode vanishes), already
-    subtracted from the matrix.
-    """
-    probes = probe_states(cfg, window)
-    specs = [op.spec for op in (A, B)]
-    if all(s is not None for s in specs):
-        mA2, mB2 = (abs(s.mode[0]) for s in specs)
-        pA2, pB2 = (abs(s.mode[1]) for s in specs)
-        max_k1 = max((m.k1 for s in probes for m in s.occ), default=0)
-        zc = cfg.m2_cut if cfg.geometry == "torus" else cfg.l2_cut
-        if cfg.geometry == "torus" and max_k1 + mA2 + mB2 > zc:
-            raise WindowViolationError(
-                f"z reach {fmt_half(max_k1 + mA2 + mB2)} exceeds cutoff "
-                f"{fmt_half(zc)}")
-    D = A.commutator(B)
-    index = {s: k for k, s in enumerate(probes)}
-    mat = np.zeros((len(probes), len(probes)), dtype=complex)
-    for j, probe in enumerate(probes):
-        out = D.apply_state(probe)
-        for s, amp in out.items():
-            i = index.get(s)
-            if i is not None:
-                mat[i, j] = to_complex(amp)
-    diag = np.diagonal(mat)
-    zero_total = False
-    if all(s is not None for s in specs):
-        zero_total = (specs[0].mode[0] + specs[1].mode[0] == 0
-                      and specs[0].mode[1] + specs[1].mode[1] == 0)
-    raw_central = 0.0
-    if zero_total and len(probes):
-        raw_central = float(np.mean(diag).real)
-        mat = mat - raw_central * np.eye(len(probes))
-    return mat, raw_central

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -100,9 +101,13 @@ def test_regularization_sphere_ns_unresolved(capsys):
 
 
 def test_sphere_ns_verification_exits_three(capsys):
-    code = main(["verify-sphere", "--sectors", "NS", "--cutoff-l", "3/2",
-                 "--lmax", "2", "--max-l", "0", "--window", "1/2,1/2,2"])
-    assert code == 3
+    # the default --lmax is the cutoff rounded up, which covers NS degrees
+    for args in (["--cutoff-l", "3/2", "--lmax", "2", "--max-l", "0",
+                  "--window", "1/2,1/2,2"],
+                 ["--cutoff-l", "9/2"]):
+        code = main(["verify-sphere", "--sectors", "NS"] + args)
+        assert code == 3
+        assert "unresolved prescription" in capsys.readouterr().err
 
 
 def test_window_violation_exits_one(capsys):
@@ -168,9 +173,46 @@ def test_check_failure_exits_two(tmp_path):
     assert json.loads(out.read_text())["pass"] is False
 
 
-def test_threads_env_is_deterministic(tmp_path, monkeypatch):
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(TORUS_ARGS + ["--output", str(f1)]) == 0
-    monkeypatch.setenv("KM2D_THREADS", "4")
-    assert main(TORUS_ARGS + ["--output", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
+def _exit_code(args):
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-torus", "--rep", "su2-fund"],
+    ["verify-torus", "--rep", "so2-adjoint"],
+    ["verify-torus", "--tol", "nan"],
+    ["verify-torus", "--tol", "inf"],
+    ["verify-torus", "--tol=-1e-9"],
+    ["verify-sphere", "--central-tol", "nan"],
+    ["sphere-abstract", "--lmax", "-1", "--l-probe", "-1"],
+    ["sphere-abstract", "--l-probe", "-1"],
+    ["verify-torus", "--max-mode", "-1"],
+    ["verify-sphere", "--max-l", "-1"],
+], ids=lambda args: "_".join(args))
+def test_bad_input_exits_one(args, capsys):
+    assert _exit_code(args) == 1
+    captured = capsys.readouterr()
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# sha256 of reports of the default configurations at two small sweep sizes
+PINNED_REPORTS = [
+    (["verify-torus", "--max-mode", "1"],
+     "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
+    (["verify-sphere", "--sectors", "R", "--cutoff-l", "4", "--max-l", "1"],
+     "f6e9412a702393e21f7b45af8060ec14745938095915663e1d2ed670f3a5549e"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_REPORTS,
+                         ids=["torus", "sphere"])
+def test_report_bytes_are_pinned(args, digest, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(args + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

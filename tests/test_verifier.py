@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from km2d.currents import torus_L, torus_T
@@ -14,7 +13,6 @@ from km2d.verifier import (
     check_sphere_abstract,
     check_sphere_realization,
     check_torus_algebra,
-    commutator_on_window,
     measure_central,
     measure_virasoro_shape,
     probe_states,
@@ -110,28 +108,27 @@ def test_probe_states_window(nsns):
         assert z2 <= 2 and abs(c2) <= 2 and len(s.occ) <= 2
 
 
-def test_commutator_on_window_trivial(so3, nsns):
-    w = Window.of(1, 1, 2)
+def test_self_commutator_is_zero(so3, nsns):
+    # the CAR commutator of a generator with itself cancels term by term
     L00 = torus_L(0, 0, nsns)
-    mat, central = commutator_on_window(L00, L00, nsns, w)
-    assert np.abs(mat).max() == 0.0
+    assert L00.commutator(L00).terms == {}
     T00 = torus_T(so3, 1, 0, 0, nsns)
-    mat, central = commutator_on_window(T00, T00, nsns, w)
-    assert np.abs(mat).max() == 0.0
-
-
-def test_commutator_on_window_guards(so3, nsns):
-    w = Window.of(1, 1, 2)
-    A = torus_T(so3, 1, 4, 0, nsns)
-    B = torus_T(so3, 1, -4, 0, nsns)
-    with pytest.raises(WindowViolationError):
-        commutator_on_window(A, B, nsns, w)
+    assert T00.commutator(T00).terms == {}
 
 
 def test_window_guard_in_check(so3):
     cfg = torus_sector("NS", "NS", 3, Fraction(5, 2), Fraction(5, 2))
     with pytest.raises(WindowViolationError):
         check_torus_algebra(cfg, so3, Window.of(1, 1, 2), max_mode=2)
+
+
+def test_empty_sweep_is_rejected(so3, nsns, table4):
+    # a sweep without brackets certifies nothing, so it must not pass
+    with pytest.raises(ValueError, match="empty"):
+        check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=-1)
+    with pytest.raises(ValueError, match="empty"):
+        check_sphere_realization(sphere_sector("R", 3, 4), so3, table4,
+                                 Window.of(1, 1, 2), max_l=-1)
 
 
 # ---------------------------------------------------------------------------
