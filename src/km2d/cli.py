@@ -258,6 +258,9 @@ def _cmd_verify_sphere(args) -> int:
     except UnresolvedPrescriptionError as exc:
         sys.stderr.write(f"unresolved prescription: {exc}\n")
         return EXIT_UNRESOLVED
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     _write_report(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
 

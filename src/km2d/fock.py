@@ -28,6 +28,7 @@ last generator acts diagonally as (+1/sqrt2) times the parity operator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -35,16 +36,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .halfints import fmt_half, lattice_range, to_doubled
-from .scalars import (
-    INV_SQRT2,
-    SqrtTwoScalar,
-    scalar_abs,
-    scalar_add,
-    scalar_conj,
-    scalar_is_zero,
-    scalar_mul,
-    to_complex,
-)
+from .scalars import INV_SQRT2, SqrtTwoScalar
 
 __all__ = [
     "Mode",
@@ -330,19 +322,23 @@ def sphere_sector(z: str, d: int, l_cut) -> SectorConfig:
 # States and state vectors
 # ---------------------------------------------------------------------------
 
+def accumulate(terms: dict, key, coeff) -> None:
+    """Add coeff into a sparse dict; a key whose sum is exactly 0 is dropped."""
+    cur = terms.get(key)
+    if cur is None:
+        terms[key] = coeff
+    else:
+        s = cur + coeff
+        if s == 0:
+            del terms[key]
+        else:
+            terms[key] = s
+
+
 class StateVector(dict):
     """Sparse map FockState -> amplitude (exact scalar or complex)."""
 
-    def add_term(self, state: FockState, coeff) -> None:
-        cur = self.get(state)
-        if cur is None:
-            self[state] = coeff
-        else:
-            s = scalar_add(cur, coeff)
-            if scalar_is_zero(s):
-                del self[state]
-            else:
-                self[state] = s
+    add_term = accumulate
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other> with conjugation on self."""
@@ -352,14 +348,14 @@ class StateVector(dict):
         for s, a in self.items():
             b = other.get(s)
             if b is not None:
-                acc += np.conj(to_complex(a)) * to_complex(b)
+                acc += np.conj(complex(a)) * complex(b)
         return acc
 
     def norm2(self) -> float:
-        return sum(abs(to_complex(a)) ** 2 for a in self.values())
+        return sum(abs(complex(a)) ** 2 for a in self.values())
 
     def max_abs(self) -> float:
-        return max((scalar_abs(a) for a in self.values()), default=0.0)
+        return max((abs(complex(a)) for a in self.values()), default=0.0)
 
 
 def vacuum_states(cfg: SectorConfig) -> list:
@@ -392,7 +388,7 @@ def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
     gen = cfg.zero_mode_index(mode)
     coeff, sigma = cfg.clifford_action(gen, state.sigma)
     if len(occ) % 2:
-        coeff = scalar_mul(-1, coeff)
+        coeff = -coeff
     return coeff, FockState(sigma, occ)
 
 
@@ -406,7 +402,7 @@ class ModeOperator:
     terms maps a tuple of modes (applied right to left) to a coefficient;
     the empty tuple is a multiple of the identity.  Supports addition,
     scaling, adjoints, exact bilinear commutators via the canonical
-    anticommutation relations, and materialization on an explicit basis.
+    anticommutation relations, and application to basis states.
     """
 
     __slots__ = ("cfg", "terms", "_groups")
@@ -421,15 +417,7 @@ class ModeOperator:
     def _merged(self, other_terms, scale=1):
         out = dict(self.terms)
         for key, c in other_terms.items():
-            c = scalar_mul(c, scale)
-            if key in out:
-                s = scalar_add(out[key], c)
-                if scalar_is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+            accumulate(out, key, c * scale)
         return out
 
     def __add__(self, other: "ModeOperator") -> "ModeOperator":
@@ -440,22 +428,15 @@ class ModeOperator:
 
     def scaled(self, c) -> "ModeOperator":
         return ModeOperator(self.cfg,
-                            {k: scalar_mul(v, c) for k, v in self.terms.items()})
+                            {k: v * c for k, v in self.terms.items()})
 
     def adjoint(self) -> "ModeOperator":
+        # conjugating and reversing a key is injective, so no keys collide
         cfg = self.cfg
-        out = {}
-        for key, c in self.terms.items():
-            twist = 1
-            for m in key:
-                twist *= cfg.reality_twist(m)
-            newkey = tuple(cfg.conj(m) for m in reversed(key))
-            c2 = scalar_mul(scalar_conj(c), twist)
-            if newkey in out:
-                out[newkey] = scalar_add(out[newkey], c2)
-            else:
-                out[newkey] = c2
-        return ModeOperator(cfg, out)
+        return ModeOperator(cfg, {
+            tuple(cfg.conj(m) for m in reversed(key)):
+                c.conjugate() * math.prod(cfg.reality_twist(m) for m in key)
+            for key, c in self.terms.items()})
 
     def commutator(self, other: "ModeOperator") -> "ModeOperator":
         """[self, other] for bilinear operators, exact via the CAR.
@@ -474,17 +455,6 @@ class ModeOperator:
             by_first.setdefault(key[0], []).append((key, c))
             by_second.setdefault(key[1], []).append((key, c))
         out: dict = {}
-
-        def add(key, c):
-            if key in out:
-                s = scalar_add(out[key], c)
-                if scalar_is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
-
         for key_a, ca in self.terms.items():
             if len(key_a) == 0:
                 continue        # identity component commutes
@@ -494,16 +464,16 @@ class ModeOperator:
             cy, cx = cfg.conj(y), cfg.conj(x)
             for (z, w), cb in by_first.get(cy, ()):
                 k = cfg.car_pairing(y, z)
-                add((x, w), scalar_mul(scalar_mul(ca, cb), k))
+                accumulate(out, (x, w), ca * cb * k)
             for (z, w), cb in by_first.get(cx, ()):
                 k = cfg.car_pairing(x, z)
-                add((y, w), scalar_mul(scalar_mul(ca, cb), -k))
+                accumulate(out, (y, w), ca * cb * -k)
             for (z, w), cb in by_second.get(cy, ()):
                 k = cfg.car_pairing(y, w)
-                add((z, x), scalar_mul(scalar_mul(ca, cb), k))
+                accumulate(out, (z, x), ca * cb * k)
             for (z, w), cb in by_second.get(cx, ()):
                 k = cfg.car_pairing(x, w)
-                add((z, y), scalar_mul(scalar_mul(ca, cb), -k))
+                accumulate(out, (z, y), ca * cb * -k)
         return ModeOperator(cfg, out)
 
     # -- application -------------------------------------------------------
@@ -547,7 +517,7 @@ class ModeOperator:
             if res is None:
                 return
             f, s = res
-            c = scalar_mul(c, f)
+            c = c * f
         out.add_term(s, c)
 
     def apply_state(self, state: FockState, z2_bound=None,
@@ -582,18 +552,8 @@ class ModeOperator:
         out = StateVector()
         for state, amp in sv.items():
             for s, c in self.apply_state(state, z2_bound).items():
-                out.add_term(s, scalar_mul(c, amp))
+                out.add_term(s, c * amp)
         return out
-
-    def materialize(self, basis: list) -> np.ndarray:
-        index = {s: k for k, s in enumerate(basis)}
-        mat = np.zeros((len(basis), len(basis)), dtype=complex)
-        for j, s in enumerate(basis):
-            for t, c in self.apply_state(s).items():
-                k = index.get(t)
-                if k is not None:
-                    mat[k, j] = to_complex(c)
-        return mat
 
 
 def b_operator(mode: Mode, cfg: SectorConfig) -> ModeOperator:
@@ -617,23 +577,18 @@ def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
     half-difference on the z = 0 line.
     """
     z = cfg.z_index2(mode_a)
+    # -1 * x, not -x: on complex x the two can differ in the sign of a
+    # zero real part, and reports are pinned byte for byte
     if z > 0:
-        items = (((mode_b, mode_a), scalar_mul(-1, scale)),)
+        items = (((mode_b, mode_a), -1 * scale),)
     elif z < 0:
         items = (((mode_a, mode_b), scale),)
     else:
-        half = scalar_mul(scale, Fraction(1, 2))
+        half = scale * Fraction(1, 2)
         items = (((mode_a, mode_b), half),
-                 ((mode_b, mode_a), scalar_mul(-1, half)))
+                 ((mode_b, mode_a), -1 * half))
     for key, c in items:
-        if key in terms:
-            s = scalar_add(terms[key], c)
-            if scalar_is_zero(s):
-                del terms[key]
-            else:
-                terms[key] = s
-        else:
-            terms[key] = c
+        accumulate(terms, key, c)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +650,7 @@ def check_car(cfg: SectorConfig, sample=None, basis=None) -> float:
         expected = cfg.car_pairing(x, y)
         for s in basis:
             sv = op.apply_state(s)
-            sv.add_term(s, scalar_mul(-1, expected))
+            sv.add_term(s, -expected)
             worst = max(worst, sv.max_abs())
     return worst
 

@@ -27,19 +27,14 @@ def fmt_half(d: int) -> str:
     return f"{d}/2"
 
 
-def half_value(d: int) -> Fraction:
-    return Fraction(d, 2)
-
-
-def lattice_range(cut2: int, parity_odd: bool, include_zero: bool = True):
+def lattice_range(cut2: int, parity_odd: bool):
     """Doubled indices k with |k| <= cut2 on the requested sublattice.
 
     parity_odd=True gives the NS lattice (odd doubled values, i.e. Z+1/2),
     False the R lattice (even doubled values).
     """
-    start = 1 if parity_odd else (0 if include_zero else 2)
     out = []
-    for k in range(start, cut2 + 1, 2):
+    for k in range(1 if parity_odd else 0, cut2 + 1, 2):
         if k == 0:
             out.append(0)
         else:

@@ -76,9 +76,6 @@ class SqrtTwoScalar:
     def __hash__(self):
         return hash((self.ra, self.rb, self.ia, self.ib))
 
-    def is_zero(self) -> bool:
-        return not (self.ra or self.rb or self.ia or self.ib)
-
     def conjugate(self):
         return SqrtTwoScalar(self.ra, self.rb, -self.ia, -self.ib)
 
@@ -91,46 +88,9 @@ class SqrtTwoScalar:
         return (f"SqrtTwoScalar({self.ra}, {self.rb}, {self.ia}, {self.ib})")
 
 
-I_EXACT = SqrtTwoScalar(ia=1)
 INV_SQRT2 = SqrtTwoScalar(rb=Fraction(1, 2))  # sqrt2/2 == 1/sqrt2
-I_INV_SQRT2 = SqrtTwoScalar(ib=Fraction(1, 2))
-
-
-def scalar_is_zero(x: Number) -> bool:
-    if isinstance(x, SqrtTwoScalar):
-        return x.is_zero()
-    return x == 0
 
 
 def scalar_mul(x: Number, y: Number) -> Number:
-    if isinstance(x, SqrtTwoScalar):
-        return x * y
-    if isinstance(y, SqrtTwoScalar):
-        return y * x
+    """x * y.  No km2d code calls it; perfbench/tracer.py counts it by name."""
     return x * y
-
-
-def scalar_add(x: Number, y: Number) -> Number:
-    if isinstance(x, SqrtTwoScalar):
-        return x + y
-    if isinstance(y, SqrtTwoScalar):
-        return y + x
-    return x + y
-
-
-def scalar_conj(x: Number) -> Number:
-    if isinstance(x, SqrtTwoScalar):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
-def to_complex(x: Number) -> complex:
-    if isinstance(x, SqrtTwoScalar):
-        return complex(x)
-    return complex(x)
-
-
-def scalar_abs(x: Number) -> float:
-    return abs(to_complex(x))

@@ -24,14 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .currents import sphere_L, sphere_T, torus_L, torus_T
-from .fock import (FockState, ModeOperator, SectorConfig,
-                   enumerate_states, render_state, torus_sector,
-                   vacuum_states)
+from .fock import (ModeOperator, SectorConfig, accumulate, enumerate_states,
+                   render_state, torus_sector, vacuum_states)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
 from .regulator import delta_reg_zero, richardson_finite_part
-from .scalars import SqrtTwoScalar, to_complex
+from .scalars import SqrtTwoScalar
 
 __all__ = [
     "Window",
@@ -64,26 +63,23 @@ class Window:
     w_z2: int
     w_a2: int
     n_max: int
-    sigmas: Optional[tuple] = None
 
     @staticmethod
-    def of(w_z, w_a, n, sigmas=None) -> "Window":
-        return Window(to_doubled(w_z), to_doubled(w_a), int(n), sigmas)
+    def of(w_z, w_a, n) -> "Window":
+        return Window(to_doubled(w_z), to_doubled(w_a), int(n))
 
     def describe(self) -> str:
         return f"(z<={fmt_half(self.w_z2)}, a<={fmt_half(self.w_a2)}, N<={self.n_max})"
 
 
-def _window_sigmas(cfg: SectorConfig, window: Window):
-    if window.sigmas is not None:
-        return window.sigmas
+def _window_sigmas(cfg: SectorConfig):
     dim = cfg.spinor_dim()
     return tuple(range(dim)) if dim <= 4 else (0, dim - 1)
 
 
 def probe_states(cfg: SectorConfig, window: Window) -> list:
     """Probe states of the window, in deterministic order."""
-    sigmas = _window_sigmas(cfg, window)
+    sigmas = _window_sigmas(cfg)
     if cfg.geometry == "torus":
         return enumerate_states(cfg, max_z2=window.w_z2,
                                 max_particles=window.n_max,
@@ -154,7 +150,6 @@ class TorusAlgebra:
                 o = torus_T(self.rep, a, m, p, self.cfg, self.eps)
             else:
                 o = torus_L(m, p, self.cfg, self.eps)
-            o._build_groups()
             self._ops[key] = o
         return self._ops[key]
 
@@ -190,7 +185,7 @@ class TorusAlgebra:
             return (c / 12.0) * m * (m * m - 1)
         return 0.0
 
-    def guard(self, window: Window, probes, mode1, mode2) -> None:
+    def guard(self, probes, mode1, mode2) -> None:
         """Exactness conditions for the bracket on this window.
 
         Every comparison state must keep all its modes inside the interior
@@ -211,21 +206,16 @@ class TorusAlgebra:
             raise WindowViolationError(
                 f"angular reach {fmt_half(max_k2 + pA2 + pB2)} exceeds cutoff "
                 f"{fmt_half(cfg.p2_cut)}")
-        margin_z, margin_a = self.compare_bounds(window, mode1, mode2)
+        margin_z, margin_a = self.compare_bounds(mode1, mode2)
         if max_k1 > margin_z or max_k2 > margin_a:
             raise WindowViolationError(
                 "probe states extend past the truncation-exact margin")
 
-    def compare_bounds(self, window: Window, mode1, mode2):
+    def compare_bounds(self, mode1, mode2):
         """Per-mode interior margins of the truncation-exact region."""
         margin_z = self.cfg.m2_cut - 2 * max(abs(mode1[0]), abs(mode2[0]))
         margin_a = self.cfg.p2_cut - 2 * max(abs(mode1[1]), abs(mode2[1]))
         return margin_z, margin_a
-
-    def in_bounds(self, state: FockState, margins) -> bool:
-        margin_z, margin_a = margins
-        return all(m.k1 <= margin_z and abs(m.k2) <= margin_a
-                   for m in state.occ)
 
     def mode_label(self, kind, a, mode) -> str:
         tag = f"T{a}" if kind == "T" else "L"
@@ -269,7 +259,7 @@ class SphereAlgebra:
         """Report block of c, k and the Virasoro centrals at central_ms.
 
         The diagonal current bracket at m = 1 carries (-1)^1 k; c is read
-        at m = 2, and is nan when the degree cutoff is below 2.
+        at m = 2, so a degree cutoff below 2 is rejected with ValueError.
         """
         cfg, rep, table = self.cfg, self.rep, self.table
         k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
@@ -283,7 +273,10 @@ class SphereAlgebra:
                                   method=method, table=table)
             sgn = -1.0 if m % 2 else 1.0
             c_col[m] = (val, sgn * (cfg.d / 2.0 / 12.0) * m * (m * m - 1))
-        c_val = 2.0 * c_col[2][0] if 2 in c_col else float("nan")
+        if 2 not in c_col:
+            raise ValueError("c is read from the m = 2 Virasoro central, "
+                             "which needs a degree cutoff of at least 2")
+        c_val = 2.0 * c_col[2][0]
         charges = {
             "c_measured": c_val, "k_measured": k_val,
             "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0,
@@ -303,7 +296,6 @@ class SphereAlgebra:
                 o = sphere_T(self.rep, a, l, m, self.cfg, self.table)
             else:
                 o = sphere_L(l, m, self.cfg, self.table)
-            o._build_groups()
             self._ops[key] = o
         return self._ops[key]
 
@@ -349,7 +341,7 @@ class SphereAlgebra:
             return sign * (c / 12.0) * m1 * (m1 * m1 - 1)
         return 0.0
 
-    def guard(self, window: Window, probes, mode1, mode2) -> None:
+    def guard(self, probes, mode1, mode2) -> None:
         lA2, lB2 = 2 * mode1[0], 2 * mode2[0]
         max_l = max((m.k1 for s in probes for m in s.occ), default=0)
         if max_l + lA2 + lB2 > self.cfg.l2_cut:
@@ -360,18 +352,14 @@ class SphereAlgebra:
             raise WindowViolationError(
                 f"structure table degree {self.table.L_max} below bracket "
                 f"target {(lA2 + lB2) // 2}")
-        margin_z, margin_l = self.compare_bounds(window, mode1, mode2)
+        _, margin_l = self.compare_bounds(mode1, mode2)
         if max_l > margin_l:
             raise WindowViolationError(
                 "probe states extend past the truncation-exact margin")
 
-    def compare_bounds(self, window: Window, mode1, mode2):
+    def compare_bounds(self, mode1, mode2):
         margin_l = self.cfg.l2_cut - 2 * max(mode1[0], mode2[0])
         return margin_l, margin_l
-
-    def in_bounds(self, state: FockState, margins) -> bool:
-        _, margin_l = margins
-        return all(m.k1 <= margin_l for m in state.occ)
 
     def mode_label(self, kind, a, mode) -> str:
         tag = f"T{a}" if kind == "T" else "L"
@@ -394,7 +382,7 @@ def _vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs: Optional[ModeOperato
         t1 = A.apply(xB, z2_bound=0).get(vac, 0)
         t2 = B.apply(xA, z2_bound=0).get(vac, 0)
         r = rhs.apply_state(vac, z2_bound=0).get(vac, 0) if rhs is not None else 0
-        vals.append(to_complex(t1) - to_complex(t2) - to_complex(r))
+        vals.append(complex(t1) - complex(t2) - complex(r))
     spread = max(abs(v - vals[0]) for v in vals)
     if spread > 1e-10:
         raise AssertionError(f"central value varies across the vacuum "
@@ -646,9 +634,8 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
     D = A.commutator(B)
     if rhs is not None:
         D = D - rhs
-    margins = alg.compare_bounds(window, mode1, mode2)
+    margins = alg.compare_bounds(mode1, mode2)
     D = _strip_boundary_zero_modes(D, margins)
-    D._build_groups()
     # states worth comparing keep every mode inside the margins
     perf_z2 = window.w_z2 + 2 * max(margins[0], 0)
     zero_tot = alg.zero_total(mode1, mode2)
@@ -659,7 +646,6 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
     if want_kappa and rhs is not None and field_coeff != 0:
         w_op = _strip_boundary_zero_modes(rhs.scaled(1.0 / field_coeff),
                                           margins)
-        w_op._build_groups()
 
     residual = 0.0
     worst_state = None
@@ -669,14 +655,14 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
         out = D.apply_state(probe, z2_bound=perf_z2, mode_bounds=margins)
         diag = out.pop(probe, 0)
         for s, amp in out.items():
-            mag = abs(to_complex(amp))
+            mag = abs(complex(amp))
             if mag > residual:
                 residual = mag
                 worst_state = s
         if zero_tot:
-            diags.append(to_complex(diag))
+            diags.append(complex(diag))
         else:
-            residual = max(residual, abs(to_complex(diag)))
+            residual = max(residual, abs(complex(diag)))
         if w_op is not None:
             wp = w_op.apply_state(probe, z2_bound=perf_z2, mode_bounds=margins)
             out.add_term(probe, diag)
@@ -736,8 +722,19 @@ def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
         raise ValueError(f"empty bracket sweep at size {size}")
     cfg, rep = alg.cfg, alg.rep
     probes = probe_states(cfg, window)
+    fa, fb = flavour_pair
+    tasks = [("TT", fa, fb, m1, m2) for m1 in modes for m2 in modes]
+    tasks += [("LL", None, None, m1, m2)
+              for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
+    tasks += [("LT", lt_flavour, lt_flavour, m1, m2)
+              for m1 in modes for m2 in modes]
+    for family, a, b, mode1, mode2 in tasks:
+        alg.guard(probes, mode1, mode2)
+    # a configuration that cannot measure its charges fails here, before
+    # any bracket is checked
+    charges, charge_pairs = alg.charges(central_method, **charge_opts)
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
-                              tol=tol, **alg.header())
+                              tol=tol, charges=charges, **alg.header())
 
     central_cache: dict = {}
 
@@ -750,20 +747,10 @@ def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
                                              central_method)
         return central_cache[key]
 
-    fa, fb = flavour_pair
-    tasks = [("TT", fa, fb, m1, m2) for m1 in modes for m2 in modes]
-    tasks += [("LL", None, None, m1, m2)
-              for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
-    tasks += [("LT", lt_flavour, lt_flavour, m1, m2)
-              for m1 in modes for m2 in modes]
-    for family, a, b, mode1, mode2 in tasks:
-        alg.guard(window, probes, mode1, mode2)
     report.brackets = [
         _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
                      central_lookup, central_tol, family == "LT")
         for family, a, b, mode1, mode2 in tasks]
-
-    report.charges, charge_pairs = alg.charges(central_method, **charge_opts)
 
     kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)
               in zip(report.brackets, tasks)
@@ -820,15 +807,6 @@ def _abstract_bracket(table: StructureTable, rep: LieAlgebraRep, x, y) -> dict:
     if x[0] in ("C", "K") or y[0] in ("C", "K"):
         return {}
     out: dict = {}
-
-    def add(sym, coeff):
-        if sym in out:
-            out[sym] += coeff
-            if out[sym] == 0:
-                del out[sym]
-        else:
-            out[sym] = coeff
-
     if x[0] == "T" and y[0] == "L":
         return {s: -c for s, c in _abstract_bracket(table, rep, y, x).items()}
 
@@ -838,10 +816,10 @@ def _abstract_bracket(table: StructureTable, rep: LieAlgebraRep, x, y) -> dict:
         for l3 in table.target_degrees(l1, l2, m1 + m2):
             cval = table.get(l1, m1, l2, m2, l3)
             if cval and m1 != m2:
-                add(("L", l3, m1 + m2), (m1 - m2) * cval)
+                accumulate(out, ("L", l3, m1 + m2), (m1 - m2) * cval)
         if m1 + m2 == 0 and l1 == l2:
             sign = -1 if m1 % 2 else 1
-            add(("C",), sign * m1 * (m1 * m1 - 1) / 12.0)
+            accumulate(out, ("C",), sign * m1 * (m1 * m1 - 1) / 12.0)
         return out
 
     if x[0] == "L" and y[0] == "T":
@@ -851,7 +829,7 @@ def _abstract_bracket(table: StructureTable, rep: LieAlgebraRep, x, y) -> dict:
             for l3 in table.target_degrees(l1, l2, m1 + m2):
                 cval = table.get(l1, m1, l2, m2, l3)
                 if cval:
-                    add(("T", a2, l3, m1 + m2), -m2 * cval)
+                    accumulate(out, ("T", a2, l3, m1 + m2), -m2 * cval)
         return out
 
     _, a1, l1, m1 = x
@@ -863,10 +841,10 @@ def _abstract_bracket(table: StructureTable, rep: LieAlgebraRep, x, y) -> dict:
         for c in range(1, rep.dim_g + 1):
             fabc = int(rep.f[a1 - 1, a2 - 1, c - 1])
             if fabc:
-                add(("T", c, l3, m1 + m2), 1j * fabc * cval)
+                accumulate(out, ("T", c, l3, m1 + m2), 1j * fabc * cval)
     if m1 + m2 == 0 and l1 == l2 and a1 == a2:
         sign = -1 if m1 % 2 else 1
-        add(("K",), sign * m1)
+        accumulate(out, ("K",), sign * m1)
     return out
 
 
@@ -875,11 +853,7 @@ def _bracket_elements(table, rep, u: dict, v: dict) -> dict:
     for sx, cx in u.items():
         for sy, cy in v.items():
             for sz, cz in _abstract_bracket(table, rep, sx, sy).items():
-                val = out.get(sz, 0) + cx * cy * cz
-                if val == 0:
-                    out.pop(sz, None)
-                else:
-                    out[sz] = val
+                accumulate(out, sz, cx * cy * cz)
     return out
 
 
@@ -903,11 +877,7 @@ def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
             inner = _abstract_bracket(table, rep, u, v)
             for sym, coeff in _bracket_elements(table, rep, inner, {w: 1}).items():
-                val = j.get(sym, 0) + coeff
-                if val == 0:
-                    j.pop(sym, None)
-                else:
-                    j[sym] = val
+                accumulate(j, sym, coeff)
         n_checked += 1
         res = max((abs(c) for c in j.values()), default=0.0)
         if res > worst:

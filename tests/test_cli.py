@@ -191,6 +191,10 @@ def _exit_code(args):
     ["sphere-abstract", "--l-probe", "-1"],
     ["verify-torus", "--max-mode", "-1"],
     ["verify-sphere", "--max-l", "-1"],
+    # c is read at m = 2, which needs degree-2 modes
+    ["verify-sphere", "--cutoff-l", "1", "--max-l", "0", "--window", "0,0,1"],
+    ["verify-sphere", "--sectors", "NS", "--cutoff-l", "3/2", "--lmax", "2",
+     "--max-l", "0", "--window", "1/2,1/2,2", "--method", "raw"],
 ], ids=lambda args: "_".join(args))
 def test_bad_input_exits_one(args, capsys):
     assert _exit_code(args) == 1
@@ -201,17 +205,24 @@ def test_bad_input_exits_one(args, capsys):
     assert captured.out == ""
 
 
-# sha256 of reports of the default configurations at two small sweep sizes
+# sha256 of reports of the default configurations at two small sweep sizes,
+# of an R,R torus run (Clifford zero modes, exact R anomaly) and of the
+# abstract sphere Jacobi check
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "4", "--max-l", "1"],
      "f6e9412a702393e21f7b45af8060ec14745938095915663e1d2ed670f3a5549e"),
+    (["verify-torus", "--sectors", "R,R", "--cutoff-m", "2", "--cutoff-p", "2",
+      "--window", "0,0,2", "--max-mode", "1"],
+     "78a54e6cde5c07b7acb510a35d591ac71a5900b9a1544f2ae7c9056aa1aa3c02"),
+    (["sphere-abstract", "--lmax", "6", "--l-probe", "2"],
+     "daaf3b91ac34aadb7b4bde76c1cda564624581a241f1deee8c6500c459b7cc74"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS,
-                         ids=["torus", "sphere"])
+                         ids=["torus", "sphere", "torus-rr", "sphere-abstract"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0
