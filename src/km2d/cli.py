@@ -133,14 +133,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="km2d", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--rep", default="so3-adjoint",
-                       help="Lie algebra representation name")
-        p.add_argument("--d", type=int, default=None,
-                       help="expected flavour count (checked against the rep)")
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
+    def add_common(p, rep=True, tol=True):
+        """--output and --config; --rep, --d and --tol where they are read."""
+        if rep:
+            p.add_argument("--rep", default="so3-adjoint",
+                           help="Lie algebra representation name")
+            p.add_argument("--d", type=int, default=None,
+                           help="expected flavour count (checked against "
+                                "the rep)")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     pt = sub.add_parser("verify-torus", help="certify the torus algebra")
@@ -173,12 +176,12 @@ def build_parser() -> _Parser:
     pa.set_defaults(tol=1e-10)
 
     pc = sub.add_parser("structure-constants", help="export the product table")
-    add_common(pc)
+    add_common(pc, rep=False, tol=False)
     pc.add_argument("--lmax", type=_count, default=4)
-    pc.set_defaults(format="csv")
+    pc.add_argument("--format", choices=("json", "csv"), default="csv")
 
     pr = sub.add_parser("regularization", help="finite-part table")
-    add_common(pr)
+    add_common(pr, tol=False)
     pr.add_argument("--sphere-m", type=int, nargs="*", default=[0, 1, 2])
     pr.add_argument("--include-sphere-ns", action="store_true")
     pr.add_argument("--raw-scan", action="store_true",
@@ -186,7 +189,8 @@ def build_parser() -> _Parser:
                          "angular cutoff (documents the divergence)")
 
     pk = sub.add_parser("car-check", help="anticommutation relations")
-    add_common(pk)
+    add_common(pk, rep=False, tol=False)
+    pk.add_argument("--d", type=int, default=2, help="flavour count")
     pk.add_argument("--geometry", choices=("torus", "sphere"), default="torus")
     pk.add_argument("--sectors", default="NS,NS")
     pk.add_argument("--cutoff-m", type=_half, default=Fraction(3, 2))
@@ -346,14 +350,13 @@ def _cmd_regularization(args) -> int:
 
 
 def _cmd_car_check(args) -> int:
-    rep_d = args.d if args.d is not None else 2
     try:
         if args.geometry == "torus":
             z, ang = (s.strip() for s in args.sectors.split(","))
-            cfg = torus_sector(z, ang, rep_d, args.cutoff_m, args.cutoff_p)
+            cfg = torus_sector(z, ang, args.d, args.cutoff_m, args.cutoff_p)
         else:
             z = args.sectors.split(",")[0].strip()
-            cfg = sphere_sector(z, rep_d, args.cutoff_l)
+            cfg = sphere_sector(z, args.d, args.cutoff_l)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -479,34 +479,27 @@ class ModeOperator:
     # -- application -------------------------------------------------------
 
     def _term_requirement(self, key):
-        """Required oscillators, z-level shift and net-created mode extent."""
+        """Oscillators the term annihilates that it did not create itself."""
         cfg = self.cfg
-        zof = (lambda m: m.k1) if cfg.geometry == "torus" else (lambda m: m.k2)
         required, created = set(), set()
-        delta_z2 = 0
         for mode in reversed(key):
             kind = cfg.classify(mode)
             if kind == "ann":
-                delta_z2 -= zof(mode)
                 if mode in created:
                     created.discard(mode)
                 else:
                     required.add(mode)
             elif kind == "cre":
-                osc = cfg.conj(mode)
-                delta_z2 += zof(osc)
-                created.add(osc)
-        cre_k1 = max((m.k1 for m in created), default=0)
-        cre_k2 = max((abs(m.k2) for m in created), default=0)
-        return frozenset(required), delta_z2, cre_k1, cre_k2
+                created.add(cfg.conj(mode))
+        return frozenset(required)
 
     def _build_groups(self):
         groups: dict = {}
         depth = 0
         for key, c in self.terms.items():
-            req, delta_z2, cre_k1, cre_k2 = self._term_requirement(key)
+            req = self._term_requirement(key)
             depth = max(depth, len(req))
-            groups.setdefault(req, []).append((key, c, delta_z2, cre_k1, cre_k2))
+            groups.setdefault(req, []).append((key, c))
         self._groups = (groups, depth)
         return self._groups
 
@@ -520,38 +513,31 @@ class ModeOperator:
             c = c * f
         out.add_term(s, c)
 
-    def apply_state(self, state: FockState, z2_bound=None,
-                    mode_bounds=None) -> StateVector:
-        """Image of a basis state; optional pruning of the output grading.
+    def apply_state(self, state: FockState) -> StateVector:
+        """Image of a basis state on the truncated space.
 
-        z2_bound drops components above a doubled z-level; mode_bounds =
-        (k1_max, k2_max) drops terms whose net-created oscillators leave
-        that box (used for truncation-exact window comparisons).
+        Only terms whose annihilated oscillators are all occupied in the
+        state are tried.  Which terms may be compared with the untruncated
+        algebra is the caller's decision (see ``verifier``).
         """
         groups, depth = self._groups or self._build_groups()
         out = StateVector()
         occ = state.occ
-        z2 = self.cfg.grade2(state)[0] if z2_bound is not None else 0
         subsets = {frozenset()}
         for n in range(1, min(depth, len(occ)) + 1):
             subsets.update(frozenset(c) for c in itertools.combinations(occ, n))
         for req in subsets:
-            for key, coeff, delta_z2, cre_k1, cre_k2 in groups.get(req, ()):
-                if z2_bound is not None and z2 + delta_z2 > z2_bound:
-                    continue
-                if mode_bounds is not None and (cre_k1 > mode_bounds[0]
-                                                or cre_k2 > mode_bounds[1]):
-                    continue
+            for key, coeff in groups.get(req, ()):
                 if key:
                     self._apply_term(key, coeff, state, out)
                 else:
                     out.add_term(state, coeff)
         return out
 
-    def apply(self, sv: StateVector, z2_bound=None) -> StateVector:
+    def apply(self, sv: StateVector) -> StateVector:
         out = StateVector()
         for state, amp in sv.items():
-            for s, c in self.apply_state(state, z2_bound).items():
+            for s, c in self.apply_state(state).items():
                 out.add_term(s, c * amp)
         return out
 
@@ -596,33 +582,15 @@ def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
 # ---------------------------------------------------------------------------
 
 def enumerate_states(cfg: SectorConfig, max_z2: int, max_particles: int,
-                     max_charge2: Optional[int] = None,
-                     per_mode_k2: Optional[int] = None,
-                     per_mode_l2: Optional[int] = None,
                      sigmas: Optional[Iterable[int]] = None) -> list:
-    """All states with doubled z-level <= max_z2 and <= max_particles.
-
-    Optional bounds: |total doubled charge| <= max_charge2, per-oscillator
-    |angular index| <= per_mode_k2 (torus), degree <= per_mode_l2 (sphere).
-    """
-    osc = cfg.oscillator_modes()
-    if cfg.geometry == "torus":
-        zkey, ckey = (lambda m: m.k1), (lambda m: m.k2)
-    else:
-        zkey, ckey = (lambda m: m.k2), (lambda m: m.k2)
-    osc = [m for m in osc if zkey(m) <= max_z2]
-    if per_mode_k2 is not None:
-        osc = [m for m in osc if abs(m.k2) <= per_mode_k2]
-    if per_mode_l2 is not None:
-        osc = [m for m in osc if m.k1 <= per_mode_l2]
-    osc.sort()
+    """All states with doubled z-level <= max_z2 and <= max_particles."""
+    zkey = (lambda m: m.k1) if cfg.geometry == "torus" else (lambda m: m.k2)
+    osc = sorted(m for m in cfg.oscillator_modes() if zkey(m) <= max_z2)
     sig = list(sigmas) if sigmas is not None else list(range(cfg.spinor_dim()))
     out = []
     for n in range(max_particles + 1):
         for combo in itertools.combinations(osc, n):
             if sum(zkey(m) for m in combo) > max_z2:
-                continue
-            if max_charge2 is not None and abs(sum(ckey(m) for m in combo)) > max_charge2:
                 continue
             for s in sig:
                 out.append(FockState(s, combo))
@@ -630,28 +598,27 @@ def enumerate_states(cfg: SectorConfig, max_z2: int, max_particles: int,
     return out
 
 
-def check_car(cfg: SectorConfig, sample=None, basis=None) -> float:
+def check_car(cfg: SectorConfig) -> float:
     """Max residual of {b_x, b_y} against the postulated c-number.
 
-    With exact integer cutoff data the residual is exactly zero; any nonzero
-    return signals a sign error in the fermionic bookkeeping.
+    Every mode pair of the sector is checked on the states of doubled
+    z-level <= 2 max(1, d // 2) with at most two particles.  With exact
+    integer cutoff data the residual is exactly zero; any nonzero return
+    signals a sign error in the fermionic bookkeeping.
     """
-    modes = sample if sample is not None else None
-    if modes is None:
-        all_modes = cfg.all_modes()
-        modes = [(x, y) for x in all_modes for y in all_modes]
-    if basis is None:
-        basis = enumerate_states(cfg, max_z2=2 * max(1, cfg.d // 2),
-                                 max_particles=2)
+    all_modes = cfg.all_modes()
+    basis = enumerate_states(cfg, max_z2=2 * max(1, cfg.d // 2),
+                             max_particles=2)
     worst = 0.0
-    for x, y in modes:
-        terms = {(x, x): 2} if x == y else {(x, y): 1, (y, x): 1}
-        op = ModeOperator(cfg, terms)
-        expected = cfg.car_pairing(x, y)
-        for s in basis:
-            sv = op.apply_state(s)
-            sv.add_term(s, -expected)
-            worst = max(worst, sv.max_abs())
+    for x in all_modes:
+        for y in all_modes:
+            terms = {(x, x): 2} if x == y else {(x, y): 1, (y, x): 1}
+            op = ModeOperator(cfg, terms)
+            expected = cfg.car_pairing(x, y)
+            for s in basis:
+                sv = op.apply_state(s)
+                sv.add_term(s, -expected)
+                worst = max(worst, sv.max_abs())
     return worst
 
 

@@ -8,6 +8,7 @@ anticommutator checks return residual 0 rather than 1e-16.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -69,12 +70,24 @@ class SqrtTwoScalar:
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return complex(self) == other
-        return (self.ra, self.rb, self.ia, self.ib) == (o.ra, o.rb, o.ia, o.ib)
+        if o is not None:
+            return ((self.ra, self.rb, self.ia, self.ib)
+                    == (o.ra, o.rb, o.ia, o.ib))
+        if isinstance(other, (float, complex)):
+            # exact: a nonzero sqrt2 part is irrational and equals no float
+            return (not (self.rb or self.ib) and self.ra == other.real
+                    and self.ia == other.imag)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.ra, self.rb, self.ia, self.ib))
+        if self.rb or self.ib:
+            return hash((self.ra, self.rb, self.ia, self.ib))
+        # the hash of the equal int, Fraction, float or complex, combined as
+        # hash(complex) combines its parts
+        width = sys.hash_info.width
+        h = (hash(self.ra) + sys.hash_info.imag * hash(self.ia)) % (1 << width)
+        h -= (h >> (width - 1)) << width
+        return -2 if h == -1 else h
 
     def conjugate(self):
         return SqrtTwoScalar(self.ra, self.rb, -self.ia, -self.ib)

@@ -2,7 +2,9 @@
 
 Operator parts of brackets are checked exactly on *safe windows*: probe
 states far enough below the mode cutoffs that every contributing lattice
-term of the commutator survives truncation.  Central terms are never read
+term of the commutator survives truncation.  The rule is stated once: the
+adapters' ``guard`` bounds the probes' reach and ``_exact_terms`` selects
+the terms that are compared.  Central terms are never read
 from raw truncated commutators (their coincident-point multiplicity grows
 with the angular cutoff); they come from the regulated pipeline:
 
@@ -17,6 +19,7 @@ The raw divergence remains available as a documented diagnostic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -79,15 +82,13 @@ def _window_sigmas(cfg: SectorConfig):
 
 def probe_states(cfg: SectorConfig, window: Window) -> list:
     """Probe states of the window, in deterministic order."""
-    sigmas = _window_sigmas(cfg)
+    states = enumerate_states(cfg, window.w_z2, window.n_max,
+                              _window_sigmas(cfg))
+    a2 = window.w_a2
     if cfg.geometry == "torus":
-        return enumerate_states(cfg, max_z2=window.w_z2,
-                                max_particles=window.n_max,
-                                max_charge2=window.w_a2,
-                                per_mode_k2=window.w_a2, sigmas=sigmas)
-    return enumerate_states(cfg, max_z2=window.w_z2,
-                            max_particles=window.n_max,
-                            per_mode_l2=window.w_a2, sigmas=sigmas)
+        return [s for s in states if abs(cfg.grade2(s)[1]) <= a2
+                and all(abs(m.k2) <= a2 for m in s.occ)]
+    return [s for s in states if all(m.k1 <= a2 for m in s.occ)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +187,10 @@ class TorusAlgebra:
         return 0.0
 
     def guard(self, probes, mode1, mode2) -> None:
-        """Exactness conditions for the bracket on this window.
+        """Reject a window whose probes reach past a cutoff in this bracket.
 
-        Every comparison state must keep all its modes inside the interior
-        margin (one operator strength below each cutoff): there every
-        contraction route of the commutator survives truncation, so the
-        matrix elements are those of the untruncated algebra.
+        Within reach, every probe mode lies inside compare_bounds, which is
+        what the term filter _exact_terms needs.
         """
         cfg = self.cfg
         mA2, pA2 = 2 * abs(mode1[0]), 2 * abs(mode1[1])
@@ -206,13 +205,9 @@ class TorusAlgebra:
             raise WindowViolationError(
                 f"angular reach {fmt_half(max_k2 + pA2 + pB2)} exceeds cutoff "
                 f"{fmt_half(cfg.p2_cut)}")
-        margin_z, margin_a = self.compare_bounds(mode1, mode2)
-        if max_k1 > margin_z or max_k2 > margin_a:
-            raise WindowViolationError(
-                "probe states extend past the truncation-exact margin")
 
     def compare_bounds(self, mode1, mode2):
-        """Per-mode interior margins of the truncation-exact region."""
+        """Doubled (|z|, |angular|) margins, one operator strength inside."""
         margin_z = self.cfg.m2_cut - 2 * max(abs(mode1[0]), abs(mode2[0]))
         margin_a = self.cfg.p2_cut - 2 * max(abs(mode1[1]), abs(mode2[1]))
         return margin_z, margin_a
@@ -255,8 +250,8 @@ class SphereAlgebra:
                                degrees=(mode1[0], mode2[0]), method=method,
                                table=self.table)
 
-    def charges(self, method, central_ms):
-        """Report block of c, k and the Virasoro centrals at central_ms.
+    def charges(self, method):
+        """Report block of c, k and the Virasoro centrals at m = 1, 2.
 
         The diagonal current bracket at m = 1 carries (-1)^1 k; c is read
         at m = 2, so a degree cutoff below 2 is rejected with ValueError.
@@ -265,7 +260,7 @@ class SphereAlgebra:
         k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
                                  degrees=(1, 1), method=method, table=table)
         c_col = {}
-        for m in central_ms:
+        for m in (1, 2):
             l = max(abs(m), 2)
             if l > cfg.l2_cut // 2:
                 continue
@@ -352,12 +347,9 @@ class SphereAlgebra:
             raise WindowViolationError(
                 f"structure table degree {self.table.L_max} below bracket "
                 f"target {(lA2 + lB2) // 2}")
-        _, margin_l = self.compare_bounds(mode1, mode2)
-        if max_l > margin_l:
-            raise WindowViolationError(
-                "probe states extend past the truncation-exact margin")
 
     def compare_bounds(self, mode1, mode2):
+        """Doubled margins for (degree, |m|); |m| <= l makes them equal."""
         margin_l = self.cfg.l2_cut - 2 * max(mode1[0], mode2[0])
         return margin_l, margin_l
 
@@ -379,9 +371,9 @@ def _vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs: Optional[ModeOperato
     for vac in sample:
         xB = B.apply_state(vac)
         xA = A.apply_state(vac)
-        t1 = A.apply(xB, z2_bound=0).get(vac, 0)
-        t2 = B.apply(xA, z2_bound=0).get(vac, 0)
-        r = rhs.apply_state(vac, z2_bound=0).get(vac, 0) if rhs is not None else 0
+        t1 = A.apply(xB).get(vac, 0)
+        t2 = B.apply(xA).get(vac, 0)
+        r = rhs.apply_state(vac).get(vac, 0) if rhs is not None else 0
         vals.append(complex(t1) - complex(t2) - complex(r))
     spread = max(abs(v - vals[0]) for v in vals)
     if spread > 1e-10:
@@ -600,31 +592,41 @@ class CommutatorReport:
         return max((b.residual for b in self.brackets), default=0.0)
 
 
-def _strip_boundary_zero_modes(D: ModeOperator, margins) -> ModeOperator:
-    """Drop terms with a self-conjugate factor beyond the exact margin.
+def _exact_terms(op: ModeOperator, margins) -> ModeOperator:
+    """The terms of a bilinear that truncation cannot touch on the probes.
 
-    Zero-mode bilinears act inside the spinor module without occupying any
-    oscillator, so out-of-margin ones (whose contraction routes are cut off)
-    cannot be filtered by inspecting output states; they are removed from
-    the comparison on both sides instead.
+    This is the one truncation rule of the comparison.  A term is kept when
+    every oscillator it leaves created and every zero mode it acts with has
+    (k1, |k2|) within the doubled margins of compare_bounds.  The oscillators
+    a term annihilates on a probe are occupied there, and the guard keeps
+    those inside the margins too.  A mode inside the margins lies one
+    operator strength below each cutoff, so every contraction route behind
+    a kept term's coefficient survives truncation and its matrix elements
+    on the probes are those of the untruncated algebra.  Dropped terms touch
+    a mode where truncation cuts routes off; they are not compared.
     """
-    cfg = D.cfg
+    cfg = op.cfg
     margin_z, margin_a = margins
 
-    def ok(key):
-        for m in key:
-            if cfg.classify(m) == "zero" and (m.k1 > margin_z
-                                              or abs(m.k2) > margin_a):
+    def inside(m):
+        return m.k1 <= margin_z and abs(m.k2) <= margin_a
+
+    def exact(key):
+        created = set()
+        for mode in reversed(key):
+            kind = cfg.classify(mode)
+            if kind == "cre":
+                created.add(cfg.conj(mode))
+            elif kind == "ann":
+                created.discard(mode)
+            elif not inside(mode):
                 return False
-        return True
+        return all(inside(m) for m in created)
 
-    kept = {k: c for k, c in D.terms.items() if ok(k)}
-    if len(kept) == len(D.terms):
-        return D
-    return ModeOperator(cfg, kept)
+    return ModeOperator(cfg, {k: c for k, c in op.terms.items() if exact(k)})
 
 
-def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
+def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
                  central_cache, central_tol, want_kappa):
     kind_a = "T" if family == "TT" else "L"
     kind_b = "L" if family == "LL" else "T"
@@ -635,24 +637,21 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
     if rhs is not None:
         D = D - rhs
     margins = alg.compare_bounds(mode1, mode2)
-    D = _strip_boundary_zero_modes(D, margins)
-    # states worth comparing keep every mode inside the margins
-    perf_z2 = window.w_z2 + 2 * max(margins[0], 0)
+    D = _exact_terms(D, margins)
     zero_tot = alg.zero_total(mode1, mode2)
 
     # independent refit of the [L, T] coefficient against the unit RHS
     field_coeff = -alg.z_mode(mode2)
     w_op = None
     if want_kappa and rhs is not None and field_coeff != 0:
-        w_op = _strip_boundary_zero_modes(rhs.scaled(1.0 / field_coeff),
-                                          margins)
+        w_op = _exact_terms(rhs.scaled(1.0 / field_coeff), margins)
 
     residual = 0.0
     worst_state = None
     diags = []
     knum, kden = 0j, 0.0
     for probe in probes:
-        out = D.apply_state(probe, z2_bound=perf_z2, mode_bounds=margins)
+        out = D.apply_state(probe)
         diag = out.pop(probe, 0)
         for s, amp in out.items():
             mag = abs(complex(amp))
@@ -664,7 +663,7 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
         else:
             residual = max(residual, abs(complex(diag)))
         if w_op is not None:
-            wp = w_op.apply_state(probe, z2_bound=perf_z2, mode_bounds=margins)
+            wp = w_op.apply_state(probe)
             out.add_term(probe, diag)
             knum += wp.inner(out)
             kden += wp.norm2()
@@ -708,9 +707,8 @@ def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
-             lt_flavour: int, central_method: str, central_tol: float,
-             **charge_opts) -> CommutatorReport:
+def _certify(alg, window: Window, size: int, tol: float, central_method: str,
+             central_tol: float) -> CommutatorReport:
     """Certify the bracket relations of one geometry on a safe window.
 
     Sweeps all pairs of the adapter's mode grid of the given size for the
@@ -722,17 +720,16 @@ def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
         raise ValueError(f"empty bracket sweep at size {size}")
     cfg, rep = alg.cfg, alg.rep
     probes = probe_states(cfg, window)
-    fa, fb = flavour_pair
-    tasks = [("TT", fa, fb, m1, m2) for m1 in modes for m2 in modes]
+    tasks = [("TT", 1, 2, m1, m2) for m1 in modes for m2 in modes]
     tasks += [("LL", None, None, m1, m2)
               for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
-    tasks += [("LT", lt_flavour, lt_flavour, m1, m2)
+    tasks += [("LT", 1, 1, m1, m2)
               for m1 in modes for m2 in modes]
     for family, a, b, mode1, mode2 in tasks:
         alg.guard(probes, mode1, mode2)
     # a configuration that cannot measure its charges fails here, before
     # any bracket is checked
-    charges, charge_pairs = alg.charges(central_method, **charge_opts)
+    charges, charge_pairs = alg.charges(central_method)
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
                               tol=tol, charges=charges, **alg.header())
 
@@ -748,7 +745,7 @@ def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
         return central_cache[key]
 
     report.brackets = [
-        _bracket_job(alg, family, a, b, mode1, mode2, probes, window, tol,
+        _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
                      central_lookup, central_tol, family == "LT")
         for family, a, b, mode1, mode2 in tasks]
 
@@ -772,26 +769,21 @@ def _certify(alg, window: Window, size: int, tol: float, flavour_pair,
 
 def check_torus_algebra(cfg: SectorConfig, rep: LieAlgebraRep, window: Window,
                         tol: float = 1e-9, max_mode: int = 2,
-                        flavour_pair=(1, 2), lt_flavour: int = 1,
                         central_method: str = "analytic",
                         central_tol: Optional[float] = None) -> CommutatorReport:
     """Certify the torus bracket relations for all |m|, |p| <= max_mode."""
     return _certify(TorusAlgebra(cfg, rep), window, max_mode, tol,
-                    flavour_pair, lt_flavour, central_method,
-                    tol if central_tol is None else central_tol)
+                    central_method, tol if central_tol is None else central_tol)
 
 
 def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
                              table: StructureTable, window: Window,
                              tol: float = 1e-9, max_l: int = 1,
-                             flavour_pair=(1, 2), lt_flavour: int = 1,
                              central_method: str = "analytic",
-                             central_tol: float = 1e-8,
-                             central_ms=(1, 2)) -> CommutatorReport:
+                             central_tol: float = 1e-8) -> CommutatorReport:
     """Certify the sphere bracket relations for all degrees l <= max_l."""
     return _certify(SphereAlgebra(cfg, rep, table), window, max_l, tol,
-                    flavour_pair, lt_flavour, central_method, central_tol,
-                    central_ms=central_ms)
+                    central_method, central_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -858,21 +850,18 @@ def _bracket_elements(table, rep, u: dict, v: dict) -> dict:
 
 
 def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
-                          l_probe: int = 2, tol: float = 1e-10,
-                          include_currents: bool = True) -> dict:
+                          l_probe: int = 2, tol: float = 1e-10) -> dict:
     """Max Jacobi residual over generator triples with degree <= l_probe."""
     if table.L_max < 3 * l_probe:
         raise ValueError(f"need table degree >= {3 * l_probe}, "
                          f"have {table.L_max}")
     gens = [("L", l, m) for l in range(l_probe + 1) for m in range(-l, l + 1)]
-    if include_currents:
-        gens += [("T", a, l, m) for a in range(1, rep.dim_g + 1)
-                 for l in range(l_probe + 1) for m in range(-l, l + 1)]
+    gens += [("T", a, l, m) for a in range(1, rep.dim_g + 1)
+             for l in range(l_probe + 1) for m in range(-l, l + 1)]
     worst = 0.0
     worst_triple = None
     n_checked = 0
-    import itertools as _it
-    for x, y, z in _it.combinations_with_replacement(gens, 3):
+    for x, y, z in itertools.combinations_with_replacement(gens, 3):
         j = {}
         for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
             inner = _abstract_bracket(table, rep, u, v)

@@ -154,8 +154,7 @@ def test_criterion_7_sphere_realization(so3):
     cfg = sphere_sector("R", 3, 4)
     table = structure_table(4)
     report = check_sphere_realization(cfg, so3, table, Window.of(1, 1, 2),
-                                      tol=1e-9, central_tol=1e-8,
-                                      central_ms=(1, 2))
+                                      tol=1e-9, central_tol=1e-8)
     ch = report.charges
     cen = ch["virasoro_centrals"]
     ok = (report.max_residual <= 1e-9

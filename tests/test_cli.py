@@ -195,6 +195,17 @@ def _exit_code(args):
     ["verify-sphere", "--cutoff-l", "1", "--max-l", "0", "--window", "0,0,1"],
     ["verify-sphere", "--sectors", "NS", "--cutoff-l", "3/2", "--lmax", "2",
      "--max-l", "0", "--window", "1/2,1/2,2", "--method", "raw"],
+    # a flag that the command does not read is rejected, not ignored
+    ["car-check", "--format", "csv"],
+    ["car-check", "--tol", "5"],
+    ["car-check", "--rep", "so5-adjoint"],
+    ["structure-constants", "--tol", "1e-3"],
+    ["structure-constants", "--rep", "so3-adjoint"],
+    ["structure-constants", "--d", "3"],
+    ["regularization", "--tol", "1e-3"],
+    ["regularization", "--format", "json"],
+    ["verify-torus", "--format", "csv"],
+    ["sphere-abstract", "--format", "json"],
 ], ids=lambda args: "_".join(args))
 def test_bad_input_exits_one(args, capsys):
     assert _exit_code(args) == 1

@@ -10,8 +10,9 @@ from km2d.currents import (
     torus_L,
     torus_T,
 )
-from km2d.fock import enumerate_states, sphere_sector, torus_sector, vacuum_states
+from km2d.fock import sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
+from km2d.verifier import Window, probe_states
 
 H = Fraction(1, 2)
 
@@ -67,8 +68,7 @@ def test_current_grading_shift(so3, nsns):
 
 
 def test_materialized_adjoint(so3, nsns, matrix):
-    basis = enumerate_states(nsns, max_z2=3, max_particles=2, max_charge2=3,
-                             per_mode_k2=3)
+    basis = probe_states(nsns, Window.of(Fraction(3, 2), Fraction(3, 2), 2))
     # L_{2,-1} lowers the z-level past every basis state, so its matrix
     # here is empty; L_{1,-1} is not
     for op, op_adj in ((torus_T(so3, 1, 1, 1, nsns),

@@ -3,6 +3,7 @@
 The Fock code multiplies, adds, compares and conjugates coefficients with
 ``*``, ``+``, ``== 0``, ``.conjugate()`` and ``complex()``, whatever their
 type, so each of these must give one result in either operand order.
+Equality with a Python number is exact, and equal values hash alike.
 """
 
 from fractions import Fraction
@@ -60,6 +61,24 @@ def test_rationals_embed_exactly(x):
     assert s == x and (s == 0) == (x == 0)
     assert s.conjugate() == x.conjugate()
     assert complex(s) == complex(x)
+
+
+@given(st.one_of(rationals, inexact))
+def test_equal_numbers_hash_equal(x):
+    s = SqrtTwoScalar(ra=Fraction(x.real), ia=Fraction(x.imag))
+    assert s == x and x == s
+    assert hash(s) == hash(x)
+    assert len({s, x}) == 1
+
+
+@given(exact_scalars)
+def test_float_comparison_is_exact(s):
+    # a float equals s only if s is rational with float-exact parts
+    z = complex(s)
+    exact = (not (s.rb or s.ib) and Fraction(z.real) == s.ra
+             and Fraction(z.imag) == s.ia)
+    assert (s == z) == (z == s) == exact
+    assert (s == z.real) == (exact and not s.ia)
 
 
 def test_inverse_sqrt_two_squares_to_a_half():

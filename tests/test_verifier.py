@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from km2d.currents import torus_L, torus_T
 from km2d.fock import sphere_sector, torus_sector, vacuum_states
@@ -153,7 +155,7 @@ def test_torus_specific_bracket(so3, nsns):
     alg = TorusAlgebra(nsns, so3)
     probes = probe_states(nsns, Window.of(1, 1, 2))
     res = _bracket_job(alg, "LT", 1, 1, (0, 0), (1, 0), probes,
-                       Window.of(1, 1, 2), 1e-12, lambda *a: 0.0, 1e-12, True)
+                       1e-12, lambda *a: 0.0, 1e-12, True)
     assert res.residual == 0.0
     assert res.kappa == pytest.approx(-1.0, abs=1e-12)
 
@@ -165,7 +167,7 @@ def test_torus_tt_closure_example(so3, nsns):
     alg = TorusAlgebra(nsns, so3)
     probes = probe_states(nsns, Window.of(1, 1, 2))
     res = _bracket_job(alg, "TT", 1, 2, (1, 1), (-1, 0), probes,
-                       Window.of(1, 1, 2), 1e-12, lambda *a: 0.0, 1e-12, False)
+                       1e-12, lambda *a: 0.0, 1e-12, False)
     assert res.residual == 0.0
 
 
@@ -182,23 +184,30 @@ def test_antisymmetry_of_commutator(so3, nsns):
 
 def test_operator_part_cutoff_stable(so3):
     # growing the cutoffs beyond the exactness bound leaves window matrix
-    # elements bitwise identical
+    # elements bitwise identical: the filtered closure residual vanishes on
+    # the probes, and the commutator's terms inside the smallest cutoff's
+    # margins act alike at every cutoff
+    from km2d.verifier import _exact_terms
+
     w = Window.of(1, 1, 2)
     outs = []
+    first_margins = None
     for cut in (Fraction(9, 2), Fraction(11, 2), Fraction(13, 2)):
         cfg = torus_sector("NS", "NS", 3, cut, cut)
         probes = probe_states(cfg, w)
         A = torus_T(so3, 1, 2, 1, cfg)
         B = torus_T(so3, 2, -1, -1, cfg)
         rhs = torus_T(so3, 3, 1, 0, cfg).scaled(1j)
-        D = A.commutator(B) - rhs
+        AB = A.commutator(B)
         margins = (cfg.m2_cut - 4, cfg.p2_cut - 2)
-        vals = []
-        for probe in probes:
-            out = D.apply_state(probe, mode_bounds=(2, 2))
-            vals.append(sorted((s, complex(c)) for s, c in out.items()
-                               if abs(complex(c)) > 0))
-        outs.append(vals)
+        first_margins = first_margins or margins
+        D = _exact_terms(AB - rhs, margins)
+        assert D.terms and not any(D.apply_state(p) for p in probes)
+        part = _exact_terms(AB, first_margins)
+        outs.append([sorted((s, complex(c))
+                            for s, c in part.apply_state(p).items())
+                     for p in probes])
+    assert any(outs[0])
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -276,7 +285,7 @@ def test_raw_central_window_independent(so3, nsns):
     raws = []
     for window in (Window.of(1, 1, 1), Window.of(1, 1, 2)):
         probes = probe_states(nsns, window)
-        res = _bracket_job(alg, "TT", 1, 1, (1, 0), (-1, 0), probes, window,
+        res = _bracket_job(alg, "TT", 1, 1, (1, 0), (-1, 0), probes,
                            1e-9, lambda *a: 0.0, 1e9, False)
         raws.append(res.raw_central)
     assert raws[0] == pytest.approx(raws[1], abs=1e-10)
@@ -288,7 +297,62 @@ def test_sphere_closure_stable_under_cutoff_growth(so3):
     table = structure_table(5)
     cfg = sphere_sector("R", 3, 5)
     report = check_sphere_realization(cfg, so3, table, Window.of(1, 1, 2),
-                                      tol=1e-9, central_ms=(1, 2))
+                                      tol=1e-9)
     assert report.passed
     assert report.max_residual <= 1e-12
     assert report.charges["k_measured"] == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# guard soundness
+# ---------------------------------------------------------------------------
+
+@st.composite
+def torus_brackets(draw):
+    """A torus sector with cutoffs up to 9/2, a window and one bracket."""
+    def cutoff(sector):
+        first = 1 if sector == "NS" else 2
+        return Fraction(draw(st.sampled_from(range(first, 10, 2))), 2)
+
+    sectors = st.sampled_from(["R", "NS"])
+    z, ang = draw(sectors), draw(sectors)
+    cfg = torus_sector(z, ang, 3, cutoff(z), cutoff(ang))
+    window = Window(draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                    draw(st.integers(0, 2)))
+    family = draw(st.sampled_from(["TT", "LL", "LT"]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if family == "LL":
+        a = b = None
+    elif family == "LT":
+        b = a               # [L, T^a] closes on T^a
+    mode = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    return cfg, window, family, a, b, draw(mode), draw(mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_brackets())
+# the guard rejects these; accepted, their residuals would be 1, 1/7 and 0.40
+@example(bracket=(torus_sector("NS", "NS", 3, H, H), Window(2, 2, 2),
+                  "TT", 1, 2, (0, -1), (1, 1)))
+@example(bracket=(torus_sector("R", "R", 3, 2, 2), Window(1, 4, 1),
+                  "LL", None, None, (1, 1), (-1, -1)))
+@example(bracket=(torus_sector("NS", "NS", 3, 5 * H, 3 * H), Window(3, 3, 2),
+                  "TT", 2, 2, (1, -1), (-1, 1)))
+def test_guard_accepts_only_exact_brackets(so3, bracket):
+    # whenever the guard accepts, truncation leaves no residual; with
+    # Clifford zero modes the float 1/sqrt2 can leave one rounding
+    from km2d.verifier import TorusAlgebra, _bracket_job
+
+    cfg, window, family, a, b, mode1, mode2 = bracket
+    alg = TorusAlgebra(cfg, so3)
+    probes = probe_states(cfg, window)
+    try:
+        alg.guard(probes, mode1, mode2)
+    except WindowViolationError:
+        assume(False)
+    res = _bracket_job(alg, family, a, b, mode1, mode2, probes, 0.0,
+                       lambda *args: 0.0, 1e9, family == "LT")
+    if cfg.zero_modes():
+        assert res.residual <= 1e-15
+    else:
+        assert res.residual == 0.0
