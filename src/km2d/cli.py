@@ -17,6 +17,7 @@ byte-identical JSON reports (fixed key order, no timestamps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -62,13 +63,31 @@ def _jsonify(obj):
     return obj
 
 
+class _OutputError(Exception):
+    """The --output file could not be written."""
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The --output file opened for writing, or stdout when no path is given.
+
+    An ``OSError`` from opening, writing or closing the file becomes an
+    ``_OutputError`` that names the path.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_report(payload: dict, path: str | None) -> None:
     text = json.dumps(_jsonify(payload), indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _half(value: str) -> Fraction:
@@ -156,6 +175,9 @@ def build_parser() -> _Parser:
     pt.add_argument("--max-mode", type=_count, default=2)
     pt.add_argument("--method", choices=("analytic", "eps", "raw"),
                     default="analytic")
+    pt.add_argument("--central-tol", type=_tolerance, default=None,
+                    help="tolerance on the measured c and k "
+                         "(default: --tol)")
 
     ps = sub.add_parser("verify-sphere", help="certify the sphere realization")
     add_common(ps)
@@ -235,7 +257,8 @@ def _cmd_verify_torus(args) -> int:
     method = {"eps": "eps_extrapolated"}.get(args.method, args.method)
     report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
                                  max_mode=args.max_mode,
-                                 central_method=method)
+                                 central_method=method,
+                                 central_tol=args.central_tol)
     payload = report.to_dict()
     _write_report(payload, args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
@@ -285,14 +308,11 @@ def _cmd_sphere_abstract(args) -> int:
 def _cmd_structure_constants(args) -> int:
     table = structure_table(args.lmax)
     if args.format == "csv":
-        if args.output:
-            with open(args.output, "w") as fh:
-                table.to_csv(fh)
-        else:
-            table.to_csv(sys.stdout)
+        with _output(args.output) as fh:
+            table.to_csv(fh)
     else:
         payload = {"L_max": table.L_max,
-                   "entries": {f"{k}": v for k, v in sorted(table.entries.items())}}
+                   "entries": {f"{k}": v for k, v in table.entries.items()}}
         _write_report(payload, args.output)
     return EXIT_OK
 
@@ -387,6 +407,9 @@ def main(argv=None) -> int:
         return EXIT_UNRESOLVED
     except WindowViolationError as exc:
         sys.stderr.write(f"error: window/cutoff combination invalid: {exc}\n")
+        return EXIT_USAGE
+    except _OutputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import eval_jacobi, roots_jacobi
@@ -174,16 +174,23 @@ def jacobi_Q(l, m, eta: int, u):
 # Structure constants of the Legendre-family product expansion
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class StructureTable:
     """Coefficients c of Q_{l1 m1} Q_{l2 m2} = sum_{l3} c * Q_{l3, m1+m2}.
 
-    Entries are keyed by (l1, m1, l2, m2, l3); the target azimuthal index is
-    always m1 + m2.  Only the triangle-and-parity-allowed entries are stored.
+    Entry ``i`` is ``values[i]`` at key ``keys[i] = (l1, m1, l2, m2, l3)``;
+    the target azimuthal index is always m1 + m2.  Only the
+    triangle-and-parity-allowed entries are stored, in lexicographic key
+    order.  ``entries`` is the same table as a dict, built on first use.
     """
 
     L_max: int
-    entries: dict
+    keys: np.ndarray        # int32, shape (K, 5)
+    values: np.ndarray      # float64, shape (K,)
+
+    @cached_property
+    def entries(self) -> dict:
+        return dict(zip(zip(*self.keys.T.tolist()), self.values.tolist()))
 
     def get(self, l1: int, m1: int, l2: int, m2: int, l3: int) -> float:
         return self.entries.get((l1, m1, l2, m2, l3), 0.0)
@@ -198,37 +205,47 @@ class StructureTable:
 
     def to_csv(self, fh) -> None:
         fh.write("l1,m1,l2,m2,l3,m3,value\n")
-        for key in sorted(self.entries):
-            l1, m1, l2, m2, l3 = key
-            fh.write(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},"
-                     f"{self.entries[key]:.17g}\n")
+        chunk = 1 << 16
+        for i in range(0, len(self.values), chunk):
+            columns = self.keys[i:i + chunk].T.tolist()
+            values = self.values[i:i + chunk].tolist()
+            fh.write("".join(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},{v:.17g}\n"
+                             for l1, m1, l2, m2, l3, v in zip(*columns, values)))
 
 
 @lru_cache(maxsize=8)
 def structure_table(L_max: int) -> StructureTable:
-    """Triple-product table for all l1, l2, l3 <= L_max by exact quadrature."""
+    """Triple-product table for all l1, l2, l3 <= L_max by exact quadrature.
+
+    Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each (l1, m1)
+    row masks the (l2, m2, l3) grid by the selection rules, which lists its
+    keys in lexicographic order, and takes all its values in one
+    ``vecdot``: one ``ddot`` per entry, bit-identical to ``np.dot``.
+    """
     if L_max < 0:
         raise ValueError("L_max must be nonnegative")
     nodes, weights = _nodes_for_degree(3 * L_max)
-    # pretabulate Q_{lm}(nodes) for every l <= L_max, |m| <= l
-    qtab = {}
-    for l in range(L_max + 1):
-        for m in range(-l, l + 1):
-            qtab[(l, m)] = legendre_Q(l, m, nodes)
-    entries = {}
-    for l1 in range(L_max + 1):
-        for m1 in range(-l1, l1 + 1):
-            for l2 in range(L_max + 1):
-                for m2 in range(-l2, l2 + 1):
-                    m3 = m1 + m2
-                    prod = qtab[(l1, m1)] * qtab[(l2, m2)] * weights
-                    lo = max(abs(l1 - l2), abs(m3))
-                    for l3 in range(lo, min(l1 + l2, L_max) + 1):
-                        if (l1 + l2 + l3) % 2:
-                            continue
-                        val = 0.5 * float(np.dot(prod, qtab[(l3, m3)]))
-                        entries[(l1, m1, l2, m2, l3)] = val
-    return StructureTable(L_max=L_max, entries=entries)
+    ls = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
+    ms = np.arange(len(ls)) - ls * ls - ls
+    rows = list(zip(ls.tolist(), ms.tolist()))
+    q = np.array([legendre_Q(l, m, nodes) for l, m in rows])
+    l3 = np.arange(L_max + 1)
+    allowed = []            # per (l1, m1): triangle, parity and |m1 + m2| <= l3
+    for l1, m1 in rows:
+        lsum, m3 = (l1 + ls)[:, None], (m1 + ms)[:, None]
+        allowed.append((abs(l1 - ls)[:, None] <= l3) & (l3 <= lsum)
+                       & ((lsum + l3) % 2 == 0) & (abs(m3) <= l3))
+    ends = np.cumsum([mask.sum() for mask in allowed])
+    keys = np.empty((ends[-1], 5), dtype=np.int32)
+    values = np.empty(ends[-1])
+    for r1, ((l1, m1), mask, end) in enumerate(zip(rows, allowed, ends)):
+        r2, l3s = np.nonzero(mask)
+        block = slice(end - len(r2), end)
+        keys[block, :2] = l1, m1
+        keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3s))
+        r3 = l3s * l3s + l3s + m1 + ms[r2]
+        values[block] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
+    return StructureTable(L_max, keys, values)
 
 
 def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -173,6 +174,17 @@ def test_check_failure_exits_two(tmp_path):
     assert json.loads(out.read_text())["pass"] is False
 
 
+def test_torus_central_tol(tmp_path):
+    # --method raw measures c = 15 and k = 10 here, and every max-mode 0
+    # bracket passes, so only the tolerance on the charges decides the exit
+    base = ["verify-torus", "--method", "raw", "--max-mode", "0",
+            "--output", str(tmp_path / "r.json")]
+    assert main(base) == 2
+    assert main(base + ["--central-tol", "20"]) == 0
+    assert main(base + ["--tol", "20"]) == 0          # defaults to --tol
+    assert main(base + ["--tol", "20", "--central-tol", "1"]) == 2
+
+
 def _exit_code(args):
     try:
         return main(args)
@@ -206,6 +218,14 @@ def _exit_code(args):
     ["regularization", "--format", "json"],
     ["verify-torus", "--format", "csv"],
     ["sphere-abstract", "--format", "json"],
+    ["verify-torus", "--central-tol", "nan"],
+    # an unwritable --output is one error line, not a traceback
+    ["structure-constants", "--output", "/nonexistent/x.csv"],
+    ["structure-constants", "--format", "json", "--output", "/nonexistent/x.json"],
+    ["verify-torus", "--max-mode", "0", "--output", "/nonexistent/r.json"],
+    pytest.param(["structure-constants", "--lmax", "1", "--output", "/dev/full"],
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs /dev/full")),
 ], ids=lambda args: "_".join(args))
 def test_bad_input_exits_one(args, capsys):
     assert _exit_code(args) == 1
@@ -217,8 +237,8 @@ def test_bad_input_exits_one(args, capsys):
 
 
 # sha256 of reports of the default configurations at two small sweep sizes,
-# of an R,R torus run (Clifford zero modes, exact R anomaly) and of the
-# abstract sphere Jacobi check
+# of an R,R torus run (Clifford zero modes, exact R anomaly), of the
+# abstract sphere Jacobi check and of the structure table as CSV and JSON
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -229,11 +249,16 @@ PINNED_REPORTS = [
      "78a54e6cde5c07b7acb510a35d591ac71a5900b9a1544f2ae7c9056aa1aa3c02"),
     (["sphere-abstract", "--lmax", "6", "--l-probe", "2"],
      "daaf3b91ac34aadb7b4bde76c1cda564624581a241f1deee8c6500c459b7cc74"),
+    (["structure-constants", "--lmax", "8"],
+     "a3123fc97cc9938f14c30fb75eecd70e4194c9bdf89aa4cd1f43665d5533e5ce"),
+    (["structure-constants", "--lmax", "4", "--format", "json"],
+     "710dd8cfa9d2cded73adfd77cd6016fca32b463adebe58cb89ca70fb3f11fb87"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS,
-                         ids=["torus", "sphere", "torus-rr", "sphere-abstract"])
+                         ids=["torus", "sphere", "torus-rr", "sphere-abstract",
+                              "table-csv", "table-json"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -199,6 +200,41 @@ def test_structure_csv_format(table4):
     assert lines[0] == "l1,m1,l2,m2,l3,m3,value"
     row = next(ln for ln in lines if ln.startswith("1,0,1,0,2,0,"))
     assert row.split(",")[-1].startswith("0.894427190999")
+
+
+def _selection_rule_keys(L):
+    return {(l1, m1, l2, m2, l3)
+            for l1 in range(L + 1) for m1 in range(-l1, l1 + 1)
+            for l2 in range(L + 1) for m2 in range(-l2, l2 + 1)
+            for l3 in range(L + 1)
+            if abs(l1 - l2) <= l3 <= l1 + l2 and (l1 + l2 + l3) % 2 == 0
+            and abs(m1 + m2) <= l3}
+
+
+@pytest.mark.parametrize("L", range(9))
+def test_structure_table_matches_per_entry_oracle(L):
+    table = structure_table(L)
+    keys = [tuple(k) for k in table.keys.tolist()]
+    values = table.values.tolist()
+    assert all(a < b for a, b in zip(keys, keys[1:]))   # strictly lexicographic
+    assert set(keys) == _selection_rule_keys(L)
+    assert table.entries == dict(zip(keys, values))
+    # each value is the per-entry quadrature sum, bit for bit
+    nodes, weights = quadrature(3 * L // 2 + 1)          # exact to degree 3L
+    q = {(l, m): legendre_Q(l, m, nodes)
+         for l in range(L + 1) for m in range(-l, l + 1)}
+    for (l1, m1, l2, m2, l3), value in zip(keys, values):
+        prod = q[(l1, m1)] * q[(l2, m2)] * weights
+        assert value == 0.5 * float(np.dot(prod, q[(l3, m1 + m2)]))
+    # target_degrees lists exactly the stored l3 of every (l1, m1, l2, m2)
+    stored = {}
+    for l1, m1, l2, m2, l3 in keys:
+        stored.setdefault((l1, m1, l2, m2), []).append(l3)
+    for l1, m1, l2, m2 in itertools.product(range(L + 1), range(-L, L + 1),
+                                            range(L + 1), range(-L, L + 1)):
+        if abs(m1) <= l1 and abs(m2) <= l2:
+            assert (table.target_degrees(l1, l2, m1 + m2)
+                    == stored.get((l1, m1, l2, m2), []))
 
 
 # ---------------------------------------------------------------------------
