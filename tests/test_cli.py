@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from km2d.cli import main
+from km2d import cli
+from km2d.cli import EPS_CENTRAL_TOL, main
 
 TORUS_ARGS = ["verify-torus", "--rep", "so3-adjoint", "--sectors", "NS,NS",
               "--cutoff-m", "9/2", "--cutoff-p", "9/2", "--window", "1,1,2",
@@ -174,15 +175,30 @@ def test_check_failure_exits_two(tmp_path):
     assert json.loads(out.read_text())["pass"] is False
 
 
-def test_torus_central_tol(tmp_path):
-    # --method raw measures c = 15 and k = 10 here, and every max-mode 0
-    # bracket passes, so only the tolerance on the charges decides the exit
-    base = ["verify-torus", "--method", "raw", "--max-mode", "0",
-            "--output", str(tmp_path / "r.json")]
-    assert main(base) == 2
-    assert main(base + ["--central-tol", "20"]) == 0
-    assert main(base + ["--tol", "20"]) == 0          # defaults to --tol
-    assert main(base + ["--tol", "20", "--central-tol", "1"]) == 2
+@pytest.mark.parametrize("flags,central_tol", [
+    ([], None),                                   # check_torus_algebra: --tol
+    (["--method", "raw"], None),
+    (["--method", "eps"], EPS_CENTRAL_TOL),
+    (["--method", "eps", "--tol", "1e-3"], 1e-3),
+])
+def test_torus_central_tol(flags, central_tol, monkeypatch, tmp_path):
+    # the eps method itself takes seconds; check what reaches the verifier
+    seen = {}
+
+    class Report:
+        passed = True
+
+        def to_dict(self):
+            return {}
+
+    def fake_check(*args, **kwargs):
+        seen.update(kwargs)
+        return Report()
+
+    monkeypatch.setattr(cli, "check_torus_algebra", fake_check)
+    out = str(tmp_path / "r.json")
+    assert main(["verify-torus", *flags, "--output", out]) == 0
+    assert seen["central_tol"] == central_tol
 
 
 def _exit_code(args):
@@ -218,7 +234,6 @@ def _exit_code(args):
     ["regularization", "--format", "json"],
     ["verify-torus", "--format", "csv"],
     ["sphere-abstract", "--format", "json"],
-    ["verify-torus", "--central-tol", "nan"],
     # an unwritable --output is one error line, not a traceback
     ["structure-constants", "--output", "/nonexistent/x.csv"],
     ["structure-constants", "--format", "json", "--output", "/nonexistent/x.json"],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from km2d.cli import EPS_CENTRAL_TOL
 from km2d.currents import torus_L, torus_T
 from km2d.fock import sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
@@ -67,7 +68,8 @@ def test_central_window_independence(so3, nsns):
 def test_central_eps_extrapolated(so3, nsns):
     val = measure_central("TT", 1, rep=so3, cfg=nsns,
                           method="eps_extrapolated", eps0=0.1, levels=5)
-    assert val == pytest.approx(1.0, abs=1e-6)
+    # verify-torus --method eps checks k at this tolerance
+    assert val == pytest.approx(1.0, abs=EPS_CENTRAL_TOL)
 
 
 def test_central_raw_diverges_affinely(so3):
