@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -71,6 +72,9 @@ def _jsonify(obj):
 class _OutputError(Exception):
     """The --output file could not be written."""
 
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
 
 @contextlib.contextmanager
 def _output(path: str | None):
@@ -86,7 +90,25 @@ def _output(path: str | None):
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _OutputError(path, exc) from None
+
+
+def _probe_output(path: str | None) -> None:
+    """Fail before any work if the --output file cannot be opened.
+
+    The file is opened for appending, so an existing report is left intact
+    until the new one is ready; a file the probe creates is removed again.
+    """
+    if not path:
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise _OutputError(path, exc) from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_report(payload: dict, path: str | None) -> None:
@@ -100,6 +122,20 @@ def _half(value: str) -> Fraction:
         return Fraction(to_doubled(value), 2)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _torus_sectors(value: str) -> tuple:
+    try:
+        z, ang = (s.strip() for s in value.split(","))
+    except ValueError:
+        raise ValueError("--sectors needs 'z,angular'") from None
+    return z, ang
+
+
+def _sphere_sector(value: str) -> str:
+    if value.strip() not in ("R", "NS"):
+        raise ValueError(f"--sectors on the sphere is R or NS, got {value!r}")
+    return value.strip()
 
 
 def _window(value: str) -> Window:
@@ -216,10 +252,13 @@ def build_parser() -> _Parser:
     add_common(pk, rep=False, tol=False)
     pk.add_argument("--d", type=int, default=2, help="flavour count")
     pk.add_argument("--geometry", choices=("torus", "sphere"), default="torus")
-    pk.add_argument("--sectors", default="NS,NS")
+    pk.add_argument("--sectors", default=None,
+                    help="z,angular on the torus (default NS,NS); "
+                         "R or NS on the sphere (default NS)")
     pk.add_argument("--cutoff-m", type=_half, default=Fraction(3, 2))
     pk.add_argument("--cutoff-p", type=_half, default=Fraction(3, 2))
-    pk.add_argument("--cutoff-l", type=_half, default=Fraction(1))
+    pk.add_argument("--cutoff-l", type=_half, default=None,
+                    help="degree cutoff (default 1 for R, 3/2 for NS)")
     return parser
 
 
@@ -243,15 +282,11 @@ def _check_rep(args):
 
 def _cmd_verify_torus(args) -> int:
     rep = _check_rep(args)
-    try:
-        z, ang = (s.strip() for s in args.sectors.split(","))
-    except ValueError:
-        sys.stderr.write("error: --sectors needs 'z,angular'\n")
-        return EXIT_USAGE
     if args.cutoff_m <= 0 or args.cutoff_p <= 0:
         sys.stderr.write("error: cutoffs must be positive\n")
         return EXIT_USAGE
     try:
+        z, ang = _torus_sectors(args.sectors)
         cfg = torus_sector(z, ang, rep.d, args.cutoff_m, args.cutoff_p)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -270,9 +305,8 @@ def _cmd_verify_torus(args) -> int:
 
 def _cmd_verify_sphere(args) -> int:
     rep = _check_rep(args)
-    z = args.sectors.split(",")[0].strip()
     try:
-        cfg = sphere_sector(z, rep.d, args.cutoff_l)
+        cfg = sphere_sector(_sphere_sector(args.sectors), rep.d, args.cutoff_l)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -376,11 +410,14 @@ def _cmd_regularization(args) -> int:
 def _cmd_car_check(args) -> int:
     try:
         if args.geometry == "torus":
-            z, ang = (s.strip() for s in args.sectors.split(","))
+            z, ang = _torus_sectors(args.sectors or "NS,NS")
             cfg = torus_sector(z, ang, args.d, args.cutoff_m, args.cutoff_p)
         else:
-            z = args.sectors.split(",")[0].strip()
-            cfg = sphere_sector(z, args.d, args.cutoff_l)
+            z = _sphere_sector(args.sectors or "NS")
+            l_cut = args.cutoff_l
+            if l_cut is None:
+                l_cut = Fraction(1) if z == "R" else Fraction(3, 2)
+            cfg = sphere_sector(z, args.d, l_cut)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -405,6 +442,7 @@ def main(argv=None) -> int:
         "car-check": _cmd_car_check,
     }[args.command]
     try:
+        _probe_output(args.output)
         return handler(args)
     except UnresolvedPrescriptionError as exc:
         sys.stderr.write(f"unresolved prescription: {exc}\n")

@@ -27,6 +27,7 @@ last generator acts diagonally as (+1/sqrt2) times the parity operator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .halfints import fmt_half, lattice_range, to_doubled
-from .scalars import INV_SQRT2, SqrtTwoScalar
+from .scalars import SqrtTwoConstant
 
 __all__ = [
     "Mode",
@@ -85,6 +86,14 @@ class TableCoverageError(Exception):
         self.l_max = l_max
         super().__init__(
             f"structure table covers degrees <= {l_max}, need {degree}")
+
+
+# Every zero-mode generator maps a basis spinor to one spinor times one of
+# these: index 2 * (imaginary) + (negative) gives +-1/sqrt2, +-i/sqrt2
+CLIFFORD_UNITS = (SqrtTwoConstant(rb=Fraction(1, 2)),
+                  SqrtTwoConstant(rb=Fraction(-1, 2)),
+                  SqrtTwoConstant(ib=Fraction(1, 2)),
+                  SqrtTwoConstant(ib=Fraction(-1, 2)))
 
 
 @dataclass(frozen=True)
@@ -226,6 +235,7 @@ class SectorConfig:
 
     # -- zero-mode Clifford module ------------------------------------------
 
+    @functools.cached_property
     def zero_modes(self) -> tuple:
         if self.geometry == "torus":
             if self.z_sector == "R" and self.angular_sector == "R":
@@ -245,24 +255,24 @@ class SectorConfig:
         return (mode.i - 1) * (lmax + 1) + mode.k1 // 2
 
     def spinor_dim(self) -> int:
-        return 1 << (len(self.zero_modes()) // 2)
+        return 1 << (len(self.zero_modes) // 2)
 
-    def clifford_action(self, gen: int, sigma: int):
-        """Action of zero-mode generator #gen on the module: (coeff, sigma')."""
-        n_gen = len(self.zero_modes())
+    def clifford_action(self, gen: int, sigma: int, odd: int = 0):
+        """Action of zero-mode generator #gen on the module: (coeff, sigma').
+
+        ``odd`` is 1 when the generator first anticommutes past an odd
+        number of oscillators, which negates the coefficient.  The
+        coefficient is one of ``CLIFFORD_UNITS``, picked by bit parities.
+        """
+        n_gen = len(self.zero_modes)
         if n_gen % 2 and gen == n_gen - 1:
-            parity = -1 if bin(sigma).count("1") % 2 else 1
-            return parity * INV_SQRT2, sigma
+            return CLIFFORD_UNITS[(sigma.bit_count() + odd) & 1], sigma
         k, r = divmod(gen, 2)
-        phase = -1 if bin(sigma & ((1 << k) - 1)).count("1") % 2 else 1
-        bit = (sigma >> k) & 1
-        if r == 0:
-            coeff = phase * INV_SQRT2
-        else:
+        neg = (sigma & ((1 << k) - 1)).bit_count() + odd
+        if r:
             # -i(a - a^+)/sqrt2: +i/sqrt2 on empty, -i/sqrt2 on occupied
-            coeff = phase * SqrtTwoScalar(ib=Fraction(1, 2) if bit == 0
-                                          else Fraction(-1, 2))
-        return coeff, sigma ^ (1 << k)
+            neg += (sigma >> k) & 1
+        return CLIFFORD_UNITS[2 * r + (neg & 1)], sigma ^ (1 << k)
 
     # -- lattices ------------------------------------------------------------
 
@@ -386,9 +396,7 @@ def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
         return sign * twist, FockState(state.sigma, occ[:j] + (osc,) + occ[j:])
     # zero mode: anticommute past all explicit creators, then act on sigma
     gen = cfg.zero_mode_index(mode)
-    coeff, sigma = cfg.clifford_action(gen, state.sigma)
-    if len(occ) % 2:
-        coeff = -coeff
+    coeff, sigma = cfg.clifford_action(gen, state.sigma, len(occ) & 1)
     return coeff, FockState(sigma, occ)
 
 

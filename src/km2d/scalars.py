@@ -101,6 +101,27 @@ class SqrtTwoScalar:
         return (f"SqrtTwoScalar({self.ra}, {self.rb}, {self.ia}, {self.ib})")
 
 
+class SqrtTwoConstant(SqrtTwoScalar):
+    """An exact constant that also carries its ``complex()`` form.
+
+    ``x * const`` with a float or complex ``x`` is ``complex(const) * x``
+    from the form stored at construction, so the fractions are converted
+    once; any other ``x`` meets the exact value.  Products are plain
+    ``complex`` or ``SqrtTwoScalar`` values.
+    """
+
+    __slots__ = ("cplx",)
+
+    def __init__(self, ra=0, rb=0, ia=0, ib=0):
+        super().__init__(ra, rb, ia, ib)
+        self.cplx = SqrtTwoScalar.__complex__(self)
+
+    def __rmul__(self, other):
+        if isinstance(other, (float, complex)):
+            return self.cplx * other
+        return SqrtTwoScalar.__mul__(self, other)
+
+
 INV_SQRT2 = SqrtTwoScalar(rb=Fraction(1, 2))  # sqrt2/2 == 1/sqrt2
 
 

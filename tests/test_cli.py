@@ -238,6 +238,16 @@ def _exit_code(args):
     ["structure-constants", "--output", "/nonexistent/x.csv"],
     ["structure-constants", "--format", "json", "--output", "/nonexistent/x.json"],
     ["verify-torus", "--max-mode", "0", "--output", "/nonexistent/r.json"],
+    ["verify-sphere", "--max-l", "0", "--output", "/nonexistent/r.json"],
+    ["sphere-abstract", "--lmax", "2", "--l-probe", "0",
+     "--output", "/nonexistent/r.json"],
+    # the sphere takes one sector label; the torus takes two
+    ["verify-sphere", "--sectors", "R,NS", "--cutoff-l", "2", "--max-l", "0"],
+    ["verify-sphere", "--sectors", "garbage"],
+    ["car-check", "--geometry", "sphere", "--sectors", "NS,garbage"],
+    ["car-check", "--geometry", "sphere", "--sectors", "R,R"],
+    ["car-check", "--geometry", "torus", "--sectors", "R"],
+    ["verify-torus", "--sectors", "R,R,R"],
     pytest.param(["structure-constants", "--lmax", "1", "--output", "/dev/full"],
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="needs /dev/full")),
@@ -251,9 +261,47 @@ def test_bad_input_exits_one(args, capsys):
     assert captured.out == ""
 
 
+def test_torus_sectors_need_two_labels(capsys):
+    assert main(["car-check", "--geometry", "torus", "--sectors", "R"]) == 1
+    assert capsys.readouterr().err == "error: --sectors needs 'z,angular'\n"
+
+
+def test_car_check_sectors_default_by_geometry(tmp_path):
+    for geometry, sector in (("torus", "torus(NS,NS)"),
+                             ("sphere", "sphere(NS)")):
+        out = tmp_path / f"{geometry}.json"
+        assert main(["car-check", "--geometry", geometry, "--d", "1",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["sector"].startswith(sector)
+
+
+def test_unwritable_output_fails_before_the_sweep(monkeypatch, capsys):
+    called = []
+    monkeypatch.setattr(cli, "check_torus_algebra",
+                        lambda *args, **kwargs: called.append(1))
+    assert main(["verify-torus", "--output", "/nonexistent/r.json"]) == 1
+    assert called == []
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_output_probe_keeps_existing_report(tmp_path):
+    # the probe neither truncates an old report nor leaves a new empty file
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    assert main(["verify-torus", "--cutoff-m", "5/2", "--cutoff-p", "5/2",
+                 "--output", str(out)]) == 1     # window violation
+    assert out.read_text() == "old report\n"
+    fresh = tmp_path / "fresh.json"
+    assert main(["verify-torus", "--cutoff-m", "5/2", "--cutoff-p", "5/2",
+                 "--output", str(fresh)]) == 1
+    assert not fresh.exists()
+
+
 # sha256 of reports of the default configurations at two small sweep sizes,
 # of an R,R torus run (Clifford zero modes, exact R anomaly), of the
-# abstract sphere Jacobi check and of the structure table as CSV and JSON
+# abstract sphere Jacobi check, of the structure table as CSV and JSON, and
+# of sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
+# modes
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -268,12 +316,17 @@ PINNED_REPORTS = [
      "a3123fc97cc9938f14c30fb75eecd70e4194c9bdf89aa4cd1f43665d5533e5ce"),
     (["structure-constants", "--lmax", "4", "--format", "json"],
      "710dd8cfa9d2cded73adfd77cd6016fca32b463adebe58cb89ca70fb3f11fb87"),
+    (["verify-sphere", "--sectors", "R", "--cutoff-l", "6", "--max-l", "2"],
+     "51e3f07e4a3e79d583e47242c390687ce19cd9bf7a42993f37cee9db94800c94"),
+    (["verify-sphere", "--sectors", "R", "--cutoff-l", "5", "--max-l", "1"],
+     "5a4bebc47527f27d9217e39fcf6616599f886085a0a97b8a589d40ce6e96a4dd"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS,
                          ids=["torus", "sphere", "torus-rr", "sphere-abstract",
-                              "table-csv", "table-json"])
+                              "table-csv", "table-json", "sphere-r-l6",
+                              "sphere-r-l5"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0

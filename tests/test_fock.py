@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from km2d.fock import (
+    CLIFFORD_UNITS,
     FockState,
     Mode,
     ModeOperator,
     OutOfCutoffError,
+    accumulate,
     add_normal_ordered,
     b_operator,
     check_car,
@@ -17,6 +19,8 @@ from km2d.fock import (
     torus_sector,
     vacuum_states,
 )
+from km2d.scalars import INV_SQRT2, SqrtTwoScalar
+
 H = Fraction(1, 2)
 
 
@@ -111,6 +115,85 @@ def test_car_sphere_ns_eta_pairing():
     assert dict(anticommutator(cfg, a, b).apply_state(vac)) == {vac: 1}
     b_same = cfg.mode(1, H, -H, 1)
     assert not anticommutator(cfg, a, b_same).apply_state(vac)
+
+
+# ---------------------------------------------------------------------------
+# the zero-mode Clifford module
+# ---------------------------------------------------------------------------
+
+# past the small CAR sectors: 18 and 21 sphere generators (the odd count
+# runs the unpaired generator) and torus R,R with 3 and 4 generators
+CLIFFORD_SECTORS = {
+    "sphere-R-d3-l5": sphere_sector("R", 3, 5),
+    "sphere-R-d3-l6": sphere_sector("R", 3, 6),
+    "torus-RR-d3": torus_sector("R", "R", 3, 1, 1),
+    "torus-RR-d4": torus_sector("R", "R", 4, 1, 1),
+}
+
+
+def _spinor_sample(cfg):
+    """Every spinor label up to dimension 64, else a fixed sample."""
+    dim = cfg.spinor_dim()
+    if dim <= 64:
+        return range(dim)
+    alternating = int("01" * 32, 2) & (dim - 1)
+    return sorted({0, dim - 1, alternating, alternating ^ (dim - 1),
+                   *range(1, dim, dim // 8 + 1)})
+
+
+@pytest.mark.parametrize("cfg", CLIFFORD_SECTORS.values(),
+                         ids=CLIFFORD_SECTORS.keys())
+def test_clifford_generators_anticommute_exactly(cfg):
+    n_gen = len(cfg.zero_modes)
+    for sigma in _spinor_sample(cfg):
+        for a in range(n_gen):
+            for b in range(a, n_gen):
+                out = {}
+                for x, y in ((a, b), (b, a)):
+                    cy, mid = cfg.clifford_action(y, sigma)
+                    cx, end = cfg.clifford_action(x, mid)
+                    product = cx * cy
+                    assert type(product) is SqrtTwoScalar
+                    accumulate(out, end, product)
+                assert out == ({sigma: 1} if a == b else {})
+
+
+@pytest.mark.parametrize("cfg", CLIFFORD_SECTORS.values(),
+                         ids=CLIFFORD_SECTORS.keys())
+def test_clifford_odd_occupancy_negates_exactly(cfg):
+    osc = cfg.oscillator_modes()[0]
+    for sigma in _spinor_sample(cfg):
+        for gen, mode in enumerate(cfg.zero_modes):
+            coeff, target = cfg.clifford_action(gen, sigma)
+            assert cfg.clifford_action(gen, sigma, 1) == (-coeff, target)
+            # b_mode anticommutes past the one occupied oscillator
+            out = b_operator(mode, cfg).apply_state(FockState(sigma, (osc,)))
+            assert dict(out) == {FockState(target, (osc,)): -coeff}
+
+
+def test_clifford_action_convention():
+    # gamma_2k = (a_k + a_k^+)/sqrt2 and gamma_2k+1 = -i(a_k - a_k^+)/sqrt2
+    # behind the Jordan-Wigner string; the unpaired last generator is
+    # +1/sqrt2 times the parity of the spinor label
+    cfg = CLIFFORD_SECTORS["sphere-R-d3-l6"]
+    i_sqrt2 = SqrtTwoScalar(ib=H)
+    for k in range(10):
+        assert cfg.clifford_action(2 * k, 0) == (INV_SQRT2, 1 << k)
+        assert cfg.clifford_action(2 * k + 1, 0) == (i_sqrt2, 1 << k)
+        assert cfg.clifford_action(2 * k + 1, 1 << k) == (-1 * i_sqrt2, 0)
+    assert cfg.clifford_action(2, 1) == (-1 * INV_SQRT2, 3)
+    for sigma in (0, 1, 3, 7, 1023):
+        sign = -1 if bin(sigma).count("1") % 2 else 1
+        assert cfg.clifford_action(20, sigma) == (sign * INV_SQRT2, sigma)
+
+
+def test_clifford_units_complex_forms():
+    exact = [SqrtTwoScalar(u.ra, u.rb, u.ia, u.ib) for u in CLIFFORD_UNITS]
+    assert exact == [INV_SQRT2, -1 * INV_SQRT2, SqrtTwoScalar(ib=H),
+                     SqrtTwoScalar(ib=-H)]
+    for unit, value in zip(CLIFFORD_UNITS, exact):
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(unit.cplx) == repr(complex(value))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from km2d.fock import accumulate
-from km2d.scalars import INV_SQRT2, SqrtTwoScalar
+from km2d.scalars import INV_SQRT2, SqrtTwoConstant, SqrtTwoScalar
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 exact_scalars = st.builds(SqrtTwoScalar, fractions, fractions, fractions,
@@ -37,6 +37,19 @@ def test_rational_operands_stay_exact_in_both_orders(s, x):
 def test_inexact_operands_give_complex_in_both_orders(s, x):
     assert type(s * x) is complex and s * x == x * s == complex(s) * x
     assert type(s + x) is complex and s + x == x + s == complex(s) + x
+
+
+@given(exact_scalars, st.one_of(rationals, exact_scalars, inexact))
+def test_constant_multiplies_like_its_exact_value(s, x):
+    # a float or complex factor meets the stored complex form, which gives
+    # the same bits, signed zeros included, as complex(exact value) * x
+    const = SqrtTwoConstant(s.ra, s.rb, s.ia, s.ib)
+    assert repr(const.cplx) == repr(complex(s))
+    if isinstance(x, (float, complex)):
+        assert repr(x * const) == repr(complex(s) * x)
+    else:
+        assert type(x * const) is SqrtTwoScalar and x * const == x * s
+        assert type(const * x) is SqrtTwoScalar and const * x == s * x
 
 
 @given(exact_scalars, exact_scalars)

@@ -354,7 +354,7 @@ def test_guard_accepts_only_exact_brackets(so3, bracket):
         assume(False)
     res = _bracket_job(alg, family, a, b, mode1, mode2, probes, 0.0,
                        lambda *args: 0.0, 1e9, family == "LT")
-    if cfg.zero_modes():
+    if cfg.zero_modes:
         assert res.residual <= 1e-15
     else:
         assert res.residual == 0.0
