@@ -141,10 +141,15 @@ def _sphere_sector(value: str) -> str:
 def _window(value: str) -> Window:
     try:
         wz, wa, n = value.split(",")
-        return Window.of(Fraction(wz), Fraction(wa), int(n))
+        window = Window.of(Fraction(wz), Fraction(wa), int(n))
     except Exception:
         raise argparse.ArgumentTypeError(
             f"window must be 'Wz,Wa,N', got {value!r}") from None
+    if min(window.w_z2, window.w_a2, window.n_max) < 0:
+        # a negative bound admits no probe state, so nothing is certified
+        raise argparse.ArgumentTypeError(
+            f"window bounds must be nonnegative, got {value!r}")
+    return window
 
 
 def _tolerance(value: str) -> float:
@@ -294,12 +299,15 @@ def _cmd_verify_torus(args) -> int:
     method = {"eps": "eps_extrapolated"}.get(args.method, args.method)
     central_tol = (max(args.tol, EPS_CENTRAL_TOL) if args.method == "eps"
                    else None)
-    report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
-                                 max_mode=args.max_mode,
-                                 central_method=method,
-                                 central_tol=central_tol)
-    payload = report.to_dict()
-    _write_report(payload, args.output)
+    try:
+        report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
+                                     max_mode=args.max_mode,
+                                     central_method=method,
+                                     central_tol=central_tol)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    _write_report(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -227,6 +227,19 @@ class SectorConfig:
             return -1 if (x.k2 // 2) % 2 else 1
         return 1
 
+    @functools.cached_property
+    def conj_pairing(self) -> dict:
+        """mode -> (conj(mode), {b_mode, b_conj(mode)}) for every mode.
+
+        Built on first use, which is the first bilinear commutator: a
+        sector that only applies operators never pays for the table.
+        """
+        out = {}
+        for mode in self.all_modes():
+            conj = self.conj(mode)
+            out[mode] = (conj, self.car_pairing(mode, conj))
+        return out
+
     def reality_twist(self, mode: Mode) -> int:
         """t with (b_mode)^+ = t * b_conj(mode)."""
         if self.geometry == "sphere" and self.z_sector == "R":
@@ -404,6 +417,14 @@ def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
 # Operators
 # ---------------------------------------------------------------------------
 
+_KIND_RANK = {"cre": 0, "zero": 1, "ann": 2}
+
+
+def _order_rank(cfg: SectorConfig, mode: Mode):
+    """Sort key of CAR normal order: creators, zero modes, annihilators."""
+    return _KIND_RANK[cfg.classify(mode)], mode
+
+
 class ModeOperator:
     """Finite combination of ordered products of b operators (lazy action).
 
@@ -453,6 +474,7 @@ class ModeOperator:
                        + {b2,b4} b3 b1 - {b1,b4} b3 b2
         """
         cfg = self.cfg
+        pairing = cfg.conj_pairing
         by_first: dict = {}
         by_second: dict = {}
         for key, c in other.terms.items():
@@ -469,19 +491,46 @@ class ModeOperator:
             if len(key_a) != 2:
                 raise ValueError("commutator needs bilinear operators")
             x, y = key_a
-            cy, cx = cfg.conj(y), cfg.conj(x)
+            # a mode pairs only with its conjugate, so {b_y, b_z} with
+            # z = conj(y) is ky, and likewise kx
+            cx, kx = pairing[x]
+            cy, ky = pairing[y]
             for (z, w), cb in by_first.get(cy, ()):
-                k = cfg.car_pairing(y, z)
-                accumulate(out, (x, w), ca * cb * k)
+                accumulate(out, (x, w), ca * cb * ky)
             for (z, w), cb in by_first.get(cx, ()):
-                k = cfg.car_pairing(x, z)
-                accumulate(out, (y, w), ca * cb * -k)
+                accumulate(out, (y, w), ca * cb * -kx)
             for (z, w), cb in by_second.get(cy, ()):
-                k = cfg.car_pairing(y, w)
-                accumulate(out, (z, x), ca * cb * k)
+                accumulate(out, (z, x), ca * cb * ky)
             for (z, w), cb in by_second.get(cx, ()):
-                k = cfg.car_pairing(x, w)
-                accumulate(out, (z, y), ca * cb * -k)
+                accumulate(out, (z, y), ca * cb * -kx)
+        return ModeOperator(cfg, out)
+
+    def normal_ordered(self) -> "ModeOperator":
+        """The same operator with every bilinear term in CAR normal order.
+
+        Creators stand left of zero modes and zero modes left of
+        annihilators; modes of one kind stand in sorted order.  A term out
+        of order is swapped, b_x b_y = -b_y b_x + {b_x, b_y}, and the pairing
+        joins the identity term; b_z b_z of a self-conjugate zero mode is
+        (1/2){b_z, b_z}, and b_x b_x of any other mode vanishes.  Terms of
+        other lengths are kept as they are.
+        """
+        cfg = self.cfg
+        out: dict = {}
+        for key, c in self.terms.items():
+            if len(key) == 2:
+                x, y = key
+                if x == y:
+                    k = cfg.car_pairing(x, x)
+                    if k:
+                        accumulate(out, (), c * k * Fraction(1, 2))
+                    continue
+                if _order_rank(cfg, y) < _order_rank(cfg, x):
+                    k = cfg.car_pairing(x, y)
+                    if k:
+                        accumulate(out, (), c * k)
+                    key, c = (y, x), -1 * c
+            accumulate(out, key, c)
         return ModeOperator(cfg, out)
 
     # -- application -------------------------------------------------------

@@ -248,6 +248,11 @@ def _exit_code(args):
     ["car-check", "--geometry", "sphere", "--sectors", "R,R"],
     ["car-check", "--geometry", "torus", "--sectors", "R"],
     ["verify-torus", "--sectors", "R,R,R"],
+    # a negative window bound admits no probe state
+    ["verify-torus", "--window=-1,1,2", "--max-mode", "0"],
+    ["verify-torus", "--window=1,-1,2", "--max-mode", "0"],
+    ["verify-torus", "--window=1,1,-1", "--max-mode", "0"],
+    ["verify-sphere", "--window=1,1,-1", "--max-l", "0"],
     pytest.param(["structure-constants", "--lmax", "1", "--output", "/dev/full"],
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="needs /dev/full")),
@@ -299,9 +304,10 @@ def test_output_probe_keeps_existing_report(tmp_path):
 
 # sha256 of reports of the default configurations at two small sweep sizes,
 # of an R,R torus run (Clifford zero modes, exact R anomaly), of the
-# abstract sphere Jacobi check, of the structure table as CSV and JSON, and
-# of sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
-# modes
+# abstract sphere Jacobi check, of the structure table as CSV and JSON, of
+# sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
+# modes, and of torus runs with a second representation (d = 6) and with a
+# mixed sector
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -320,13 +326,18 @@ PINNED_REPORTS = [
      "51e3f07e4a3e79d583e47242c390687ce19cd9bf7a42993f37cee9db94800c94"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "5", "--max-l", "1"],
      "5a4bebc47527f27d9217e39fcf6616599f886085a0a97b8a589d40ce6e96a4dd"),
+    (["verify-torus", "--rep", "so4-adjoint", "--max-mode", "1"],
+     "7e43b0e3fdb6a6c7317efaf3291721fb8ffb96d65586a4c428bb114dd5555941"),
+    (["verify-torus", "--sectors", "R,NS", "--cutoff-m", "4", "--cutoff-p",
+      "9/2", "--max-mode", "1"],
+     "c8af8076e55f922cab64eb3d33ae29beac4b8afe774adff7bb230eb0791ff173"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS,
                          ids=["torus", "sphere", "torus-rr", "sphere-abstract",
                               "table-csv", "table-json", "sphere-r-l6",
-                              "sphere-r-l5"])
+                              "sphere-r-l5", "torus-so4", "torus-rns"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0

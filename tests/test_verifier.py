@@ -341,8 +341,8 @@ def torus_brackets(draw):
 @example(bracket=(torus_sector("NS", "NS", 3, 5 * H, 3 * H), Window(3, 3, 2),
                   "TT", 2, 2, (1, -1), (-1, 1)))
 def test_guard_accepts_only_exact_brackets(so3, bracket):
-    # whenever the guard accepts, truncation leaves no residual; with
-    # Clifford zero modes the float 1/sqrt2 can leave one rounding
+    # whenever the guard accepts, truncation leaves no residual, also with
+    # Clifford zero modes, whose squares normal order makes exact
     from km2d.verifier import TorusAlgebra, _bracket_job
 
     cfg, window, family, a, b, mode1, mode2 = bracket
@@ -354,7 +354,80 @@ def test_guard_accepts_only_exact_brackets(so3, bracket):
         assume(False)
     res = _bracket_job(alg, family, a, b, mode1, mode2, probes, 0.0,
                        lambda *args: 0.0, 1e9, family == "LT")
-    if cfg.zero_modes:
-        assert res.residual <= 1e-15
+    assert res.residual == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the normal-ordered torus residual against the Fock path
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(torus_brackets())
+# the R,R bracket whose unordered diagonal differs by one rounding
+@example(bracket=(torus_sector("R", "R", 3, 2, 1), Window.of(0, 1, 1),
+                  "LL", None, None, (-1, 0), (1, 0)))
+def test_normal_ordered_residual_matches_fock_path(so3, bracket):
+    # the unordered residual, applied term by term, is the oracle
+    from km2d.verifier import TorusAlgebra, _assemble_rhs, _bracket_job, \
+        _exact_terms
+
+    cfg, window, family, a, b, mode1, mode2 = bracket
+    alg = TorusAlgebra(cfg, so3)
+    probes = probe_states(cfg, window)
+    try:
+        alg.guard(probes, mode1, mode2)
+    except WindowViolationError:
+        assume(False)
+    if family == "TT":
+        A, B = alg.op("T", a, mode1), alg.op("T", b, mode2)
     else:
-        assert res.residual == 0.0
+        A = alg.op("L", None, mode1)
+        B = alg.op("L" if family == "LL" else "T", b, mode2)
+    D = A.commutator(B)
+    rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
+    if rhs is not None:
+        D = D - rhs
+    unordered = _exact_terms(D, alg.compare_bounds(mode1, mode2))
+    ordered = unordered.normal_ordered()
+    tol = 1e-15 if cfg.zero_modes else 0.0
+    for probe in probes:
+        diff = unordered.apply_state(probe)
+        for s, c in ordered.apply_state(probe).items():
+            diff.add_term(s, -c)
+        assert diff.max_abs() <= tol
+
+    args = (family, a, b, mode1, mode2, probes, 1e-12, lambda *args: 0.0,
+            1e9, family == "LT")
+    new = _bracket_job(alg, *args)
+    alg.normal_order = False            # the unordered comparison
+    old = _bracket_job(alg, *args)
+    assert new.passed == old.passed
+    for field in ("residual", "raw_central", "kappa"):
+        x, y = getattr(new, field), getattr(old, field)
+        if x is None or y is None:
+            assert x is y
+        elif cfg.zero_modes:
+            assert x == pytest.approx(y, abs=1e-15)
+        else:
+            assert repr(x) == repr(y)
+
+
+def test_rr_zero_total_diagonal_is_exact(so3):
+    # unordered, the zero-mode squares leave -0.7500000000000001 on some of
+    # the 8 probes; in normal order they are exactly 1/2
+    from km2d.verifier import TorusAlgebra, _bracket_job
+
+    cfg = torus_sector("R", "R", 3, 2, 1)
+    probes = probe_states(cfg, Window.of(0, 1, 1))
+    assert len(probes) == 8
+    res = _bracket_job(TorusAlgebra(cfg, so3), "LL", None, None, (-1, 0),
+                       (1, 0), probes, 0.0, lambda *args: 0.0, 1e9, False)
+    assert res.residual == 0.0
+    assert res.raw_central == -0.75
+
+
+def test_window_without_probes_is_rejected(so3, nsns):
+    # a negative bound admits no probe state, which would certify nothing
+    assert probe_states(nsns, Window(-2, 2, 2)) == []
+    with pytest.raises(ValueError, match="no probe state"):
+        check_torus_algebra(nsns, so3, Window(-2, 2, 2), max_mode=0)
