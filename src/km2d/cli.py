@@ -40,11 +40,6 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_UNRESOLVED = 3
 
-# verify-torus --method eps measures c and k to about 6e-8 only (5-level
-# Richardson extrapolation), so it checks them at this tolerance or --tol,
-# whichever is larger; the other methods check them at --tol
-EPS_CENTRAL_TOL = 1e-7
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -297,13 +292,10 @@ def _cmd_verify_torus(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     method = {"eps": "eps_extrapolated"}.get(args.method, args.method)
-    central_tol = (max(args.tol, EPS_CENTRAL_TOL) if args.method == "eps"
-                   else None)
     try:
         report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
                                      max_mode=args.max_mode,
-                                     central_method=method,
-                                     central_tol=central_tol)
+                                     central_method=method)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -28,12 +28,10 @@ from .halfints import fmt_half, to_doubled
 
 __all__ = [
     "legendre_Q",
-    "legendre_Q_reference",
     "jacobi_Q",
     "quadrature",
     "StructureTable",
     "structure_table",
-    "delta_partial_residual",
     "triple_product_ns",
 ]
 
@@ -101,30 +99,6 @@ def legendre_Q(l: int, m: int, u):
         out = cur
     out = sign * out
     return float(out[0]) if scalar else out
-
-
-def legendre_Q_reference(l: int, m: int, u: float) -> float:
-    """Direct Rodrigues-formula evaluation with exact rational coefficients.
-
-    Independent of the recurrence path; intended as an oracle for l up to ~20
-    where raw differentiation is still well conditioned.
-    """
-    l, m = int(l), int(m)
-    if l < abs(m):
-        raise ValueError(f"need l >= |m|, got l={l}, m={m}")
-    sign = 1
-    if m < 0:
-        m = -m
-        sign = -1 if m % 2 else 1
-    # d^{l+m}/du^{l+m} (1-u^2)^l, exact polynomial coefficients
-    coeffs = {2 * k: Fraction(math.comb(l, k) * (-1) ** k) for k in range(l + 1)}
-    for _ in range(l + m):
-        coeffs = {p - 1: c * p for p, c in coeffs.items() if p > 0}
-    poly = sum(float(c) * u ** p for p, c in coeffs.items())
-    norm = (math.sqrt(2 * l + 1)
-            * math.sqrt(math.factorial(l - m) / math.factorial(l + m))
-            / (2 ** l * math.factorial(l)))
-    return sign * ((-1) ** (l + m)) * norm * (1 - u * u) ** (m / 2) * poly
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +220,6 @@ def structure_table(L_max: int) -> StructureTable:
         r3 = l3s * l3s + l3s + m1 + ms[r2]
         values[block] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
     return StructureTable(L_max, keys, values)
-
-
-def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
-    """Worst-case error of the truncated reproducing kernel on a basis element.
-
-    The kernel K(u, v) = sum_{l <= L_max} Q_{lm}(u) Q_{lm}(v) must reproduce
-    Q_{l'm} exactly for l' <= L_max; returns the max deviation over nodes u.
-    """
-    lp = test_fn_degree
-    if lp > L_max:
-        raise ValueError(f"test degree {lp} exceeds kernel cutoff {L_max}")
-    if lp < abs(m):
-        raise ValueError(f"need test degree >= |m| = {abs(m)}")
-    nodes, weights = _nodes_for_degree(2 * L_max + lp)
-    target = legendre_Q(lp, m, nodes)
-    acc = np.zeros_like(nodes)
-    for l in range(abs(m), L_max + 1):
-        ql = legendre_Q(l, m, nodes)
-        proj = 0.5 * float(np.dot(weights, ql * target))
-        acc += ql * proj
-    return float(np.max(np.abs(acc - target)))
 
 
 @lru_cache(maxsize=64)

@@ -19,26 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
-
-import numpy as np
-
-from .harmonics import legendre_Q
 
 __all__ = [
     "HeatSum",
     "UnresolvedPrescriptionError",
     "hurwitz_zeta_at_zero",
     "heat_sum_finite_part",
-    "heat_sum_numeric",
     "richardson_finite_part",
-    "torus_delta_eps",
-    "delta_eps_pairing",
     "delta_reg_zero",
     "solve_a_m",
-    "sphere_degree_sum",
-    "sphere_degree_sum_model",
 ]
 
 
@@ -72,16 +62,6 @@ def heat_sum_finite_part(s: HeatSum) -> tuple:
     return 1.0 / (2 * s.step), hurwitz_zeta_at_zero(s.offset / s.step)
 
 
-def heat_sum_numeric(s: HeatSum, eps: float, cutoff: int | None = None) -> float:
-    """Truncated evaluation of the damped sum at fixed eps > 0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if cutoff is None:
-        cutoff = int(math.ceil(22.0 / (eps * s.step))) + 1
-    k = np.arange(cutoff)
-    return float(np.exp(-2.0 * eps * (k * s.step + s.offset)).sum())
-
-
 def _neville_at_zero(xs, ys) -> float:
     tab = [float(y) for y in ys]
     n = len(tab)
@@ -104,36 +84,6 @@ def richardson_finite_part(fn: Callable[[float], float], eps0: float = 0.1,
     pole = _neville_at_zero(xs, [x * v for x, v in zip(xs, vals)])
     finite = _neville_at_zero(xs, [v - pole / x for x, v in zip(xs, vals)])
     return pole, finite
-
-
-# ---------------------------------------------------------------------------
-# Torus delta function
-# ---------------------------------------------------------------------------
-
-def torus_delta_eps(theta: float, eps: float, sector: str) -> float:
-    """Closed form of sum_m e^{-i m theta} e^{-2 eps (|m|-1/2)} on the lattice."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    z = complex(math.cos(theta), -math.sin(theta)) * math.exp(-2.0 * eps)
-    if sector == "NS":
-        # m = +-(k + 1/2), k >= 0
-        half = complex(math.cos(theta / 2), -math.sin(theta / 2))
-        return 2.0 * (half / (1.0 - z)).real
-    if sector == "R":
-        return math.exp(eps) * (1.0 + 2.0 * (z / (1.0 - z)).real)
-    raise ValueError(f"unknown sector {sector!r}")
-
-
-def delta_eps_pairing(n, eps: float, sector: str, grid: int = 4096) -> float:
-    """(1/2pi) int_0^{2pi} delta_eps(theta) e^{i n theta} dtheta.
-
-    Evaluated by the uniform-grid rule, which is exact for lattice Fourier
-    modes up to aliasing of order exp(-2 eps grid).
-    """
-    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    dvals = np.array([torus_delta_eps(t, eps, sector) for t in theta])
-    phase = np.exp(1j * float(n) * theta)
-    return float((dvals * phase).mean().real)
 
 
 # ---------------------------------------------------------------------------
@@ -176,39 +126,3 @@ def delta_reg_zero(geometry: str, sector: str, m: int = 0) -> float:
                 "part cannot be normalized by the damping offset")
         raise ValueError(f"unknown sector {sector!r}")
     raise ValueError(f"unknown geometry {geometry!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sphere degree-sum diagnostics
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _legendre_at_zero_sq(l: int, m: int) -> float:
-    return legendre_Q(l, m, 0.0) ** 2
-
-
-def sphere_degree_sum(m: int, eps: float, l_max: int,
-                      a_m: float | None = None) -> float:
-    """Partial sum over l <= l_max of the damped squared basis values at u=0.
-
-    The damped function at the equator factorizes exactly as
-    e^{-eps(l + m + a_m)} Q_{lm}(0), so only undamped values are tabulated.
-    """
-    if a_m is None:
-        a_m = solve_a_m(m)
-    m = int(m)
-    total = 0.0
-    for l in range(abs(m), l_max + 1):
-        q2 = _legendre_at_zero_sq(l, m)
-        if q2:
-            total += q2 * math.exp(-2.0 * eps * (l + m + a_m))
-    return total
-
-
-def sphere_degree_sum_model(m: int, eps: float, a_m: float | None = None) -> float:
-    """Large-degree model of the damped sum, up to the constant offset C_m:
-    (4/pi) e^{-2 eps (2|m| + a_m)} / (1 - e^{-4 eps})."""
-    if a_m is None:
-        a_m = solve_a_m(m)
-    return (4.0 / math.pi) * math.exp(-2.0 * eps * (2 * abs(int(m)) + a_m)) \
-        / (1.0 - math.exp(-4.0 * eps))

@@ -8,8 +8,8 @@ the terms that are compared.  Central terms are never read
 from raw truncated commutators (their coincident-point multiplicity grows
 with the angular cutoff); they come from the regulated pipeline:
 
-    central = (one-dimensional mode anomaly, computed exactly on a
-               degenerate single-angular-mode sector)
+    central = (one-dimensional mode anomaly, an exact one-particle vacuum
+               trace on a degenerate single-angular-mode sector)
             * (regularized multiplicity, which is 1)
             * (on the sphere, the overlap of the two degree labels,
                which is (-1)^m delta_{l1 l2})
@@ -26,14 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .currents import sphere_L, sphere_T, torus_L, torus_T
+from .currents import (lam_constant, sphere_L, sphere_T, torus_L,
+                       torus_symbol, torus_T)
 from .fock import (ModeOperator, SectorConfig, accumulate, enumerate_states,
                    render_state, torus_sector, vacuum_states)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
 from .regulator import delta_reg_zero, richardson_finite_part
-from .scalars import SqrtTwoScalar
 
 __all__ = [
     "Window",
@@ -42,7 +42,6 @@ __all__ = [
     "CommutatorReport",
     "probe_states",
     "measure_central",
-    "measure_virasoro_shape",
     "central_raw_scan",
     "check_torus_algebra",
     "check_sphere_realization",
@@ -123,9 +122,6 @@ class TorusAlgebra:
 
     def z_mode(self, mode) -> int:
         return mode[0]
-
-    def central_key(self, family, a, b, mode1, mode2):
-        return (family, a, b, mode1[0])
 
     def central(self, family, a, b, mode1, mode2, method) -> float:
         return measure_central(family, mode1[0], rep=self.rep, cfg=self.cfg,
@@ -248,9 +244,6 @@ class SphereAlgebra:
     def z_mode(self, mode) -> int:
         return mode[1]
 
-    def central_key(self, family, a, b, mode1, mode2):
-        return (family, a, b, mode1, mode2)
-
     def central(self, family, a, b, mode1, mode2, method) -> float:
         return measure_central(family, mode1[1], rep=self.rep, cfg=self.cfg,
                                a=a or 1, b=b or 1,
@@ -371,7 +364,10 @@ class SphereAlgebra:
 
 def _vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs: Optional[ModeOperator],
                      cfg: SectorConfig, check_sigmas: bool = True):
-    """<0| [A, B] - rhs |0>, exact on the truncated space, per vacuum label."""
+    """<0| [A, B] - rhs |0>, exact on the truncated space, per vacuum label.
+
+    The Fock-space oracle of ``_vacuum_trace``; the raw method reads it.
+    """
     vals = []
     vacs = vacuum_states(cfg)
     sample = vacs if (check_sigmas and len(vacs) <= 4) else vacs[:1]
@@ -398,40 +394,108 @@ def _one_dim_reduction(z_sector: str, d: int, m: int) -> SectorConfig:
     return torus_sector(z_sector, "R", d, Fraction(m2_cut, 2), 0)
 
 
-def _torus_pair(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
-                p: int, cfg: SectorConfig, eps: float = 0.0,
-                exact: bool = False):
-    """X_{m,p}, X_{-m,-p} and the operator part of their bracket."""
-    if family == "TT":
-        A = torus_T(rep, a, m, p, cfg, eps, exact)
-        B = torus_T(rep, b, -m, -p, cfg, eps, exact)
-        rhs = None
-        for c in range(1, rep.dim_g + 1):
-            fabc = int(rep.f[a - 1, b - 1, c - 1])
-            if fabc:
-                scale = (SqrtTwoScalar(ia=Fraction(fabc)) if exact
-                         else complex(0.0, fabc))
-                piece = torus_T(rep, c, 0, 0, cfg, eps, exact).scaled(scale)
-                rhs = piece if rhs is None else rhs + piece
-    elif family == "LL":
-        A = torus_L(m, p, cfg, eps, exact)
-        B = torus_L(-m, -p, cfg, eps, exact)
-        rhs = torus_L(0, 0, cfg, eps, exact).scaled(2 * m) if m else None
-    else:
-        raise ValueError("central terms exist for TT and LL only")
-    return A, B, rhs
+def _pair_matrix(kind, rep, a, n2: int, m2: int) -> np.ndarray:
+    """F(n2) - F(m2 - n2)^T: the pair coefficient, antisymmetrized, over scale/2.
 
-
-def _anomaly_1d(z_sector: str, rep: LieAlgebraRep, family: str, a: int, b: int,
-                m: int) -> float:
-    """Exact z-direction anomaly of [X_m, X_-m] on the reduced sector.
-
-    Runs in exact (Gaussian rational over sqrt2) arithmetic, so the returned
-    anomaly values are exact dyadic rationals.
+    F is the flavour matrix of ``torus_symbol``; its Gaussian-integer
+    entries are exact in complex128, so sums of these matrices times integer
+    angular counts are exact before the dyadic scale applies.
     """
-    cfg1 = _one_dim_reduction(z_sector, rep.d, m)
-    A, B, rhs = _torus_pair(family, rep, a, b, m, 0, cfg1, exact=True)
-    return _vacuum_sandwich(A, B, rhs, cfg1)
+    return (torus_symbol(kind, rep, a, n2)[0]
+            - torus_symbol(kind, rep, a, m2 - n2)[0].T)
+
+
+def _theta2(n2: int, q2: np.ndarray) -> np.ndarray:
+    """Twice the vacuum weight theta of b_{n,q}: 2 annihilator, 1 zero mode."""
+    if n2:
+        return np.full_like(q2, 2 if n2 > 0 else 0)
+    return 2 * (q2 > 0) + (q2 == 0)
+
+
+def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
+                  p: int, cfg: SectorConfig, eps: float = 0.0) -> float:
+    """<0| [X_{m,p}, X_{-m,-p}] - rhs |0> from one-particle coefficients.
+
+    Up to c-numbers :b_x b_y: is (1/2)[b_x, b_y], so the commutator sees only
+    the antisymmetrized coefficients A, B of the two generators, and in the
+    quasi-free vacuum, <b_x b_{conj x}> = theta_x (1 annihilator, 1/2 zero
+    mode, 0 creator; Araki, Publ. RIMS 6 (1970) 385):
+
+        <[Q(A), Q(B)]>
+            = 2 sum_{x,y} A_{xy} (theta_x + theta_y - 1) B_{conj y, conj x}.
+
+    A pair x = (i, n, q), y = (j, m-n, p-q) splits this into a flavour trace
+    per z index n times the angular sum of w(q)^2 w(p-q)^2 (theta_x + theta_y
+    - 1).  At eps = 0 the weights are 1 and the value is an exact Fraction;
+    at eps > 0 the angular sums are float64.  The right-hand side X_{0,0}
+    has vacuum value equal to its identity term: off the z = 0 line the
+    normal order has vacuum value 0, and on it the pair coefficient vanishes
+    (L: the factor n; T: trace M^c = 0 for antisymmetric M^c).
+
+    Raises AssertionError, as the Fock oracle ``_vacuum_sandwich`` does, for
+    a value with an imaginary part, or one that would differ across the
+    vacuum multiplet: a nonzero antisymmetric zero-mode block of
+    [A, B] - rhs.  This check does not depend on how the zero modes are
+    paired into spinor labels.
+    """
+    if family not in ("TT", "LL"):
+        raise ValueError("central terms exist for TT and LL only")
+    kind = family[0]
+    exact = eps == 0.0
+    m2, p2 = 2 * m, 2 * p
+    rhs = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
+
+    def w(k2):
+        # the damping weight of torus_T and torus_L
+        if exact:
+            return np.ones_like(k2)
+        return np.exp(-eps * (np.abs(k2) / 2.0 - 0.5))
+
+    q2 = np.array(cfg.angular_lattice())
+    q2 = q2[np.abs(p2 - q2) <= cfg.p2_cut]
+    ww = (w(q2) * w(p2 - q2)) ** 2
+    flavour_angular = 0j
+    for n2 in cfg.z_lattice():
+        if abs(m2 - n2) > cfg.m2_cut:
+            continue
+        # A's pair (x, y) meets B's pair (conj y, conj x)
+        FA = _pair_matrix(kind, rep, a, n2, m2)
+        FB = _pair_matrix(kind, rep, b, n2 - m2, -m2)
+        theta2 = _theta2(n2, q2) + _theta2(m2 - n2, p2 - q2) - 2
+        # trace(FA FB), summed elementwise: a BLAS product of these small
+        # matrices would cost its buffers in peak memory
+        flavour_angular += np.sum(FA * FB.T) * np.sum(ww * theta2)
+    scale2 = torus_symbol(kind, rep, a, 0)[1] ** 2
+
+    if cfg.zero_modes:
+        # the zero modes u_i = (i, 0, 0) pair with (k, m, p) in A and with
+        # (k, -m, -p) in B, if those lie inside the cutoffs; the rhs pairs
+        # them among themselves
+        w0 = float(w(0))
+        block = np.zeros((rep.d, rep.d))
+        if abs(m2) <= cfg.m2_cut and abs(p2) <= cfg.p2_cut:
+            FA = _pair_matrix(kind, rep, a, 0, m2)
+            FB = _pair_matrix(kind, rep, b, 0, -m2)
+            block = (float(scale2) / 2 * (w0 * float(w(p2))) ** 2
+                     * (np.einsum("ik,jk->ij", FB, FA)
+                        - np.einsum("ik,jk->ij", FA, FB)))
+        for scale, kind_c, c, _ in rhs:
+            block = block - (scale * float(torus_symbol(kind_c, rep, c, 0)[1])
+                             / 2 * w0 ** 2 * _pair_matrix(kind_c, rep, c, 0, 0))
+        spread = float(np.abs(block).max())
+        if spread > 1e-10:
+            raise AssertionError(f"central value varies across the vacuum "
+                                 f"multiplet: zero-mode block {spread:.3e}")
+
+    # 2 * (scale/2)^2 * (1/2 for the doubled theta); of the rhs only the
+    # identity term lam * d of L_{0,0} has a vacuum value
+    num = Fraction if exact else float
+    imag = num(flavour_angular.imag) * scale2 / 4
+    if abs(imag) > 1e-10:
+        raise AssertionError(f"central value has imaginary part {float(imag):.3e}")
+    identity = sum(scale for scale, kind_c, _, _ in rhs if kind_c == "L")
+    return float(num(flavour_angular.real) * scale2 / 4
+                 - identity * lam_constant(cfg) * cfg.d)
 
 
 def _legendre_overlap(l1: int, l2: int, m: int) -> float:
@@ -445,18 +509,21 @@ def measure_central(family: str, m: int, *, rep: LieAlgebraRep,
                     cfg: SectorConfig, a: int = 1, b: Optional[int] = None,
                     p: int = 0, degrees: Optional[tuple] = None,
                     method: str = "analytic", table: Optional[StructureTable] = None,
-                    eps0: float = 0.1, levels: int = 5) -> float:
+                    eps0: float = 0.1, levels: int = 7) -> float:
     """Regulated (or raw) central value of <0|[X_{m,.}, X_{-m,.}]|0>.
 
     family "TT" or "LL"; on the sphere, degrees = (l1, l2) gives the two
     degree labels.  Methods: "analytic" (exact z anomaly times regularized
     multiplicity), "eps_extrapolated" (damped sums plus finite part, torus
-    only), "raw" (truncated value, diverges with the angular cutoff).
+    only), "raw" (truncated value, diverges with the angular cutoff).  The
+    first two are one-particle vacuum traces (``_vacuum_trace``); "raw"
+    applies the Fock operators to the vacuum.
     """
     if b is None:
         b = a
     if method == "analytic":
-        anomaly = _anomaly_1d(cfg.z_sector, rep, family, a, b, m)
+        anomaly = _vacuum_trace(family, rep, a, b, m, 0,
+                                _one_dim_reduction(cfg.z_sector, rep.d, m))
         if cfg.geometry == "torus":
             return anomaly * delta_reg_zero("torus", cfg.angular_sector)
         mult = delta_reg_zero("sphere", cfg.z_sector, m)
@@ -484,31 +551,21 @@ def measure_central(family: str, m: int, *, rep: LieAlgebraRep,
 
 
 def _central_eps_extrapolated(family, m, p, rep, cfg, a, b, eps0, levels):
+    """Finite part of the damped trace (Richardson extrapolation; Sidi,
+    Practical Extrapolation Methods, 2003)."""
     z_cut = Fraction(2 * abs(m) + (1 if cfg.z_sector == "NS" else 2), 2)
 
     def value(eps: float) -> float:
+        # the damping weight w(q)^2 is about e^-36 at this angular cutoff
         p2 = int(np.ceil(36.0 / eps))
         if p2 % 2 != (1 if cfg.angular_sector == "NS" else 0):
             p2 += 1
         cfge = torus_sector(cfg.z_sector, cfg.angular_sector, cfg.d,
                             z_cut, Fraction(p2, 2))
-        A, B, rhs = _torus_pair(family, rep, a, b, m, p, cfge, eps)
-        return _vacuum_sandwich(A, B, rhs, cfge, check_sigmas=False)
+        return _vacuum_trace(family, rep, a, b, m, p, cfge, eps)
 
     _, finite = richardson_finite_part(value, eps0=eps0, levels=levels)
     return finite
-
-
-def measure_virasoro_shape(cfg: SectorConfig, rep: LieAlgebraRep,
-                           ms=(1, 2, 3), method: str = "analytic",
-                           degrees=None, table=None) -> dict:
-    """Central values of the Virasoro bracket at several mode numbers."""
-    out = {}
-    for m in ms:
-        deg = degrees(m) if callable(degrees) else degrees
-        out[m] = measure_central("LL", m, rep=rep, cfg=cfg, method=method,
-                                 degrees=deg, table=table)
-    return out
 
 
 def central_raw_scan(z_sector: str, angular_sector: str, d: int,
@@ -749,7 +806,7 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     def central_lookup(family, a, b, mode1, mode2):
         if family == "LT":
             return 0.0
-        key = alg.central_key(family, a, b, mode1, mode2)
+        key = (family, a, b, mode1, mode2)
         if key not in central_cache:
             central_cache[key] = alg.central(family, a, b, mode1, mode2,
                                              central_method)

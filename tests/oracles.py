@@ -1,0 +1,197 @@
+"""Reference computations that only the tests read.
+
+Each one checks a km2d result by an independent route: numeric heat sums,
+the closed-form torus delta function, sphere degree sums against their
+large-degree model, the Rodrigues formula for the Legendre family, the
+reproducing kernel of a truncated basis, and the Fock-space pair of
+generators behind a vacuum central value.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from km2d.currents import torus_L, torus_T
+from km2d.harmonics import _nodes_for_degree, legendre_Q
+from km2d.regulator import HeatSum, solve_a_m
+from km2d.scalars import SqrtTwoScalar
+from km2d.verifier import measure_central
+
+__all__ = [
+    "heat_sum_numeric",
+    "torus_delta_eps",
+    "delta_eps_pairing",
+    "sphere_degree_sum",
+    "sphere_degree_sum_model",
+    "legendre_Q_reference",
+    "delta_partial_residual",
+    "measure_virasoro_shape",
+    "torus_pair",
+]
+
+
+# ---------------------------------------------------------------------------
+# Regulator diagnostics
+# ---------------------------------------------------------------------------
+
+def heat_sum_numeric(s: HeatSum, eps: float, cutoff: int | None = None) -> float:
+    """Truncated evaluation of the damped sum at fixed eps > 0."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if cutoff is None:
+        cutoff = int(math.ceil(22.0 / (eps * s.step))) + 1
+    k = np.arange(cutoff)
+    return float(np.exp(-2.0 * eps * (k * s.step + s.offset)).sum())
+
+
+def torus_delta_eps(theta: float, eps: float, sector: str) -> float:
+    """Closed form of sum_m e^{-i m theta} e^{-2 eps (|m|-1/2)} on the lattice."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    z = complex(math.cos(theta), -math.sin(theta)) * math.exp(-2.0 * eps)
+    if sector == "NS":
+        # m = +-(k + 1/2), k >= 0
+        half = complex(math.cos(theta / 2), -math.sin(theta / 2))
+        return 2.0 * (half / (1.0 - z)).real
+    if sector == "R":
+        return math.exp(eps) * (1.0 + 2.0 * (z / (1.0 - z)).real)
+    raise ValueError(f"unknown sector {sector!r}")
+
+
+def delta_eps_pairing(n, eps: float, sector: str, grid: int = 4096) -> float:
+    """(1/2pi) int_0^{2pi} delta_eps(theta) e^{i n theta} dtheta.
+
+    Evaluated by the uniform-grid rule, which is exact for lattice Fourier
+    modes up to aliasing of order exp(-2 eps grid).
+    """
+    theta = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    dvals = np.array([torus_delta_eps(t, eps, sector) for t in theta])
+    phase = np.exp(1j * float(n) * theta)
+    return float((dvals * phase).mean().real)
+
+
+@lru_cache(maxsize=None)
+def _legendre_at_zero_sq(l: int, m: int) -> float:
+    return legendre_Q(l, m, 0.0) ** 2
+
+
+def sphere_degree_sum(m: int, eps: float, l_max: int,
+                      a_m: float | None = None) -> float:
+    """Partial sum over l <= l_max of the damped squared basis values at u=0.
+
+    The damped function at the equator factorizes exactly as
+    e^{-eps(l + m + a_m)} Q_{lm}(0), so only undamped values are tabulated.
+    """
+    if a_m is None:
+        a_m = solve_a_m(m)
+    m = int(m)
+    total = 0.0
+    for l in range(abs(m), l_max + 1):
+        q2 = _legendre_at_zero_sq(l, m)
+        if q2:
+            total += q2 * math.exp(-2.0 * eps * (l + m + a_m))
+    return total
+
+
+def sphere_degree_sum_model(m: int, eps: float, a_m: float | None = None) -> float:
+    """Large-degree model of the damped sum, up to the constant offset C_m:
+    (4/pi) e^{-2 eps (2|m| + a_m)} / (1 - e^{-4 eps})."""
+    if a_m is None:
+        a_m = solve_a_m(m)
+    return (4.0 / math.pi) * math.exp(-2.0 * eps * (2 * abs(int(m)) + a_m)) \
+        / (1.0 - math.exp(-4.0 * eps))
+
+
+# ---------------------------------------------------------------------------
+# Harmonics
+# ---------------------------------------------------------------------------
+
+def legendre_Q_reference(l: int, m: int, u: float) -> float:
+    """Direct Rodrigues-formula evaluation with exact rational coefficients.
+
+    Independent of the recurrence path; intended as an oracle for l up to ~20
+    where raw differentiation is still well conditioned.
+    """
+    l, m = int(l), int(m)
+    if l < abs(m):
+        raise ValueError(f"need l >= |m|, got l={l}, m={m}")
+    sign = 1
+    if m < 0:
+        m = -m
+        sign = -1 if m % 2 else 1
+    # d^{l+m}/du^{l+m} (1-u^2)^l, exact polynomial coefficients
+    coeffs = {2 * k: Fraction(math.comb(l, k) * (-1) ** k) for k in range(l + 1)}
+    for _ in range(l + m):
+        coeffs = {p - 1: c * p for p, c in coeffs.items() if p > 0}
+    poly = sum(float(c) * u ** p for p, c in coeffs.items())
+    norm = (math.sqrt(2 * l + 1)
+            * math.sqrt(math.factorial(l - m) / math.factorial(l + m))
+            / (2 ** l * math.factorial(l)))
+    return sign * ((-1) ** (l + m)) * norm * (1 - u * u) ** (m / 2) * poly
+
+
+def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
+    """Worst-case error of the truncated reproducing kernel on a basis element.
+
+    The kernel K(u, v) = sum_{l <= L_max} Q_{lm}(u) Q_{lm}(v) must reproduce
+    Q_{l'm} exactly for l' <= L_max; returns the max deviation over nodes u.
+    """
+    lp = test_fn_degree
+    if lp > L_max:
+        raise ValueError(f"test degree {lp} exceeds kernel cutoff {L_max}")
+    if lp < abs(m):
+        raise ValueError(f"need test degree >= |m| = {abs(m)}")
+    nodes, weights = _nodes_for_degree(2 * L_max + lp)
+    target = legendre_Q(lp, m, nodes)
+    acc = np.zeros_like(nodes)
+    for l in range(abs(m), L_max + 1):
+        ql = legendre_Q(l, m, nodes)
+        proj = 0.5 * float(np.dot(weights, ql * target))
+        acc += ql * proj
+    return float(np.max(np.abs(acc - target)))
+
+
+# ---------------------------------------------------------------------------
+# Central terms
+# ---------------------------------------------------------------------------
+
+def measure_virasoro_shape(cfg, rep, ms=(1, 2, 3), method: str = "analytic",
+                           degrees=None, table=None) -> dict:
+    """Central values of the Virasoro bracket at several mode numbers."""
+    out = {}
+    for m in ms:
+        deg = degrees(m) if callable(degrees) else degrees
+        out[m] = measure_central("LL", m, rep=rep, cfg=cfg, method=method,
+                                 degrees=deg, table=table)
+    return out
+
+
+def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
+               eps: float = 0.0, exact: bool = False):
+    """Fock operators X_{m,p}, X_{-m,-p} and the operator part of their bracket.
+
+    With exact=True (eps = 0 only) the coefficients are exact scalars, so a
+    vacuum sandwich of the three is exact.
+    """
+    if family == "TT":
+        A = torus_T(rep, a, m, p, cfg, eps, exact)
+        B = torus_T(rep, b, -m, -p, cfg, eps, exact)
+        rhs = None
+        for c in range(1, rep.dim_g + 1):
+            fabc = int(rep.f[a - 1, b - 1, c - 1])
+            if fabc:
+                scale = (SqrtTwoScalar(ia=Fraction(fabc)) if exact
+                         else complex(0.0, fabc))
+                piece = torus_T(rep, c, 0, 0, cfg, eps, exact).scaled(scale)
+                rhs = piece if rhs is None else rhs + piece
+    elif family == "LL":
+        A = torus_L(m, p, cfg, eps, exact)
+        B = torus_L(-m, -p, cfg, eps, exact)
+        rhs = torus_L(0, 0, cfg, eps, exact).scaled(2 * m) if m else None
+    else:
+        raise ValueError("central terms exist for TT and LL only")
+    return A, B, rhs

@@ -14,12 +14,12 @@ from km2d.cli import main as cli_main
 from km2d.fock import check_car, sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
 from km2d.lie_core import build_so_adjoint
-from km2d.regulator import (HeatSum, heat_sum_finite_part, heat_sum_numeric,
+from km2d.regulator import (HeatSum, heat_sum_finite_part,
                             hurwitz_zeta_at_zero, richardson_finite_part,
                             solve_a_m)
 from km2d.verifier import (Window, central_raw_scan, check_sphere_abstract,
-                           check_sphere_realization, check_torus_algebra,
-                           measure_virasoro_shape)
+                           check_sphere_realization, check_torus_algebra)
+from oracles import heat_sum_numeric, measure_virasoro_shape
 
 H = Fraction(1, 2)
 NINE_HALVES = Fraction(9, 2)

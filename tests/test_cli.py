@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from km2d import cli
-from km2d.cli import EPS_CENTRAL_TOL, main
+from km2d.cli import main
 
 TORUS_ARGS = ["verify-torus", "--rep", "so3-adjoint", "--sectors", "NS,NS",
               "--cutoff-m", "9/2", "--cutoff-p", "9/2", "--window", "1,1,2",
@@ -178,11 +178,11 @@ def test_check_failure_exits_two(tmp_path):
 @pytest.mark.parametrize("flags,central_tol", [
     ([], None),                                   # check_torus_algebra: --tol
     (["--method", "raw"], None),
-    (["--method", "eps"], EPS_CENTRAL_TOL),
-    (["--method", "eps", "--tol", "1e-3"], 1e-3),
+    (["--method", "eps"], None),
+    (["--method", "eps", "--tol", "1e-3"], None),
 ])
 def test_torus_central_tol(flags, central_tol, monkeypatch, tmp_path):
-    # the eps method itself takes seconds; check what reaches the verifier
+    # every method checks c and k at --tol: no central_tol reaches the verifier
     seen = {}
 
     class Report:
@@ -198,7 +198,16 @@ def test_torus_central_tol(flags, central_tol, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "check_torus_algebra", fake_check)
     out = str(tmp_path / "r.json")
     assert main(["verify-torus", *flags, "--output", out]) == 0
-    assert seen["central_tol"] == central_tol
+    assert seen.get("central_tol") == central_tol
+
+
+def test_verify_torus_eps_certifies_at_tol(tmp_path):
+    out = tmp_path / "eps.json"
+    assert main(TORUS_ARGS + ["--method", "eps", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pass"] is True
+    assert payload["charges"]["c_measured"] == pytest.approx(1.5, abs=1e-10)
+    assert payload["charges"]["k_measured"] == pytest.approx(1.0, abs=1e-10)
 
 
 def _exit_code(args):

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from km2d.harmonics import (
-    delta_partial_residual,
     jacobi_Q,
     legendre_Q,
-    legendre_Q_reference,
     quadrature,
     structure_table,
     triple_product_ns,
 )
+from oracles import delta_partial_residual, legendre_Q_reference
 
 H = Fraction(1, 2)
 

@@ -6,13 +6,15 @@ import pytest
 from km2d.regulator import (
     HeatSum,
     UnresolvedPrescriptionError,
-    delta_eps_pairing,
     delta_reg_zero,
     heat_sum_finite_part,
-    heat_sum_numeric,
     hurwitz_zeta_at_zero,
     richardson_finite_part,
     solve_a_m,
+)
+from oracles import (
+    delta_eps_pairing,
+    heat_sum_numeric,
     sphere_degree_sum,
     sphere_degree_sum_model,
     torus_delta_eps,

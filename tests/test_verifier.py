@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from km2d.cli import EPS_CENTRAL_TOL
 from km2d.currents import torus_L, torus_T
-from km2d.fock import sphere_sector, torus_sector, vacuum_states
+from km2d.fock import ModeOperator, sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
 from km2d.regulator import UnresolvedPrescriptionError
 from km2d.verifier import (
@@ -17,9 +16,9 @@ from km2d.verifier import (
     check_sphere_realization,
     check_torus_algebra,
     measure_central,
-    measure_virasoro_shape,
     probe_states,
 )
+from oracles import measure_virasoro_shape, torus_pair
 
 H = Fraction(1, 2)
 
@@ -66,10 +65,29 @@ def test_central_window_independence(so3, nsns):
 
 
 def test_central_eps_extrapolated(so3, nsns):
+    # the default 7 levels reach k within the default --tol of verify-torus
     val = measure_central("TT", 1, rep=so3, cfg=nsns,
-                          method="eps_extrapolated", eps0=0.1, levels=5)
-    # verify-torus --method eps checks k at this tolerance
-    assert val == pytest.approx(1.0, abs=EPS_CENTRAL_TOL)
+                          method="eps_extrapolated")
+    assert val == pytest.approx(1.0, abs=1e-10)
+    # at 5 levels the trace gives the value of the Fock-space sandwich
+    val5 = measure_central("TT", 1, rep=so3, cfg=nsns,
+                           method="eps_extrapolated", eps0=0.1, levels=5)
+    assert val5 == pytest.approx(0.9999999611662126, abs=1e-12)
+
+
+def test_central_traces_apply_no_fock_operator(so3, nsns, monkeypatch):
+    # both regulated methods read one-particle coefficients only
+    import km2d.verifier as verifier
+
+    def fock_path(*args, **kwargs):
+        raise RuntimeError("the Fock path was used")
+
+    monkeypatch.setattr(ModeOperator, "apply_state", fock_path)
+    monkeypatch.setattr(verifier, "torus_T", fock_path)
+    monkeypatch.setattr(verifier, "torus_L", fock_path)
+    assert measure_central("LL", 2, rep=so3, cfg=nsns) == 0.75
+    k = measure_central("TT", 1, rep=so3, cfg=nsns, method="eps_extrapolated")
+    assert k == pytest.approx(1.0, abs=1e-10)
 
 
 def test_central_raw_diverges_affinely(so3):
@@ -431,3 +449,53 @@ def test_window_without_probes_is_rejected(so3, nsns):
     assert probe_states(nsns, Window(-2, 2, 2)) == []
     with pytest.raises(ValueError, match="no probe state"):
         check_torus_algebra(nsns, so3, Window(-2, 2, 2), max_mode=0)
+
+
+# ---------------------------------------------------------------------------
+# the one-particle vacuum trace against the Fock sandwich
+# ---------------------------------------------------------------------------
+
+@st.composite
+def torus_centrals(draw):
+    """A torus sector with cutoffs up to 5/2 and one zero-total TT or LL pair."""
+    def cutoff(sector):
+        first = 1 if sector == "NS" else 2
+        return Fraction(draw(st.sampled_from(range(first, 6, 2))), 2)
+
+    sectors = st.sampled_from(["R", "NS"])
+    z, ang = draw(sectors), draw(sectors)
+    cfg = torus_sector(z, ang, 3, cutoff(z), cutoff(ang))
+    # (1, 2) has the right-hand side f^{12c} T^c_{0,0}.  The Fock vacua see
+    # a zero-mode block only where their spinor label pairs the two modes,
+    # and they pair zero modes 1 and 2, the ones [T^1, T^2] = i T^3 couples
+    family, a, b = draw(st.sampled_from(
+        [("TT", 1, 1), ("TT", 3, 3), ("TT", 1, 2), ("LL", 1, 1)]))
+    return cfg, family, a, b, draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except AssertionError:
+        return AssertionError
+
+
+@settings(max_examples=80, deadline=None)
+@given(torus_centrals(), st.sampled_from([0.0, 0.3]))
+# the zero modes of R,R weigh 1/2; at eps > 0 the damping leaves a
+# zero-mode block in the current bracket, and both paths reject it
+@example(central=(torus_sector("R", "R", 3, 2, 1), "TT", 1, 1, 1, 1), eps=0.0)
+@example(central=(torus_sector("R", "R", 3, 1, 1), "LL", 1, 1, -1, 0), eps=0.3)
+@example(central=(torus_sector("R", "R", 3, 2, 1), "TT", 1, 2, 1, 0), eps=0.3)
+def test_vacuum_trace_matches_fock_sandwich(so3, central, eps):
+    from km2d.verifier import _vacuum_sandwich, _vacuum_trace
+
+    cfg, family, a, b, m, p = central
+    trace = _value_or_error(
+        lambda: _vacuum_trace(family, so3, a, b, m, p, cfg, eps))
+    fock = _value_or_error(lambda: _vacuum_sandwich(
+        *torus_pair(family, so3, a, b, m, p, cfg, eps, exact=eps == 0), cfg))
+    if eps == 0.0 or AssertionError in (trace, fock):
+        assert trace == fock
+    else:
+        assert trace == pytest.approx(fock, rel=1e-12, abs=1e-12)
