@@ -214,8 +214,9 @@ def build_parser() -> _Parser:
     pt.add_argument("--cutoff-p", type=_half, default=Fraction(9, 2))
     pt.add_argument("--window", type=_window, default=Window.of(1, 1, 2))
     pt.add_argument("--max-mode", type=_count, default=2)
-    pt.add_argument("--method", choices=("analytic", "eps", "raw"),
-                    default="analytic")
+    pt.add_argument("--method", choices=("analytic", "eps"),
+                    default="analytic",
+                    help="eps needs an NS z sector")
 
     ps = sub.add_parser("verify-sphere", help="certify the sphere realization")
     add_common(ps)
@@ -227,7 +228,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--window", type=_window, default=Window.of(1, 1, 2))
     ps.add_argument("--max-l", type=_count, default=1)
     ps.add_argument("--central-tol", type=_tolerance, default=1e-8)
-    ps.add_argument("--method", choices=("analytic", "raw"), default="analytic")
+    ps.add_argument("--method", choices=("analytic",), default="analytic",
+                    help="the sphere has the analytic method only")
 
     pa = sub.add_parser("sphere-abstract", help="abstract Jacobi identities")
     add_common(pa)
@@ -319,7 +321,7 @@ def _cmd_verify_sphere(args) -> int:
     try:
         report = check_sphere_realization(
             cfg, rep, table, args.window, tol=args.tol, max_l=args.max_l,
-            central_method=args.method, central_tol=args.central_tol)
+            central_tol=args.central_tol)
     except UnresolvedPrescriptionError as exc:
         sys.stderr.write(f"unresolved prescription: {exc}\n")
         return EXIT_UNRESOLVED

@@ -17,8 +17,9 @@ basis-function pairs onto Q_{lm}, including the 1/2 from the field's
 
 Bilinear sums run over lattice points with BOTH factors inside the cutoffs;
 out-of-range terms are dropped here (the verifier's window rule guarantees
-exactness where it is claimed).  Coefficients stay exact (Gaussian rational)
-whenever eps = 0 and the generator matrices are integral.
+exactness where it is claimed).  Coefficients are complex or float; at
+eps = 0 every torus coefficient is a dyadic rational, which they carry
+without rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .fock import (Mode, ModeOperator, SectorConfig, TableCoverageError,
                    add_normal_ordered)
 from .harmonics import StructureTable, triple_product_ns
 from .lie_core import LieAlgebraRep
-from .scalars import SqrtTwoScalar
 
 __all__ = [
     "lam_constant",
@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 
-def lam_constant(cfg: SectorConfig) -> Fraction:
+def lam_constant(cfg: SectorConfig) -> float:
     """Ground-level constant per flavour: 1/16 for R, 0 for NS (z direction)."""
-    return Fraction(1, 16) if cfg.z_sector == "R" else Fraction(0)
+    return 1 / 16 if cfg.z_sector == "R" else 0.0
 
 
 def _weight(k2: int, eps: float) -> float:
@@ -79,47 +79,37 @@ def _torus_bilinear_lattice(cfg: SectorConfig, m2: int, p2: int):
 
 
 def torus_T(rep: LieAlgebraRep, a: int, m: int, p: int, cfg: SectorConfig,
-            eps: float = 0.0, exact: bool = False) -> ModeOperator:
+            eps: float = 0.0) -> ModeOperator:
     """Current generator T^a at bilinear mode (m, p) on the torus.
 
-    All eps = 0 coefficients are dyadic rationals, so the default complex
-    floats carry them without rounding; exact=True switches to Gaussian
-    rational scalars for the pipelines that assert exact zeros.
+    All eps = 0 coefficients are dyadic rationals, so complex floats carry
+    them without rounding.
     """
     if rep.d != cfg.d:
         raise ValueError(f"rep has d={rep.d}, sector has d={cfg.d}")
-    if exact and eps:
-        raise ValueError("exact coefficients require eps = 0")
     m2, p2 = 2 * int(m), 2 * int(p)
     entries = _nonzero_entries(rep, a)
     terms: dict = {}
     for n2, q2 in _torus_bilinear_lattice(cfg, m2, p2):
         scale0 = 1.0 if eps == 0.0 else _weight(q2, eps) * _weight(p2 - q2, eps)
         for i, j, mij in entries:
-            if exact:
-                coeff = SqrtTwoScalar(ia=Fraction(mij, 2))
-            else:
-                coeff = complex(0.0, 0.5 * mij * scale0)
+            coeff = complex(0.0, 0.5 * mij * scale0)
             x = Mode(i, n2, q2, 0)
             y = Mode(j, m2 - n2, p2 - q2, 0)
             add_normal_ordered(terms, cfg, x, y, coeff)
     return ModeOperator(cfg, terms)
 
 
-def torus_L(m: int, p: int, cfg: SectorConfig, eps: float = 0.0,
-            exact: bool = False) -> ModeOperator:
+def torus_L(m: int, p: int, cfg: SectorConfig,
+            eps: float = 0.0) -> ModeOperator:
     """Virasoro generator at bilinear mode (m, p) on the torus."""
-    if exact and eps:
-        raise ValueError("exact coefficients require eps = 0")
     m2, p2 = 2 * int(m), 2 * int(p)
     lam = lam_constant(cfg)
     terms: dict = {}
     for n2, q2 in _torus_bilinear_lattice(cfg, m2, p2):
         if n2 == 0:
             continue
-        if exact:
-            coeff = Fraction(-n2, 4)
-        elif eps == 0.0:
+        if eps == 0.0:
             coeff = -n2 / 4.0
         else:
             coeff = (-n2 / 4.0) * _weight(q2, eps) * _weight(p2 - q2, eps)
@@ -128,7 +118,7 @@ def torus_L(m: int, p: int, cfg: SectorConfig, eps: float = 0.0,
             y = Mode(i, m2 - n2, p2 - q2, 0)
             add_normal_ordered(terms, cfg, x, y, coeff)
     if m2 == 0 and p2 == 0 and lam:
-        terms[()] = lam * cfg.d if exact else float(lam) * cfg.d
+        terms[()] = lam * cfg.d
     return ModeOperator(cfg, terms)
 
 
@@ -138,11 +128,11 @@ def torus_symbol(kind: str, rep: LieAlgebraRep, a, n2: int):
     torus_T and torus_L put scale * F_{ij} w(q) w(p-q) on the pair
     :b^i_{n,q} b^j_{m-n,p-q}: with doubled z index n2 = 2n: T^a has
     F = i M^a and scale 1/2, L has F = -n2 times the identity and scale
-    1/4.  F has Gaussian-integer entries; the scale is a dyadic Fraction.
+    1/4.  F has Gaussian-integer entries; the scale is a dyadic float.
     """
     if kind == "T":
-        return 1j * rep.M[a - 1], Fraction(1, 2)
-    return -n2 * np.eye(rep.d), Fraction(1, 4)
+        return 1j * rep.M[a - 1], 0.5
+    return -n2 * np.eye(rep.d), 0.25
 
 
 # ---------------------------------------------------------------------------

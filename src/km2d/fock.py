@@ -231,20 +231,15 @@ class SectorConfig:
     def conj_pairing(self) -> dict:
         """mode -> (conj(mode), {b_mode, b_conj(mode)}) for every mode.
 
-        Built on first use, which is the first bilinear commutator: a
-        sector that only applies operators never pays for the table.
+        The pairing is also the reality twist t of (b_mode)^+ = t b_conj(mode).
+        Built on first use, by the first commutator, adjoint or creator
+        applied: a sector whose central terms are traces never builds it.
         """
         out = {}
         for mode in self.all_modes():
             conj = self.conj(mode)
             out[mode] = (conj, self.car_pairing(mode, conj))
         return out
-
-    def reality_twist(self, mode: Mode) -> int:
-        """t with (b_mode)^+ = t * b_conj(mode)."""
-        if self.geometry == "sphere" and self.z_sector == "R":
-            return -1 if (mode.k2 // 2) % 2 else 1
-        return 1
 
     # -- zero-mode Clifford module ------------------------------------------
 
@@ -398,14 +393,13 @@ def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
         sign = -1 if j % 2 else 1
         return sign, FockState(state.sigma, occ[:j] + occ[j + 1:])
     if kind == "cre":
-        osc = cfg.conj(mode)
+        osc, twist = cfg.conj_pairing[mode]
         if osc in occ:
             return None
         j = 0
         while j < len(occ) and occ[j] < osc:
             j += 1
         sign = -1 if j % 2 else 1
-        twist = cfg.reality_twist(osc)
         return sign * twist, FockState(state.sigma, occ[:j] + (osc,) + occ[j:])
     # zero mode: anticommute past all explicit creators, then act on sigma
     gen = cfg.zero_mode_index(mode)
@@ -461,10 +455,10 @@ class ModeOperator:
 
     def adjoint(self) -> "ModeOperator":
         # conjugating and reversing a key is injective, so no keys collide
-        cfg = self.cfg
-        return ModeOperator(cfg, {
-            tuple(cfg.conj(m) for m in reversed(key)):
-                c.conjugate() * math.prod(cfg.reality_twist(m) for m in key)
+        pairing = self.cfg.conj_pairing
+        return ModeOperator(self.cfg, {
+            tuple(pairing[m][0] for m in reversed(key)):
+                c.conjugate() * math.prod(pairing[m][1] for m in key)
             for key, c in self.terms.items()})
 
     def commutator(self, other: "ModeOperator") -> "ModeOperator":
@@ -589,13 +583,6 @@ class ModeOperator:
                     self._apply_term(key, coeff, state, out)
                 else:
                     out.add_term(state, coeff)
-        return out
-
-    def apply(self, sv: StateVector) -> StateVector:
-        out = StateVector()
-        for state, amp in sv.items():
-            for s, c in self.apply_state(state).items():
-                out.add_term(s, c * amp)
         return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .currents import (lam_constant, sphere_L, sphere_T, torus_L,
                        torus_symbol, torus_T)
 from .fock import (ModeOperator, SectorConfig, accumulate, enumerate_states,
-                   render_state, torus_sector, vacuum_states)
+                   render_state, torus_sector)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
@@ -247,8 +247,7 @@ class SphereAlgebra:
     def central(self, family, a, b, mode1, mode2, method) -> float:
         return measure_central(family, mode1[1], rep=self.rep, cfg=self.cfg,
                                a=a or 1, b=b or 1,
-                               degrees=(mode1[0], mode2[0]), method=method,
-                               table=self.table)
+                               degrees=(mode1[0], mode2[0]), method=method)
 
     def charges(self, method):
         """Report block of c, k and the Virasoro centrals at m = 1, 2.
@@ -256,16 +255,16 @@ class SphereAlgebra:
         The diagonal current bracket at m = 1 carries (-1)^1 k; c is read
         at m = 2, so a degree cutoff below 2 is rejected with ValueError.
         """
-        cfg, rep, table = self.cfg, self.rep, self.table
+        cfg, rep = self.cfg, self.rep
         k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
-                                 degrees=(1, 1), method=method, table=table)
+                                 degrees=(1, 1), method=method)
         c_col = {}
         for m in (1, 2):
             l = max(abs(m), 2)
             if l > cfg.l2_cut // 2:
                 continue
             val = measure_central("LL", m, rep=rep, cfg=cfg, degrees=(l, l),
-                                  method=method, table=table)
+                                  method=method)
             sgn = -1.0 if m % 2 else 1.0
             c_col[m] = (val, sgn * (cfg.d / 2.0 / 12.0) * m * (m * m - 1))
         if 2 not in c_col:
@@ -362,31 +361,6 @@ class SphereAlgebra:
 # Central-term measurements
 # ---------------------------------------------------------------------------
 
-def _vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs: Optional[ModeOperator],
-                     cfg: SectorConfig, check_sigmas: bool = True):
-    """<0| [A, B] - rhs |0>, exact on the truncated space, per vacuum label.
-
-    The Fock-space oracle of ``_vacuum_trace``; the raw method reads it.
-    """
-    vals = []
-    vacs = vacuum_states(cfg)
-    sample = vacs if (check_sigmas and len(vacs) <= 4) else vacs[:1]
-    for vac in sample:
-        xB = B.apply_state(vac)
-        xA = A.apply_state(vac)
-        t1 = A.apply(xB).get(vac, 0)
-        t2 = B.apply(xA).get(vac, 0)
-        r = rhs.apply_state(vac).get(vac, 0) if rhs is not None else 0
-        vals.append(complex(t1) - complex(t2) - complex(r))
-    spread = max(abs(v - vals[0]) for v in vals)
-    if spread > 1e-10:
-        raise AssertionError(f"central value varies across the vacuum "
-                             f"multiplet by {spread:.3e}")
-    if abs(vals[0].imag) > 1e-10:
-        raise AssertionError(f"central value has imaginary part {vals[0]:.3e}")
-    return vals[0].real
-
-
 def _one_dim_reduction(z_sector: str, d: int, m: int) -> SectorConfig:
     """Single-angular-mode sector isolating the z-direction anomaly."""
     m2 = 2 * abs(int(m))
@@ -426,29 +400,25 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
 
     A pair x = (i, n, q), y = (j, m-n, p-q) splits this into a flavour trace
     per z index n times the angular sum of w(q)^2 w(p-q)^2 (theta_x + theta_y
-    - 1).  At eps = 0 the weights are 1 and the value is an exact Fraction;
-    at eps > 0 the angular sums are float64.  The right-hand side X_{0,0}
+    - 1), in float64.  At eps = 0 the weights are exactly 1 and every term is
+    a dyadic rational, so the value is exact.  The right-hand side X_{0,0}
     has vacuum value equal to its identity term: off the z = 0 line the
     normal order has vacuum value 0, and on it the pair coefficient vanishes
     (L: the factor n; T: trace M^c = 0 for antisymmetric M^c).
 
-    Raises AssertionError, as the Fock oracle ``_vacuum_sandwich`` does, for
-    a value with an imaginary part, or one that would differ across the
-    vacuum multiplet: a nonzero antisymmetric zero-mode block of
-    [A, B] - rhs.  This check does not depend on how the zero modes are
-    paired into spinor labels.
+    Raises AssertionError for a value with an imaginary part, or one that
+    would differ across the vacuum multiplet: a nonzero antisymmetric
+    zero-mode block of [A, B] - rhs.  This check does not depend on how the
+    zero modes are paired into spinor labels.
     """
     if family not in ("TT", "LL"):
         raise ValueError("central terms exist for TT and LL only")
     kind = family[0]
-    exact = eps == 0.0
     m2, p2 = 2 * m, 2 * p
     rhs = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
 
     def w(k2):
         # the damping weight of torus_T and torus_L
-        if exact:
-            return np.ones_like(k2)
         return np.exp(-eps * (np.abs(k2) / 2.0 - 0.5))
 
     q2 = np.array(cfg.angular_lattice())
@@ -476,11 +446,11 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
         if abs(m2) <= cfg.m2_cut and abs(p2) <= cfg.p2_cut:
             FA = _pair_matrix(kind, rep, a, 0, m2)
             FB = _pair_matrix(kind, rep, b, 0, -m2)
-            block = (float(scale2) / 2 * (w0 * float(w(p2))) ** 2
+            block = (scale2 / 2 * (w0 * float(w(p2))) ** 2
                      * (np.einsum("ik,jk->ij", FB, FA)
                         - np.einsum("ik,jk->ij", FA, FB)))
         for scale, kind_c, c, _ in rhs:
-            block = block - (scale * float(torus_symbol(kind_c, rep, c, 0)[1])
+            block = block - (scale * torus_symbol(kind_c, rep, c, 0)[1]
                              / 2 * w0 ** 2 * _pair_matrix(kind_c, rep, c, 0, 0))
         spread = float(np.abs(block).max())
         if spread > 1e-10:
@@ -489,12 +459,11 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
 
     # 2 * (scale/2)^2 * (1/2 for the doubled theta); of the rhs only the
     # identity term lam * d of L_{0,0} has a vacuum value
-    num = Fraction if exact else float
-    imag = num(flavour_angular.imag) * scale2 / 4
+    imag = flavour_angular.imag * scale2 / 4
     if abs(imag) > 1e-10:
-        raise AssertionError(f"central value has imaginary part {float(imag):.3e}")
+        raise AssertionError(f"central value has imaginary part {imag:.3e}")
     identity = sum(scale for scale, kind_c, _, _ in rhs if kind_c == "L")
-    return float(num(flavour_angular.real) * scale2 / 4
+    return float(flavour_angular.real * scale2 / 4
                  - identity * lam_constant(cfg) * cfg.d)
 
 
@@ -508,16 +477,16 @@ def _legendre_overlap(l1: int, l2: int, m: int) -> float:
 def measure_central(family: str, m: int, *, rep: LieAlgebraRep,
                     cfg: SectorConfig, a: int = 1, b: Optional[int] = None,
                     p: int = 0, degrees: Optional[tuple] = None,
-                    method: str = "analytic", table: Optional[StructureTable] = None,
-                    eps0: float = 0.1, levels: int = 7) -> float:
+                    method: str = "analytic", eps0: float = 0.1,
+                    levels: int = 7) -> float:
     """Regulated (or raw) central value of <0|[X_{m,.}, X_{-m,.}]|0>.
 
     family "TT" or "LL"; on the sphere, degrees = (l1, l2) gives the two
     degree labels.  Methods: "analytic" (exact z anomaly times regularized
     multiplicity), "eps_extrapolated" (damped sums plus finite part, torus
-    only), "raw" (truncated value, diverges with the angular cutoff).  The
-    first two are one-particle vacuum traces (``_vacuum_trace``); "raw"
-    applies the Fock operators to the vacuum.
+    with an NS z sector only), "raw" (the truncated value on the torus
+    sector itself, which diverges with the angular cutoff).  Each is a
+    one-particle vacuum trace (``_vacuum_trace``).
     """
     if b is None:
         b = a
@@ -529,25 +498,18 @@ def measure_central(family: str, m: int, *, rep: LieAlgebraRep,
         mult = delta_reg_zero("sphere", cfg.z_sector, m)
         l1, l2 = degrees
         return anomaly * _legendre_overlap(l1, l2, m) * mult
+    if method not in ("raw", "eps_extrapolated"):
+        raise ValueError(f"unknown method {method!r}")
+    if cfg.geometry != "torus":
+        raise ValueError(f"the {method} method is implemented for the torus")
     if method == "raw":
-        alg = (TorusAlgebra(cfg, rep) if cfg.geometry == "torus"
-               else SphereAlgebra(cfg, rep, table))
-        if cfg.geometry == "torus":
-            mode1, mode2 = (m, p), (-m, -p)
-        else:
-            l1, l2 = degrees
-            mode1, mode2 = (l1, m), (l2, -m)
-        kind = "T" if family == "TT" else "L"
-        A = alg.op(kind, a if kind == "T" else None, mode1)
-        B = alg.op(kind, b if kind == "T" else None, mode2)
-        rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
-        return _vacuum_sandwich(A, B, rhs, cfg, check_sigmas=False)
-    if method == "eps_extrapolated":
-        if cfg.geometry != "torus":
-            raise ValueError("eps extrapolation is implemented for the torus")
-        return _central_eps_extrapolated(family, m, p, rep, cfg, a, b,
-                                         eps0, levels)
-    raise ValueError(f"unknown method {method!r}")
+        return _vacuum_trace(family, rep, a, b, m, p, cfg)
+    if cfg.z_sector != "NS":
+        # the damped z = 0 line leaves a finite part linear in p, and on R,R
+        # a zero-mode block that does not cancel
+        raise ValueError("eps extrapolation needs an NS z sector")
+    return _central_eps_extrapolated(family, m, p, rep, cfg, a, b,
+                                     eps0, levels)
 
 
 def _central_eps_extrapolated(family, m, p, rep, cfg, a, b, eps0, levels):
@@ -691,7 +653,7 @@ def _exact_terms(op: ModeOperator, margins) -> ModeOperator:
 
 
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
-                 central_cache, central_tol, want_kappa):
+                 central_cache, central_tol):
     kind_a = "T" if family == "TT" else "L"
     kind_b = "L" if family == "LL" else "T"
     A = alg.op(kind_a, a if kind_a == "T" else None, mode1)
@@ -709,7 +671,7 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
     # independent refit of the [L, T] coefficient against the unit RHS
     field_coeff = -alg.z_mode(mode2)
     w_op = None
-    if want_kappa and rhs is not None and field_coeff != 0:
+    if family == "LT" and rhs is not None and field_coeff != 0:
         w_op = _exact_terms(rhs.scaled(1.0 / field_coeff), margins)
 
     residual = 0.0
@@ -814,7 +776,7 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
 
     report.brackets = [
         _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
-                     central_lookup, central_tol, family == "LT")
+                     central_lookup, central_tol)
         for family, a, b, mode1, mode2 in tasks]
 
     kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)
@@ -847,11 +809,10 @@ def check_torus_algebra(cfg: SectorConfig, rep: LieAlgebraRep, window: Window,
 def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
                              table: StructureTable, window: Window,
                              tol: float = 1e-9, max_l: int = 1,
-                             central_method: str = "analytic",
                              central_tol: float = 1e-8) -> CommutatorReport:
     """Certify the sphere bracket relations for all degrees l <= max_l."""
     return _certify(SphereAlgebra(cfg, rep, table), window, max_l, tol,
-                    central_method, central_tol)
+                    "analytic", central_tol)
 
 
 # ---------------------------------------------------------------------------

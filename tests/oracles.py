@@ -3,8 +3,8 @@
 Each one checks a km2d result by an independent route: numeric heat sums,
 the closed-form torus delta function, sphere degree sums against their
 large-degree model, the Rodrigues formula for the Legendre family, the
-reproducing kernel of a truncated basis, and the Fock-space pair of
-generators behind a vacuum central value.
+reproducing kernel of a truncated basis, and the Fock-space vacuum
+sandwich of a pair of generators behind a central value.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from km2d.currents import torus_L, torus_T
+from km2d.fock import ModeOperator, StateVector, vacuum_states
 from km2d.harmonics import _nodes_for_degree, legendre_Q
 from km2d.regulator import HeatSum, solve_a_m
 from km2d.scalars import SqrtTwoScalar
@@ -30,7 +31,10 @@ __all__ = [
     "legendre_Q_reference",
     "delta_partial_residual",
     "measure_virasoro_shape",
+    "exact_operator",
+    "apply_vector",
     "torus_pair",
+    "vacuum_sandwich",
 ]
 
 
@@ -160,14 +164,61 @@ def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
 # ---------------------------------------------------------------------------
 
 def measure_virasoro_shape(cfg, rep, ms=(1, 2, 3), method: str = "analytic",
-                           degrees=None, table=None) -> dict:
+                           degrees=None) -> dict:
     """Central values of the Virasoro bracket at several mode numbers."""
     out = {}
     for m in ms:
         deg = degrees(m) if callable(degrees) else degrees
         out[m] = measure_central("LL", m, rep=rep, cfg=cfg, method=method,
-                                 degrees=deg, table=table)
+                                 degrees=deg)
     return out
+
+
+def exact_operator(op: ModeOperator) -> ModeOperator:
+    """The same operator with each dyadic float coefficient as an exact scalar.
+
+    Every eps = 0 torus coefficient is a dyadic rational, so the conversion
+    is exact, and products with the Clifford units stay exact too.
+    """
+    return ModeOperator(op.cfg, {
+        key: SqrtTwoScalar(ra=Fraction(complex(c).real),
+                           ia=Fraction(complex(c).imag))
+        for key, c in op.terms.items()})
+
+
+def apply_vector(op: ModeOperator, sv: StateVector) -> StateVector:
+    """Image of a state vector, one basis state at a time."""
+    out = StateVector()
+    for state, amp in sv.items():
+        for s, c in op.apply_state(state).items():
+            out.add_term(s, c * amp)
+    return out
+
+
+def vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs, cfg):
+    """<0| [A, B] - rhs |0>, exact on the truncated space, per vacuum label.
+
+    The Fock-space oracle of ``verifier._vacuum_trace``: it applies the
+    operators to the vacuum multiplet instead of tracing their one-particle
+    coefficients.
+    """
+    vals = []
+    vacs = vacuum_states(cfg)
+    sample = vacs if len(vacs) <= 4 else vacs[:1]
+    for vac in sample:
+        xB = B.apply_state(vac)
+        xA = A.apply_state(vac)
+        t1 = apply_vector(A, xB).get(vac, 0)
+        t2 = apply_vector(B, xA).get(vac, 0)
+        r = rhs.apply_state(vac).get(vac, 0) if rhs is not None else 0
+        vals.append(complex(t1) - complex(t2) - complex(r))
+    spread = max(abs(v - vals[0]) for v in vals)
+    if spread > 1e-10:
+        raise AssertionError(f"central value varies across the vacuum "
+                             f"multiplet by {spread:.3e}")
+    if abs(vals[0].imag) > 1e-10:
+        raise AssertionError(f"central value has imaginary part {vals[0]:.3e}")
+    return vals[0].real
 
 
 def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
@@ -178,20 +229,22 @@ def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
     vacuum sandwich of the three is exact.
     """
     if family == "TT":
-        A = torus_T(rep, a, m, p, cfg, eps, exact)
-        B = torus_T(rep, b, -m, -p, cfg, eps, exact)
+        A = torus_T(rep, a, m, p, cfg, eps)
+        B = torus_T(rep, b, -m, -p, cfg, eps)
         rhs = None
         for c in range(1, rep.dim_g + 1):
             fabc = int(rep.f[a - 1, b - 1, c - 1])
             if fabc:
-                scale = (SqrtTwoScalar(ia=Fraction(fabc)) if exact
-                         else complex(0.0, fabc))
-                piece = torus_T(rep, c, 0, 0, cfg, eps, exact).scaled(scale)
+                piece = torus_T(rep, c, 0, 0, cfg, eps).scaled(
+                    complex(0.0, fabc))
                 rhs = piece if rhs is None else rhs + piece
     elif family == "LL":
-        A = torus_L(m, p, cfg, eps, exact)
-        B = torus_L(-m, -p, cfg, eps, exact)
-        rhs = torus_L(0, 0, cfg, eps, exact).scaled(2 * m) if m else None
+        A = torus_L(m, p, cfg, eps)
+        B = torus_L(-m, -p, cfg, eps)
+        rhs = torus_L(0, 0, cfg, eps).scaled(2 * m) if m else None
     else:
         raise ValueError("central terms exist for TT and LL only")
+    if exact:
+        A, B = exact_operator(A), exact_operator(B)
+        rhs = exact_operator(rhs) if rhs is not None else None
     return A, B, rhs

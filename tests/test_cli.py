@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -177,7 +178,7 @@ def test_check_failure_exits_two(tmp_path):
 
 @pytest.mark.parametrize("flags,central_tol", [
     ([], None),                                   # check_torus_algebra: --tol
-    (["--method", "raw"], None),
+    (["--method", "analytic"], None),
     (["--method", "eps"], None),
     (["--method", "eps", "--tol", "1e-3"], None),
 ])
@@ -210,6 +211,30 @@ def test_verify_torus_eps_certifies_at_tol(tmp_path):
     assert payload["charges"]["k_measured"] == pytest.approx(1.0, abs=1e-10)
 
 
+def _method_choices(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions
+                  if a.dest == "method")
+    return action.choices
+
+
+@pytest.mark.parametrize("command,args", [
+    ("verify-torus", ["--max-mode", "1"]),
+    ("verify-sphere", ["--max-l", "1"]),
+])
+def test_every_method_can_pass(command, args, tmp_path):
+    # each documented --method certifies a small default configuration
+    choices = _method_choices(command)
+    assert "analytic" in choices
+    for method in choices:
+        out = tmp_path / f"{method}.json"
+        assert main([command, *args, "--method", method,
+                     "--output", str(out)]) == 0, method
+        assert json.loads(out.read_text())["pass"] is True
+
+
 def _exit_code(args):
     try:
         return main(args)
@@ -230,8 +255,17 @@ def _exit_code(args):
     ["verify-sphere", "--max-l", "-1"],
     # c is read at m = 2, which needs degree-2 modes
     ["verify-sphere", "--cutoff-l", "1", "--max-l", "0", "--window", "0,0,1"],
+    # the raw central grows with every angular mode, so no raw run can pass
     ["verify-sphere", "--sectors", "NS", "--cutoff-l", "3/2", "--lmax", "2",
      "--max-l", "0", "--window", "1/2,1/2,2", "--method", "raw"],
+    ["verify-torus", "--max-mode", "1", "--method", "raw"],
+    ["verify-sphere", "--max-l", "1", "--method", "raw"],
+    # eps extrapolation needs an NS z sector: on R,R the damping leaves a
+    # zero-mode block, and on R,NS a finite part linear in p
+    ["verify-torus", "--sectors", "R,R", "--cutoff-m", "2", "--cutoff-p", "2",
+     "--window", "0,0,2", "--method", "eps", "--max-mode", "1"],
+    ["verify-torus", "--sectors", "R,NS", "--cutoff-m", "4", "--cutoff-p",
+     "9/2", "--method", "eps", "--max-mode", "1"],
     # a flag that the command does not read is rejected, not ignored
     ["car-check", "--format", "csv"],
     ["car-check", "--tol", "5"],
@@ -316,7 +350,7 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # abstract sphere Jacobi check, of the structure table as CSV and JSON, of
 # sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
 # modes, and of torus runs with a second representation (d = 6) and with a
-# mixed sector
+# mixed sector, and of the raw-divergence scan
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -340,14 +374,25 @@ PINNED_REPORTS = [
     (["verify-torus", "--sectors", "R,NS", "--cutoff-m", "4", "--cutoff-p",
       "9/2", "--max-mode", "1"],
      "c8af8076e55f922cab64eb3d33ae29beac4b8afe774adff7bb230eb0791ff173"),
+    (["regularization", "--raw-scan"],
+     "e5ce5c6feb59b4da6af2d55698597250f9a21b01f6f266e177b945f226261292"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS,
                          ids=["torus", "sphere", "torus-rr", "sphere-abstract",
                               "table-csv", "table-json", "sphere-r-l6",
-                              "sphere-r-l5", "torus-so4", "torus-rns"])
+                              "sphere-r-l5", "torus-so4", "torus-rns",
+                              "raw-scan"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_raw_scan_table_is_pinned(capsys):
+    # the printed table of the divergence diagnostic, byte for byte
+    assert main(["regularization", "--raw-scan"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "af806086411caa1265b00f0417f218dd4157a1bb178117a081ddf9d01f9e3938"

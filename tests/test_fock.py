@@ -21,6 +21,7 @@ from km2d.fock import (
     vacuum_states,
 )
 from km2d.scalars import INV_SQRT2, SqrtTwoScalar
+from oracles import exact_operator
 
 H = Fraction(1, 2)
 
@@ -288,9 +289,9 @@ def test_car_normal_order_acts_alike(so3, z, cut):
     # the zero-total brackets carry the pairings of conjugate modes, and R,R
     # adds the zero modes and their squares
     cfg = torus_sector(z, z, 3, cut, cut)
-    T = [torus_T(so3, a, m, p, cfg, exact=True)
+    T = [exact_operator(torus_T(so3, a, m, p, cfg))
          for a, m, p in ((1, 1, 0), (1, -1, 0), (2, 0, -1))]
-    L = [torus_L(m, p, cfg, exact=True) for m, p in ((1, 1), (-1, -1))]
+    L = [exact_operator(torus_L(m, p, cfg)) for m, p in ((1, 1), (-1, -1))]
     ops = [T[0], T[2], L[1], T[0].commutator(T[1]), T[1].commutator(T[2]),
            L[0].commutator(L[1]), L[0].commutator(T[2]) - T[0]]
     basis = enumerate_states(cfg, max_z2=2 * cut, max_particles=2)

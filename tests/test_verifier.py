@@ -18,7 +18,7 @@ from km2d.verifier import (
     measure_central,
     probe_states,
 )
-from oracles import measure_virasoro_shape, torus_pair
+from oracles import measure_virasoro_shape, torus_pair, vacuum_sandwich
 
 H = Fraction(1, 2)
 
@@ -76,7 +76,7 @@ def test_central_eps_extrapolated(so3, nsns):
 
 
 def test_central_traces_apply_no_fock_operator(so3, nsns, monkeypatch):
-    # both regulated methods read one-particle coefficients only
+    # every method reads one-particle coefficients only
     import km2d.verifier as verifier
 
     def fock_path(*args, **kwargs):
@@ -88,6 +88,28 @@ def test_central_traces_apply_no_fock_operator(so3, nsns, monkeypatch):
     assert measure_central("LL", 2, rep=so3, cfg=nsns) == 0.75
     k = measure_central("TT", 1, rep=so3, cfg=nsns, method="eps_extrapolated")
     assert k == pytest.approx(1.0, abs=1e-10)
+    # k per angular mode, 10 of them at 9/2
+    assert measure_central("TT", 1, rep=so3, cfg=nsns, method="raw") == 10.0
+
+
+@pytest.mark.parametrize("cfg,method", [
+    (torus_sector("R", "NS", 3, 4, Fraction(9, 2)), "eps_extrapolated"),
+    (torus_sector("R", "R", 3, 2, 2), "eps_extrapolated"),
+    (sphere_sector("R", 3, 4), "eps_extrapolated"),
+    (sphere_sector("R", 3, 4), "raw"),
+], ids=["eps-R,NS", "eps-R,R", "eps-sphere", "raw-sphere"])
+def test_central_method_outside_its_domain_is_rejected(so3, cfg, method,
+                                                       monkeypatch):
+    # rejected before any Richardson level or trace is evaluated
+    import km2d.verifier as verifier
+
+    def evaluated(*args, **kwargs):
+        raise RuntimeError("a central value was evaluated")
+
+    monkeypatch.setattr(verifier, "_vacuum_trace", evaluated)
+    with pytest.raises(ValueError):
+        measure_central("TT", 1, rep=so3, cfg=cfg, degrees=(1, 1),
+                        method=method)
 
 
 def test_central_raw_diverges_affinely(so3):
@@ -175,7 +197,7 @@ def test_torus_specific_bracket(so3, nsns):
     alg = TorusAlgebra(nsns, so3)
     probes = probe_states(nsns, Window.of(1, 1, 2))
     res = _bracket_job(alg, "LT", 1, 1, (0, 0), (1, 0), probes,
-                       1e-12, lambda *a: 0.0, 1e-12, True)
+                       1e-12, lambda *a: 0.0, 1e-12)
     assert res.residual == 0.0
     assert res.kappa == pytest.approx(-1.0, abs=1e-12)
 
@@ -187,7 +209,7 @@ def test_torus_tt_closure_example(so3, nsns):
     alg = TorusAlgebra(nsns, so3)
     probes = probe_states(nsns, Window.of(1, 1, 2))
     res = _bracket_job(alg, "TT", 1, 2, (1, 1), (-1, 0), probes,
-                       1e-12, lambda *a: 0.0, 1e-12, False)
+                       1e-12, lambda *a: 0.0, 1e-12)
     assert res.residual == 0.0
 
 
@@ -306,7 +328,7 @@ def test_raw_central_window_independent(so3, nsns):
     for window in (Window.of(1, 1, 1), Window.of(1, 1, 2)):
         probes = probe_states(nsns, window)
         res = _bracket_job(alg, "TT", 1, 1, (1, 0), (-1, 0), probes,
-                           1e-9, lambda *a: 0.0, 1e9, False)
+                           1e-9, lambda *a: 0.0, 1e9)
         raws.append(res.raw_central)
     assert raws[0] == pytest.approx(raws[1], abs=1e-10)
 
@@ -371,7 +393,7 @@ def test_guard_accepts_only_exact_brackets(so3, bracket):
     except WindowViolationError:
         assume(False)
     res = _bracket_job(alg, family, a, b, mode1, mode2, probes, 0.0,
-                       lambda *args: 0.0, 1e9, family == "LT")
+                       lambda *args: 0.0, 1e9)
     assert res.residual == 0.0
 
 
@@ -415,7 +437,7 @@ def test_normal_ordered_residual_matches_fock_path(so3, bracket):
         assert diff.max_abs() <= tol
 
     args = (family, a, b, mode1, mode2, probes, 1e-12, lambda *args: 0.0,
-            1e9, family == "LT")
+            1e9)
     new = _bracket_job(alg, *args)
     alg.normal_order = False            # the unordered comparison
     old = _bracket_job(alg, *args)
@@ -439,7 +461,7 @@ def test_rr_zero_total_diagonal_is_exact(so3):
     probes = probe_states(cfg, Window.of(0, 1, 1))
     assert len(probes) == 8
     res = _bracket_job(TorusAlgebra(cfg, so3), "LL", None, None, (-1, 0),
-                       (1, 0), probes, 0.0, lambda *args: 0.0, 1e9, False)
+                       (1, 0), probes, 0.0, lambda *args: 0.0, 1e9)
     assert res.residual == 0.0
     assert res.raw_central == -0.75
 
@@ -488,14 +510,19 @@ def _value_or_error(fn):
 @example(central=(torus_sector("R", "R", 3, 1, 1), "LL", 1, 1, -1, 0), eps=0.3)
 @example(central=(torus_sector("R", "R", 3, 2, 1), "TT", 1, 2, 1, 0), eps=0.3)
 def test_vacuum_trace_matches_fock_sandwich(so3, central, eps):
-    from km2d.verifier import _vacuum_sandwich, _vacuum_trace
+    # at eps = 0 the trace is also the raw central of the sector
+    from km2d.verifier import _vacuum_trace
 
     cfg, family, a, b, m, p = central
     trace = _value_or_error(
         lambda: _vacuum_trace(family, so3, a, b, m, p, cfg, eps))
-    fock = _value_or_error(lambda: _vacuum_sandwich(
+    fock = _value_or_error(lambda: vacuum_sandwich(
         *torus_pair(family, so3, a, b, m, p, cfg, eps, exact=eps == 0), cfg))
-    if eps == 0.0 or AssertionError in (trace, fock):
+    if eps == 0.0:
+        raw = _value_or_error(lambda: measure_central(
+            family, m, rep=so3, cfg=cfg, a=a, b=b, p=p, method="raw"))
+        assert raw == trace == fock
+    elif AssertionError in (trace, fock):
         assert trace == fock
     else:
         assert trace == pytest.approx(fock, rel=1e-12, abs=1e-12)
