@@ -75,17 +75,23 @@ class _OutputError(Exception):
 def _output(path: str | None):
     """The --output file opened for writing, or stdout when no path is given.
 
-    An ``OSError`` from opening, writing or closing the file becomes an
-    ``_OutputError`` that names the path.
+    An ``OSError`` from opening, writing, flushing or closing either becomes
+    an ``_OutputError`` that names the path.  A failed stdout points fd 1 at
+    the null device, so its unwritten buffer cannot fail again at exit.
     """
-    if not path:
-        yield sys.stdout
-        return
     try:
-        with open(path, "w") as fh:
-            yield fh
+        if path:
+            with open(path, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
     except OSError as exc:
-        raise _OutputError(path, exc) from None
+        if not path:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _OutputError(path or "stdout", exc) from None
 
 
 def _probe_output(path: str | None) -> None:
@@ -400,7 +406,8 @@ def _cmd_regularization(args) -> int:
         for r in scan:
             lines.append(f"  |p| <= {r['p_cut']:<5} modes={r['angular_modes']:>3} "
                          f"raw central = {r['raw_central']:.6g}")
-    print("\n".join(lines))
+    with _output(None) as fh:
+        fh.write("\n".join(lines) + "\n")
     if args.output:
         payload = {"rows": rows}
         if scan is not None:

@@ -156,6 +156,8 @@ class StructureTable:
     the target azimuthal index is always m1 + m2.  Only the
     triangle-and-parity-allowed entries are stored, in lexicographic key
     order.  ``entries`` is the same table as a dict, built on first use.
+    ``to_csv`` formats no integer per row: it looks up the ``l,m,`` prefix
+    fields in small string tables and formats each chunk with one ``%``.
     """
 
     L_max: int
@@ -178,13 +180,21 @@ class StructureTable:
         return l <= self.L_max
 
     def to_csv(self, fh) -> None:
+        L = self.L_max
+        lm = np.array([f"{l},{m}," for l in range(L + 1)
+                       for m in range(-l, l + 1)], dtype=object)
+        lm3 = np.array([f"{l3},{m3}," for l3 in range(L + 1)
+                        for m3 in range(-2 * L, 2 * L + 1)], dtype=object)
         fh.write("l1,m1,l2,m2,l3,m3,value\n")
         chunk = 1 << 16
         for i in range(0, len(self.values), chunk):
-            columns = self.keys[i:i + chunk].T.tolist()
-            values = self.values[i:i + chunk].tolist()
-            fh.write("".join(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},{v:.17g}\n"
-                             for l1, m1, l2, m2, l3, v in zip(*columns, values)))
+            l1, m1, l2, m2, l3 = self.keys[i:i + chunk].T.astype(np.int64)
+            cells = np.empty((len(l1), 4), dtype=object)
+            cells[:, 0] = lm[l1 * l1 + l1 + m1]
+            cells[:, 1] = lm[l2 * l2 + l2 + m2]
+            cells[:, 2] = lm3[l3 * (4 * L + 1) + m1 + m2 + 2 * L]
+            cells[:, 3] = self.values[i:i + chunk]
+            fh.write("%s%s%s%.17g\n" * len(l1) % tuple(cells.ravel()))
 
 
 @lru_cache(maxsize=8)

@@ -3,8 +3,9 @@
 Each one checks a km2d result by an independent route: numeric heat sums,
 the closed-form torus delta function, sphere degree sums against their
 large-degree model, the Rodrigues formula for the Legendre family, the
-reproducing kernel of a truncated basis, and the Fock-space vacuum
-sandwich of a pair of generators behind a central value.
+reproducing kernel of a truncated basis, the structure-table CSV formatted
+row by row, and the Fock-space vacuum sandwich of a pair of generators
+behind a central value.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "sphere_degree_sum_model",
     "legendre_Q_reference",
     "delta_partial_residual",
+    "structure_csv",
     "measure_virasoro_shape",
     "exact_operator",
     "apply_vector",
@@ -157,6 +159,14 @@ def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
         proj = 0.5 * float(np.dot(weights, ql * target))
         acc += ql * proj
     return float(np.max(np.abs(acc - target)))
+
+
+def structure_csv(table, fh) -> None:
+    """``StructureTable.to_csv`` with every field formatted per row."""
+    fh.write("l1,m1,l2,m2,l3,m3,value\n")
+    for (l1, m1, l2, m2, l3), v in zip(table.keys.tolist(),
+                                       table.values.tolist()):
+        fh.write(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},{v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,51 @@ def test_bad_input_exits_one(args, capsys):
     assert captured.out == ""
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _km2d(args, stdout):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "km2d.cli", *args],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _assert_one_error_line(stderr: bytes):
+    # no traceback and no "Exception ignored" at interpreter exit
+    lines = stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["structure-constants", "--lmax", "1"],          # flushed at the end
+    ["structure-constants", "--lmax", "12"],         # fails inside a write
+    ["car-check", "--d", "1"],                       # a JSON report
+    ["regularization"],                              # the printed table
+], ids=lambda args: "_".join(args))
+def test_full_stdout_exits_one(args):
+    with open("/dev/full", "w") as full:
+        proc = _km2d(args, full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    _assert_one_error_line(stderr)
+    assert stderr.startswith(b"error: cannot write stdout:")
+
+
+def test_closed_pipe_exits_one():
+    # the reader takes the header and leaves; the table is far larger than
+    # the pipe buffer, so a later write meets the closed pipe
+    proc = _km2d(["structure-constants", "--lmax", "12"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"l1,m1,l2,m2,l3,m3,value\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    _assert_one_error_line(stderr)
+    assert b"Broken pipe" in stderr
+
+
 def test_torus_sectors_need_two_labels(capsys):
     assert main(["car-check", "--geometry", "torus", "--sectors", "R"]) == 1
     assert capsys.readouterr().err == "error: --sectors needs 'z,angular'\n"

@@ -13,7 +13,8 @@ from km2d.harmonics import (
     structure_table,
     triple_product_ns,
 )
-from oracles import delta_partial_residual, legendre_Q_reference
+from oracles import (delta_partial_residual, legendre_Q_reference,
+                     structure_csv)
 
 H = Fraction(1, 2)
 
@@ -199,6 +200,41 @@ def test_structure_csv_format(table4):
     assert lines[0] == "l1,m1,l2,m2,l3,m3,value"
     row = next(ln for ln in lines if ln.startswith("1,0,1,0,2,0,"))
     assert row.split(",")[-1].startswith("0.894427190999")
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 13])
+def test_structure_csv_matches_per_row_oracle(L):
+    # L = 13 has 126,133 rows, so the writer crosses a 65,536-row chunk
+    table = structure_table(L)
+    fast, slow = io.StringIO(), io.StringIO()
+    table.to_csv(fast)
+    structure_csv(table, slow)
+    got = fast.getvalue().splitlines(keepends=True)
+    want = slow.getvalue().splitlines(keepends=True)
+    # report the first differing row, not a diff of megabytes of text
+    assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want))
+                 if a != b), None) is None
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("L", [8, 12])
+def test_structure_exact_symmetries(L):
+    # c(l1,m1,l2,m2,l3) = c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) bit for
+    # bit: the product q1 * q2 commutes in IEEE arithmetic, and
+    # Q_{l,-m} = (-1)^m Q_{lm} exactly
+    table = structure_table(L)
+    l1, m1, l2, m2, l3 = table.keys.T.astype(np.int64)
+    radix = (L + 1, 2 * L + 1, L + 1, 2 * L + 1, L + 1)
+    code = np.ravel_multi_index((l1, m1 + L, l2, m2 + L, l3), radix)
+    assert np.all(np.diff(code) > 0)             # keys sorted, so searchable
+    bits = table.values.view(np.int64)
+    for image in ((l2, m2 + L, l1, m1 + L, l3), (l1, L - m1, l2, L - m2, l3)):
+        want = np.ravel_multi_index(image, radix)
+        at = np.searchsorted(code, want).clip(max=len(code) - 1)
+        assert np.array_equal(code[at], want)
+        assert np.array_equal(bits[at], bits)
+    # no stored value is +-0, so the CSV never prints "-0"
+    assert np.all(table.values != 0)
 
 
 def _selection_rule_keys(L):
