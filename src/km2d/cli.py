@@ -42,6 +42,14 @@ EXIT_UNRESOLVED = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops an OSError from writing the help; through _output
+        # a failed stdout exits 1
+        if file is not None:
+            return super().print_help(file)
+        with _output(None) as fh:
+            fh.write(self.format_help())
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -441,7 +449,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _apply_config_file(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _OutputError as exc:         # the --help text was not written
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     handler = {
         "verify-torus": _cmd_verify_torus,
         "verify-sphere": _cmd_verify_sphere,

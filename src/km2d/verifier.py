@@ -2,9 +2,15 @@
 
 Operator parts of brackets are checked exactly on *safe windows*: probe
 states far enough below the mode cutoffs that every contributing lattice
-term of the commutator survives truncation.  The rule is stated once: the
-adapters' ``guard`` bounds the probes' reach and ``_exact_terms`` selects
-the terms that are compared.  Central terms are never read
+term of the commutator survives truncation.  The rule is stated once, as
+the adapters' ``compare_bounds`` margins: the ``guard`` keeps every probe
+mode inside them, and a term is compared when the modes it touches lie
+inside them, the only terms a probe can see.  A torus bracket of nonzero
+total mode is certified by ``TorusEngine`` from one-particle coefficients
+on the box of lattice pairs inside the margins.  Zero-total brackets, every
+sphere bracket and any bracket the engine does not clear go through the
+Fock path, ``_bracket_job``, which filters with ``_exact_terms`` and is
+the engine's oracle in the tests.  Central terms are never read
 from raw truncated commutators (their coincident-point multiplicity grows
 with the angular cutoff); they come from the regulated pipeline:
 
@@ -103,11 +109,13 @@ class TorusAlgebra:
     # reordering sums them exactly
     normal_order = True
 
-    def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep, eps: float = 0.0):
+    def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep):
         self.cfg = cfg
         self.rep = rep
-        self.eps = eps
         self._ops: dict = {}
+
+    def engine(self, probes) -> "TorusEngine":
+        return TorusEngine(self, probes)
 
     def modes(self, max_mode: int) -> list:
         rng = range(-max_mode, max_mode + 1)
@@ -148,9 +156,9 @@ class TorusAlgebra:
         if key not in self._ops:
             m, p = mode
             if kind == "T":
-                o = torus_T(self.rep, a, m, p, self.cfg, self.eps)
+                o = torus_T(self.rep, a, m, p, self.cfg)
             else:
-                o = torus_L(m, p, self.cfg, self.eps)
+                o = torus_L(m, p, self.cfg)
             self._ops[key] = o
         return self._ops[key]
 
@@ -190,7 +198,7 @@ class TorusAlgebra:
         """Reject a window whose probes reach past a cutoff in this bracket.
 
         Within reach, every probe mode lies inside compare_bounds, which is
-        what the term filter _exact_terms needs.
+        what the term filter _exact_terms and the engine's box need.
         """
         cfg = self.cfg
         mA2, pA2 = 2 * abs(mode1[0]), 2 * abs(mode1[1])
@@ -231,6 +239,9 @@ class SphereAlgebra:
         self.rep = rep
         self.table = table
         self._ops: dict = {}
+
+    def engine(self, probes) -> None:
+        return None             # every sphere bracket takes the Fock path
 
     def modes(self, max_l: int) -> list:
         return [(l, m) for l in range(max_l + 1) for m in range(-l, l + 1)]
@@ -652,12 +663,151 @@ def _exact_terms(op: ModeOperator, margins) -> ModeOperator:
     return ModeOperator(cfg, {k: c for k, c in op.terms.items() if exact(k)})
 
 
+def _generators(family, a, b):
+    """(kind, flavour index) of the two generators of a bracket."""
+    return (("T", a) if family == "TT" else ("L", None),
+            ("L", None) if family == "LL" else ("T", b))
+
+
+class TorusEngine:
+    """Certifies torus brackets of nonzero total mode from one-particle stacks.
+
+    A torus generator X of mode t is sum_{x,y} S_{xy} b_x b_y plus a
+    c-number, with S antisymmetric and nonzero only on pairs y = t - x that
+    lie inside the cutoffs.  Over the lattice point x = (n, q) of the first
+    mode, S is a stack of d x d flavour matrices,
+    S[x] = (scale/2) (F(n) - F(m - n)^T) with F and scale from
+    ``torus_symbol``.  The CAR give [Q(A), Q(B)] = Q(2 (P - P^T)) plus a
+    c-number, where P[x] = A[x] @ B[x - t_A]; so the residual of a bracket
+    of total mode T != 0 is the stack 2 (P[x] - P[T - x]^T) - R[x], R the
+    stack of the right-hand side.  A pair of nonzero total is never a
+    conjugate pair, so no c-number is left.
+
+    The stack is compared on the box of x with x and T - x inside
+    compare_bounds.  Every term the Fock path can see on a probe is there:
+    ``_exact_terms`` keeps a term only if the modes it creates lie inside the
+    margins, and a term that annihilates a mode outside them is zero on
+    every probe, because the guard keeps the probes' modes inside.  On the
+    box, x - t_A and T - x lie inside the cutoffs, so truncation cuts no
+    contraction route.  The coefficients are dyadic rationals times
+    Gaussian integers, exact in complex128: a box of exact zeros means a
+    Fock residual of exactly 0 on every probe.
+    """
+
+    def __init__(self, alg: TorusAlgebra, probes):
+        self.alg = alg
+        cfg = alg.cfg
+        self.z2 = np.array(cfg.z_lattice())
+        self.q2 = np.array(cfg.angular_lattice())
+        self._stacks: dict = {}
+        # whether the mode (z, q, flavour) acts on each probe: an annihilator
+        # needs its oscillator held, a creator needs its conjugate (the
+        # mirrored lattice point) free, a zero mode always acts
+        held = np.zeros((len(probes), len(self.z2), len(self.q2), cfg.d), bool)
+        for s, probe in enumerate(probes):
+            for m in probe.occ:
+                held[s, (m.k1 + cfg.m2_cut) // 2, (m.k2 + cfg.p2_cut) // 2,
+                     m.i - 1] = True
+        n2, q2 = self.z2[:, None, None], self.q2[None, :, None]
+        ann = (n2 > 0) | ((n2 == 0) & (q2 > 0))
+        cre = (n2 < 0) | ((n2 == 0) & (q2 < 0))
+        self._acts = np.where(ann, held, ~cre | ~held[:, ::-1, ::-1])
+
+    def stack(self, kind, a, mode) -> np.ndarray:
+        """S of one generator as a (z, q, flavour, flavour) array."""
+        key = (kind, a, mode)
+        if key not in self._stacks:
+            cfg, rep = self.alg.cfg, self.alg.rep
+            m2, p2 = 2 * mode[0], 2 * mode[1]
+            pair = np.array([_pair_matrix(kind, rep, a, n2, m2)
+                             for n2 in self.z2])
+            inside = ((np.abs(m2 - self.z2) <= cfg.m2_cut)[:, None]
+                      & (np.abs(p2 - self.q2) <= cfg.p2_cut))
+            scale = torus_symbol(kind, rep, a, 0)[1]
+            self._stacks[key] = (scale / 2 * inside)[:, :, None, None] \
+                * pair[:, None]
+        return self._stacks[key]
+
+    def _box(self, mode1, mode2):
+        """Index slices of the points x with x and T - x inside the margins.
+
+        The guard keeps the margins nonnegative, so the slices and their
+        shifts by a bracket mode stay on the lattice.
+        """
+        cfg = self.alg.cfg
+        out = []
+        for t2, margin, cut in zip((2 * (mode1[0] + mode2[0]),
+                                    2 * (mode1[1] + mode2[1])),
+                                   self.alg.compare_bounds(mode1, mode2),
+                                   (cfg.m2_cut, cfg.p2_cut)):
+            lo, hi = max(-margin, t2 - margin), min(margin, t2 + margin)
+            out.append(slice((lo + cut) // 2, (hi + cut) // 2 + 1))
+        return out
+
+    def residual_vanishes(self, family, a, b, mode1, mode2) -> bool:
+        """Whether every compared residual coefficient is exactly 0."""
+        (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+        zs, qs = self._box(mode1, mode2)
+        A = self.stack(kind_a, ia, mode1)[zs, qs]
+        # B at x - t_A, which stays inside the cutoffs on the box
+        B = self.stack(kind_b, ib, mode2)[
+            zs.start - mode1[0]:zs.stop - mode1[0],
+            qs.start - mode1[1]:qs.stop - mode1[1]]
+        P = A @ B
+        # reversing the box maps x to T - x
+        D = 2 * (P - P[::-1, ::-1].swapaxes(-1, -2))
+        for scale, kind, c, mode in self.alg.rhs_terms(family, a, b,
+                                                       mode1, mode2):
+            D = D - scale * self.stack(kind, c, mode)[zs, qs]
+        return not D.any()
+
+    def job(self, family, a, b, mode1, mode2, tol) -> Optional[BracketResult]:
+        """The bracket's result, or None where the Fock path must decide.
+
+        A zero-total bracket carries a central term and takes the Fock
+        path, as does one with a nonzero compared coefficient.  Otherwise
+        the result is the one ``_bracket_job`` gives: residual 0.0 and, as
+        no residual is left on any probe, the rule's own coefficient from
+        the [L, T] refit.
+        """
+        alg = self.alg
+        if (alg.zero_total(mode1, mode2)
+                or not self.residual_vanishes(family, a, b, mode1, mode2)):
+            return None
+        kappa = None
+        if self.kappa_measured(family, a, b, mode1, mode2):
+            kappa = float(-alg.z_mode(mode2))
+        return BracketResult(_lhs_label(alg, family, a, b, mode1, mode2),
+                             _rhs_label(alg, family, a, b, mode1, mode2),
+                             0.0, None, None, None, 0.0 <= tol, kappa)
+
+    def kappa_measured(self, family, a, b, mode1, mode2) -> bool:
+        """Whether the Fock path's [L, T] refit has a probe to fit on.
+
+        It has one when a compared term of the right-hand side acts on some
+        probe: a pair with nonzero coefficient whose two modes both act
+        there.  Distinct pairs of one nonzero total reach distinct states,
+        up to two zero modes of one spinor bit, whose real and imaginary
+        Clifford units cannot cancel on the purely imaginary coefficients
+        of T; so a term that acts leaves a nonzero image.
+        """
+        if family != "LT":
+            return False
+        zs, qs = self._box(mode1, mode2)
+        acts = self._acts[:, zs, qs]
+        partner = acts[:, ::-1, ::-1]
+        return any(
+            (acts[..., :, None] & partner[..., None, :]
+             & (self.stack(kind, c, mode)[zs, qs] != 0)).any()
+            for _, kind, c, mode in self.alg.rhs_terms(family, a, b,
+                                                       mode1, mode2))
+
+
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
                  central_cache, central_tol):
-    kind_a = "T" if family == "TT" else "L"
-    kind_b = "L" if family == "LL" else "T"
-    A = alg.op(kind_a, a if kind_a == "T" else None, mode1)
-    B = alg.op(kind_b, b if kind_b == "T" else None, mode2)
+    (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+    A = alg.op(kind_a, ia, mode1)
+    B = alg.op(kind_b, ib, mode2)
     rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
     D = A.commutator(B)
     if rhs is not None:
@@ -714,14 +864,18 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
     passed = residual <= tol
     if central_measured is not None:
         passed = passed and abs(central_measured - central_expected) <= central_tol
-    lhs = f"[{alg.mode_label(kind_a, a if kind_a == 'T' else None, mode1)}, " \
-          f"{alg.mode_label(kind_b, b if kind_b == 'T' else None, mode2)}]"
-    rhs_desc = _rhs_label(alg, family, a, b, mode1, mode2)
     offender = (render_state(worst_state, alg.cfg)
                 if (not passed and worst_state is not None) else None)
-    return BracketResult(lhs, rhs_desc, residual, raw_central,
-                         central_measured, central_expected, passed, kappa,
-                         offender)
+    return BracketResult(_lhs_label(alg, family, a, b, mode1, mode2),
+                         _rhs_label(alg, family, a, b, mode1, mode2),
+                         residual, raw_central, central_measured,
+                         central_expected, passed, kappa, offender)
+
+
+def _lhs_label(alg, family, a, b, mode1, mode2) -> str:
+    (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+    return (f"[{alg.mode_label(kind_a, ia, mode1)}, "
+            f"{alg.mode_label(kind_b, ib, mode2)}]")
 
 
 def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
@@ -774,9 +928,13 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
                                              central_method)
         return central_cache[key]
 
+    # the Fock path measures the centrals and reports every residual the
+    # engine does not clear
+    engine = alg.engine(probes)
     report.brackets = [
-        _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
-                     central_lookup, central_tol)
+        (engine and engine.job(family, a, b, mode1, mode2, tol))
+        or _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
+                        central_lookup, central_tol)
         for family, a, b, mode1, mode2 in tasks]
 
     kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)

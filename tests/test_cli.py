@@ -342,6 +342,19 @@ def test_full_stdout_exits_one(args):
     assert stderr.startswith(b"error: cannot write stdout:")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["--help"], ["verify-torus", "--help"]],
+                         ids=lambda args: "_".join(args))
+def test_help_on_full_stdout_exits_one(args):
+    # argparse itself drops a failed write of the help text
+    with open("/dev/full", "w") as full:
+        proc = _km2d(args, full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    _assert_one_error_line(stderr)
+    assert stderr.startswith(b"error: cannot write stdout:")
+
+
 def test_closed_pipe_exits_one():
     # the reader takes the header and leaves; the table is far larger than
     # the pipe buffer, so a later write meets the closed pipe
@@ -395,7 +408,8 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # abstract sphere Jacobi check, of the structure table as CSV and JSON, of
 # sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
 # modes, and of torus runs with a second representation (d = 6) and with a
-# mixed sector, and of the raw-divergence scan
+# mixed sector, of the raw-divergence scan, and of the default torus run
+# (1575 brackets, 63 of them on the Fock path)
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -421,6 +435,8 @@ PINNED_REPORTS = [
      "c8af8076e55f922cab64eb3d33ae29beac4b8afe774adff7bb230eb0791ff173"),
     (["regularization", "--raw-scan"],
      "e5ce5c6feb59b4da6af2d55698597250f9a21b01f6f266e177b945f226261292"),
+    (["verify-torus"],
+     "e0b3fdd12580319c2ccd85e7ae7c77f9688229a70b70cc694c8e8442faaa8ea0"),
 ]
 
 
@@ -428,7 +444,7 @@ PINNED_REPORTS = [
                          ids=["torus", "sphere", "torus-rr", "sphere-abstract",
                               "table-csv", "table-json", "sphere-r-l6",
                               "sphere-r-l5", "torus-so4", "torus-rns",
-                              "raw-scan"])
+                              "raw-scan", "torus-default"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from km2d.currents import torus_L, torus_T
 from km2d.fock import ModeOperator, sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
+from km2d.lie_core import build_so_adjoint
 from km2d.regulator import UnresolvedPrescriptionError
 from km2d.verifier import (
+    TorusAlgebra,
     Window,
     WindowViolationError,
+    _certify,
     central_raw_scan,
     check_sphere_abstract,
     check_sphere_realization,
@@ -21,6 +25,7 @@ from km2d.verifier import (
 from oracles import measure_virasoro_shape, torus_pair, vacuum_sandwich
 
 H = Fraction(1, 2)
+SO3, SO4 = build_so_adjoint(3), build_so_adjoint(4)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +355,7 @@ def test_sphere_closure_stable_under_cutoff_growth(so3):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def torus_brackets(draw):
+def torus_brackets(draw, rep=SO3):
     """A torus sector with cutoffs up to 9/2, a window and one bracket."""
     def cutoff(sector):
         first = 1 if sector == "NS" else 2
@@ -358,11 +363,11 @@ def torus_brackets(draw):
 
     sectors = st.sampled_from(["R", "NS"])
     z, ang = draw(sectors), draw(sectors)
-    cfg = torus_sector(z, ang, 3, cutoff(z), cutoff(ang))
+    cfg = torus_sector(z, ang, rep.d, cutoff(z), cutoff(ang))
     window = Window(draw(st.integers(0, 3)), draw(st.integers(0, 3)),
                     draw(st.integers(0, 2)))
     family = draw(st.sampled_from(["TT", "LL", "LT"]))
-    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = draw(st.integers(1, rep.dim_g)), draw(st.integers(1, rep.dim_g))
     if family == "LL":
         a = b = None
     elif family == "LT":
@@ -401,18 +406,32 @@ def test_guard_accepts_only_exact_brackets(so3, bracket):
 # the normal-ordered torus residual against the Fock path
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(torus_brackets())
-# the R,R bracket whose unordered diagonal differs by one rounding
-@example(bracket=(torus_sector("R", "R", 3, 2, 1), Window.of(0, 1, 1),
-                  "LL", None, None, (-1, 0), (1, 0)))
-def test_normal_ordered_residual_matches_fock_path(so3, bracket):
-    # the unordered residual, applied term by term, is the oracle
-    from km2d.verifier import TorusAlgebra, _assemble_rhs, _bracket_job, \
-        _exact_terms
+@st.composite
+def rep_brackets(draw):
+    """A torus bracket of so(3) or so(4) (d = 6), drawn by torus_brackets."""
+    rep = draw(st.sampled_from([SO3, SO4]))
+    return (rep,) + draw(torus_brackets(rep))
 
-    cfg, window, family, a, b, mode1, mode2 = bracket
-    alg = TorusAlgebra(cfg, so3)
+
+@settings(max_examples=60, deadline=None)
+@given(rep_brackets())
+# the R,R bracket whose unordered diagonal differs by one rounding
+@example(bracket=(SO3, torus_sector("R", "R", 3, 2, 1), Window.of(0, 1, 1),
+                  "LL", None, None, (-1, 0), (1, 0)))
+# so(4) on R,R: six zero modes, a measured [L, T] refit
+@example(bracket=(SO4, torus_sector("R", "R", 6, 2, 2), Window.of(0, 0, 2),
+                  "LT", 5, 5, (0, 1), (-1, -1)))
+# a probe holding both the annihilated mode and the conjugate of the created
+# one: the only term of T^1_{1,0} that would reach it is blocked
+@example(bracket=(SO3, torus_sector("NS", "NS", 3, 9 * H, 9 * H),
+                  Window.of(2, 1, 2), "LT", 1, 1, (0, 0), (1, 0)))
+def test_normal_ordered_residual_matches_fock_path(bracket):
+    # the unordered residual, applied term by term, is the oracle of the
+    # normal-ordered one, and _bracket_job is the oracle of the engine
+    from km2d.verifier import _assemble_rhs, _bracket_job, _exact_terms
+
+    rep, cfg, window, family, a, b, mode1, mode2 = bracket
+    alg = TorusAlgebra(cfg, rep)
     probes = probe_states(cfg, window)
     try:
         alg.guard(probes, mode1, mode2)
@@ -439,6 +458,28 @@ def test_normal_ordered_residual_matches_fock_path(so3, bracket):
     args = (family, a, b, mode1, mode2, probes, 1e-12, lambda *args: 0.0,
             1e9)
     new = _bracket_job(alg, *args)
+    engine = alg.engine(probes)
+    got = engine.job(family, a, b, mode1, mode2, 1e-12)
+    if alg.zero_total(mode1, mode2):
+        assert got is None                  # a central term: the Fock path
+    else:
+        # on the true algebra every compared coefficient vanishes, and the
+        # engine's result is the Fock path's, byte for byte in a report
+        assert engine.residual_vanishes(family, a, b, mode1, mode2)
+        assert new.residual == 0.0
+        assert engine.kappa_measured(family, a, b, mode1, mode2) == \
+            (new.kappa is not None)
+        assert json.dumps(got.to_dict()) == json.dumps(new.to_dict())
+        if new.kappa is not None:
+            # probe by probe, as the refit's w_op sees them: a probe set
+            # need not hold every state with one particle taken out
+            w_op = _exact_terms(rhs.scaled(1.0 / -mode2[0]),
+                                alg.compare_bounds(mode1, mode2))
+            for probe in probes:
+                assert alg.engine([probe]).kappa_measured(
+                    family, a, b, mode1, mode2) == \
+                    (w_op.apply_state(probe).norm2() > 1e-12)
+
     alg.normal_order = False            # the unordered comparison
     old = _bracket_job(alg, *args)
     assert new.passed == old.passed
@@ -450,6 +491,76 @@ def test_normal_ordered_residual_matches_fock_path(so3, bracket):
             assert x == pytest.approx(y, abs=1e-15)
         else:
             assert repr(x) == repr(y)
+
+
+class _WrongAlgebra(TorusAlgebra):
+    """The torus adapter with one corrupted right-hand side."""
+
+    def __init__(self, cfg, rep, corruption):
+        super().__init__(cfg, rep)
+        self.corruption = corruption
+
+    def rhs_terms(self, family, a, b, mode1, mode2):
+        terms = super().rhs_terms(family, a, b, mode1, mode2)
+        if family == "TT" and self.corruption == "double f_abc":
+            return [(2 * scale, *rest) for scale, *rest in terms]
+        if family == "LT" and self.corruption == "shift LT":
+            msum = (mode1[0] + mode2[0], mode1[1] + mode2[1])
+            return [(1 - mode2[0], "T", a, msum)]
+        return terms
+
+
+class _FockOnly(_WrongAlgebra):
+    def engine(self, probes):
+        return None
+
+
+@pytest.mark.parametrize("corruption", ["double f_abc", "shift LT"])
+@pytest.mark.parametrize("cfg,window", [
+    (torus_sector("NS", "NS", 3, Fraction(9, 2), Fraction(9, 2)),
+     Window.of(1, 1, 2)),
+    (torus_sector("R", "R", 3, 2, 2), Window.of(0, 0, 2)),
+], ids=["NS,NS", "R,R"])
+def test_engine_never_passes_a_wrong_algebra(so3, cfg, window, corruption):
+    # every corrupted bracket the sweep checks fails, with the residual and
+    # offending state of the pure Fock sweep; the report is the same
+    def sweep(adapter):
+        return _certify(adapter(cfg, so3, corruption), window, 1, 1e-9,
+                        "analytic", 1e-9)
+
+    report, fock = sweep(_WrongAlgebra), sweep(_FockOnly)
+    assert report.to_dict() == fock.to_dict()
+    family = "TT" if corruption == "double f_abc" else "LT"
+    failed = [r for r in report.brackets if not r.passed]
+    assert failed and not report.passed
+    assert all(r.lhs.startswith("[T" if family == "TT" else "[L")
+               for r in failed)
+    # a bracket of nonzero total (no raw central) fails on a probe state
+    assert any(r.raw_central is None for r in failed)
+    assert all(r.offending_state for r in failed if r.raw_central is None)
+
+
+def test_fock_path_only_for_zero_total_brackets(so3, nsns, monkeypatch):
+    # the engine certifies all 184 brackets of nonzero total; the Fock path
+    # takes the 23 zero-total ones and builds only their generators
+    import km2d.verifier as verifier
+
+    fock = []
+    real = verifier._bracket_job
+
+    def recorded(alg, family, a, b, mode1, mode2, *rest):
+        fock.append(alg.zero_total(mode1, mode2))
+        return real(alg, family, a, b, mode1, mode2, *rest)
+
+    monkeypatch.setattr(verifier, "_bracket_job", recorded)
+    alg = TorusAlgebra(nsns, so3)
+    report = _certify(alg, Window.of(1, 1, 2), 1, 1e-9, "analytic", 1e-9)
+    assert report.passed and len(report.brackets) == 207
+    assert fock == [True] * 23
+    modes = alg.modes(1)
+    built = {(kind, a, m) for kind, a in (("T", 1), ("T", 2), ("L", None))
+             for m in modes} | {("T", 3, (0, 0))}
+    assert set(alg._ops) == built
 
 
 def test_rr_zero_total_diagonal_is_exact(so3):
