@@ -24,8 +24,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .fock import check_car, sphere_sector, torus_sector
 from .halfints import to_doubled
 from .harmonics import structure_table
@@ -54,22 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
 
 
 class _OutputError(Exception):
@@ -121,7 +103,7 @@ def _probe_output(path: str | None) -> None:
 
 
 def _write_report(payload: dict, path: str | None) -> None:
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     with _output(path) as fh:
         fh.write(text)
 

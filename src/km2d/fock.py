@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-import numpy as np
-
 from .halfints import fmt_half, lattice_range, to_doubled
 from .scalars import SqrtTwoConstant
 
@@ -361,12 +359,12 @@ class StateVector(dict):
     def inner(self, other: "StateVector") -> complex:
         """<self|other> with conjugation on self."""
         if len(self) > len(other):
-            return np.conj(other.inner(self))
+            return other.inner(self).conjugate()
         acc = 0j
         for s, a in self.items():
             b = other.get(s)
             if b is not None:
-                acc += np.conj(complex(a)) * complex(b)
+                acc += complex(a).conjugate() * complex(b)
         return acc
 
     def norm2(self) -> float:

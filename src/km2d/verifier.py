@@ -21,6 +21,11 @@ with the angular cutoff); they come from the regulated pipeline:
                which is (-1)^m delta_{l1 l2})
 
 The raw divergence remains available as a documented diagnostic.
+
+The three bracket families' relations live in one place, the adapters' base
+``_Algebra``: each adapter supplies ``_targets``, the target modes and
+coefficients of a product of two mode functions, and ``_overlap``, the
+central factor.
 """
 
 from __future__ import annotations
@@ -100,19 +105,75 @@ def probe_states(cfg: SectorConfig, window: Window) -> list:
 # Geometry adapters: operator construction and expected bracket structure
 # ---------------------------------------------------------------------------
 
-class TorusAlgebra:
-    """Builds torus generators and the expected right-hand sides."""
+def _probe_reach(probes) -> tuple:
+    """The probes' largest doubled k1 and |k2|, the reach the guards check."""
+    occ = [m for s in probes for m in s.occ]
+    return (max((m.k1 for m in occ), default=0),
+            max((abs(m.k2) for m in occ), default=0))
+
+
+class _Algebra:
+    """The bracket relations of both geometries, written once.
+
+    Current-current closes with i f^{abc}, Virasoro-Virasoro with (m - n)
+    and the mixed bracket with -n, in the z modes.  An adapter supplies the
+    z mode of its mode labels and two geometry hooks: ``_targets``, the
+    (target mode, coefficient) pairs of the product of two mode functions,
+    and ``_overlap``, the factor of a central term of zero total z mode.
+    """
+
+    def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep):
+        self.cfg = cfg
+        self.rep = rep
+        self._ops: dict = {}
+
+    def engine(self, probes):
+        return None             # the Fock path decides every bracket
+
+    def lt_variant(self, kappas, tol) -> dict:
+        return {}
+
+    def rhs_terms(self, family: str, a, b, mode1, mode2):
+        """[(scale, kind, generator index, mode), ...] of the expected RHS."""
+        targets = self._targets(mode1, mode2)
+        if family == "TT":
+            f_ab = [int(x) for x in self.rep.f[a - 1, b - 1]]
+            return [(complex(0.0, fabc * coeff), "T", c, target)
+                    for target, coeff in targets
+                    for c, fabc in enumerate(f_ab, 1) if fabc]
+        if family == "LL":
+            scale, kind, c = self.z_mode(mode1) - self.z_mode(mode2), "L", None
+        elif family == "LT":
+            # minus the z-mode of the current
+            scale, kind, c = -self.z_mode(mode2), "T", a
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        if not scale:
+            return []
+        return [(scale * coeff, kind, c, target) for target, coeff in targets]
+
+    def central_expected(self, family: str, a, b, mode1, mode2) -> float:
+        m = self.z_mode(mode1)
+        overlap = (self._overlap(mode1, mode2) if m + self.z_mode(mode2) == 0
+                   else 0)
+        if not overlap:
+            return 0.0          # the product 0 * ... * m is -0.0 for m < 0
+        if family == "TT":
+            return overlap * 0.5 * self.rep.C_M * m if a == b else 0.0
+        if family == "LL":
+            c = self.cfg.d / 2.0
+            return overlap * (c / 12.0) * m * (m * m - 1)
+        return 0.0
+
+
+class TorusAlgebra(_Algebra):
+    """Builds torus generators; mode functions multiply by adding labels."""
 
     kappa_bound = 1e-9          # least bound on the [L, T] refit deviation
     # the residual is compared in CAR normal order, which folds the
     # commutator's terms into a few; its coefficients are dyadic, so the
     # reordering sums them exactly
     normal_order = True
-
-    def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep):
-        self.cfg = cfg
-        self.rep = rep
-        self._ops: dict = {}
 
     def engine(self, probes) -> "TorusEngine":
         return TorusEngine(self, probes)
@@ -162,49 +223,27 @@ class TorusAlgebra:
             self._ops[key] = o
         return self._ops[key]
 
-    def rhs_terms(self, family: str, a, b, mode1, mode2):
-        """[(scale, kind, generator index, mode), ...] of the expected RHS."""
-        msum = (mode1[0] + mode2[0], mode1[1] + mode2[1])
-        if family == "TT":
-            out = []
-            for c in range(1, self.rep.dim_g + 1):
-                fabc = int(self.rep.f[a - 1, b - 1, c - 1])
-                if fabc:
-                    out.append((complex(0.0, fabc), "T", c, msum))
-            return out
-        if family == "LL":
-            coeff = mode1[0] - mode2[0]
-            return [(coeff, "L", None, msum)] if coeff else []
-        if family == "LT":
-            coeff = -mode2[0]           # minus the z-mode of the current
-            return [(coeff, "T", a, msum)] if coeff else []
-        raise ValueError(f"unknown family {family!r}")
+    def _targets(self, mode1, mode2) -> list:
+        # an int coefficient keeps the [L, L] and [L, T] scales ints
+        return [((mode1[0] + mode2[0], mode1[1] + mode2[1]), 1)]
+
+    def _overlap(self, mode1, mode2) -> int:
+        return int(mode1[1] + mode2[1] == 0)
 
     def zero_total(self, mode1, mode2) -> bool:
         return mode1[0] + mode2[0] == 0 and mode1[1] + mode2[1] == 0
 
-    def central_expected(self, family: str, a, b, mode1, mode2) -> float:
-        if not self.zero_total(mode1, mode2):
-            return 0.0
-        m = mode1[0]
-        if family == "TT":
-            return 0.5 * self.rep.C_M * m if a == b else 0.0
-        if family == "LL":
-            c = self.cfg.d / 2.0
-            return (c / 12.0) * m * (m * m - 1)
-        return 0.0
-
-    def guard(self, probes, mode1, mode2) -> None:
+    def guard(self, reach, mode1, mode2) -> None:
         """Reject a window whose probes reach past a cutoff in this bracket.
 
-        Within reach, every probe mode lies inside compare_bounds, which is
-        what the term filter _exact_terms and the engine's box need.
+        reach is the probes' ``_probe_reach``.  Within reach, every probe
+        mode lies inside compare_bounds, which is what the term filter
+        _exact_terms and the engine's box need.
         """
         cfg = self.cfg
         mA2, pA2 = 2 * abs(mode1[0]), 2 * abs(mode1[1])
         mB2, pB2 = 2 * abs(mode2[0]), 2 * abs(mode2[1])
-        max_k1 = max((m.k1 for s in probes for m in s.occ), default=0)
-        max_k2 = max((abs(m.k2) for s in probes for m in s.occ), default=0)
+        max_k1, max_k2 = reach
         if max_k1 + mA2 + mB2 > cfg.m2_cut:
             raise WindowViolationError(
                 f"z reach {fmt_half(max_k1 + mA2 + mB2)} exceeds cutoff "
@@ -225,8 +264,8 @@ class TorusAlgebra:
         return f"{tag}[{mode[0]},{mode[1]}]"
 
 
-class SphereAlgebra:
-    """Builds sphere generators and table-contracted right-hand sides."""
+class SphereAlgebra(_Algebra):
+    """Builds sphere generators; mode functions multiply by the table."""
 
     kappa_bound = 1e-8          # table entries carry quadrature round-off
     # table coefficients are not dyadic: reordering would re-round the
@@ -235,13 +274,8 @@ class SphereAlgebra:
 
     def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep,
                  table: StructureTable):
-        self.cfg = cfg
-        self.rep = rep
+        super().__init__(cfg, rep)
         self.table = table
-        self._ops: dict = {}
-
-    def engine(self, probes) -> None:
-        return None             # every sphere bracket takes the Fock path
 
     def modes(self, max_l: int) -> list:
         return [(l, m) for l in range(max_l + 1) for m in range(-l, l + 1)]
@@ -276,8 +310,8 @@ class SphereAlgebra:
                 continue
             val = measure_central("LL", m, rep=rep, cfg=cfg, degrees=(l, l),
                                   method=method)
-            sgn = -1.0 if m % 2 else 1.0
-            c_col[m] = (val, sgn * (cfg.d / 2.0 / 12.0) * m * (m * m - 1))
+            c_col[m] = (val, self.central_expected("LL", None, None, (l, m),
+                                                   (l, -m)))
         if 2 not in c_col:
             raise ValueError("c is read from the m = 2 Virasoro central, "
                              "which needs a degree cutoff of at least 2")
@@ -290,9 +324,6 @@ class SphereAlgebra:
         }
         return charges, [(k_val, rep.C_M / 2.0)] + list(c_col.values())
 
-    def lt_variant(self, kappas, tol) -> dict:
-        return {}
-
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
         if key not in self._ops:
@@ -304,51 +335,29 @@ class SphereAlgebra:
             self._ops[key] = o
         return self._ops[key]
 
-    def rhs_terms(self, family: str, a, b, mode1, mode2):
-        l1, m1 = mode1
-        l2, m2 = mode2
-        msum = m1 + m2
+    def _targets(self, mode1, mode2) -> list:
+        (l1, m1), (l2, m2) = mode1, mode2
         out = []
-        for l3 in self.table.target_degrees(l1, l2, msum):
+        for l3 in self.table.target_degrees(l1, l2, m1 + m2):
             c = self.table.get(l1, m1, l2, m2, l3)
-            if abs(c) < 1e-15:
-                continue
-            if family == "TT":
-                for cc in range(1, self.rep.dim_g + 1):
-                    fabc = int(self.rep.f[a - 1, b - 1, cc - 1])
-                    if fabc:
-                        out.append((complex(0.0, fabc * c), "T", cc, (l3, msum)))
-            elif family == "LL":
-                if m1 != m2:
-                    out.append(((m1 - m2) * c, "L", None, (l3, msum)))
-            elif family == "LT":
-                if m2 != 0:
-                    out.append((-m2 * c, "T", a, (l3, msum)))
-            else:
-                raise ValueError(f"unknown family {family!r}")
+            # smaller entries are quadrature noise: 78 of the L = 6 table's
+            # stored entries lie in (0, 1e-15)
+            if abs(c) >= 1e-15:
+                out.append(((l3, m1 + m2), c))
         return out
+
+    def _overlap(self, mode1, mode2) -> float:
+        """(-1)^m delta_{l1 l2}, the overlap of the two degree labels."""
+        if mode1[0] != mode2[0]:
+            return 0.0
+        return -1.0 if mode1[1] % 2 else 1.0
 
     def zero_total(self, mode1, mode2) -> bool:
         return mode1[1] + mode2[1] == 0
 
-    def central_expected(self, family: str, a, b, mode1, mode2) -> float:
-        if not self.zero_total(mode1, mode2):
-            return 0.0
-        l1, m1 = mode1
-        l2, _ = mode2
-        if l1 != l2:
-            return 0.0
-        sign = -1.0 if m1 % 2 else 1.0
-        if family == "TT":
-            return sign * 0.5 * self.rep.C_M * m1 if a == b else 0.0
-        if family == "LL":
-            c = self.cfg.d / 2.0
-            return sign * (c / 12.0) * m1 * (m1 * m1 - 1)
-        return 0.0
-
-    def guard(self, probes, mode1, mode2) -> None:
+    def guard(self, reach, mode1, mode2) -> None:
         lA2, lB2 = 2 * mode1[0], 2 * mode2[0]
-        max_l = max((m.k1 for s in probes for m in s.occ), default=0)
+        max_l = reach[0]
         if max_l + lA2 + lB2 > self.cfg.l2_cut:
             raise WindowViolationError(
                 f"degree reach {fmt_half(max_l + lA2 + lB2)} exceeds cutoff "
@@ -804,7 +813,7 @@ class TorusEngine:
 
 
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
-                 central_cache, central_tol):
+                 central_lookup, central_tol):
     (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
     A = alg.op(kind_a, ia, mode1)
     B = alg.op(kind_b, ib, mode2)
@@ -860,7 +869,7 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         residual = max(residual, spread, abs(mean.imag))
         raw_central = mean.real
         central_expected = alg.central_expected(family, a, b, mode1, mode2)
-        central_measured = central_cache(family, a, b, mode1, mode2)
+        central_measured = central_lookup(family, a, b, mode1, mode2)
     passed = residual <= tol
     if central_measured is not None:
         passed = passed and abs(central_measured - central_expected) <= central_tol
@@ -909,24 +918,19 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
               for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
     tasks += [("LT", 1, 1, m1, m2)
               for m1 in modes for m2 in modes]
+    reach = _probe_reach(probes)
     for family, a, b, mode1, mode2 in tasks:
-        alg.guard(probes, mode1, mode2)
+        alg.guard(reach, mode1, mode2)
     # a configuration that cannot measure its charges fails here, before
     # any bracket is checked
     charges, charge_pairs = alg.charges(central_method)
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
                               tol=tol, charges=charges, **alg.header())
 
-    central_cache: dict = {}
-
     def central_lookup(family, a, b, mode1, mode2):
         if family == "LT":
             return 0.0
-        key = (family, a, b, mode1, mode2)
-        if key not in central_cache:
-            central_cache[key] = alg.central(family, a, b, mode1, mode2,
-                                             central_method)
-        return central_cache[key]
+        return alg.central(family, a, b, mode1, mode2, central_method)
 
     # the Fock path measures the centrals and reports every residual the
     # engine does not clear

@@ -272,6 +272,26 @@ def test_sphere_realization(so3, table4):
     assert report.charges["c_measured"] == pytest.approx(1.5, abs=1e-8)
 
 
+def test_sphere_report_holds_builtin_types(so3, table4):
+    # the pinned `sphere` configuration: its report is written as it is, and
+    # np.float64 would pass an isinstance check for float
+    report = check_sphere_realization(sphere_sector("R", 3, 4), so3, table4,
+                                      Window.of(1, 1, 2), tol=1e-9, max_l=1)
+    assert type(report.passed) is bool
+
+    def leaves(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            for v in x:
+                yield from leaves(v)
+        else:
+            yield x
+
+    types = {type(x) for x in leaves(report.to_dict())}
+    assert all(t in (str, int, float, bool, type(None)) for t in types), types
+
+
 def test_sphere_lt_constant_coefficient(so3, table4):
     # [L_00, T^a_{l,m}] = -m T^a_{l,m}: the l3 expansion collapses since
     # c_{0,0,l,m}^{l',m} = delta_{l l'}
@@ -388,13 +408,13 @@ def torus_brackets(draw, rep=SO3):
 def test_guard_accepts_only_exact_brackets(so3, bracket):
     # whenever the guard accepts, truncation leaves no residual, also with
     # Clifford zero modes, whose squares normal order makes exact
-    from km2d.verifier import TorusAlgebra, _bracket_job
+    from km2d.verifier import TorusAlgebra, _bracket_job, _probe_reach
 
     cfg, window, family, a, b, mode1, mode2 = bracket
     alg = TorusAlgebra(cfg, so3)
     probes = probe_states(cfg, window)
     try:
-        alg.guard(probes, mode1, mode2)
+        alg.guard(_probe_reach(probes), mode1, mode2)
     except WindowViolationError:
         assume(False)
     res = _bracket_job(alg, family, a, b, mode1, mode2, probes, 0.0,
@@ -428,13 +448,14 @@ def rep_brackets(draw):
 def test_normal_ordered_residual_matches_fock_path(bracket):
     # the unordered residual, applied term by term, is the oracle of the
     # normal-ordered one, and _bracket_job is the oracle of the engine
-    from km2d.verifier import _assemble_rhs, _bracket_job, _exact_terms
+    from km2d.verifier import (_assemble_rhs, _bracket_job, _exact_terms,
+                               _probe_reach, _vacuum_trace)
 
     rep, cfg, window, family, a, b, mode1, mode2 = bracket
     alg = TorusAlgebra(cfg, rep)
     probes = probe_states(cfg, window)
     try:
-        alg.guard(probes, mode1, mode2)
+        alg.guard(_probe_reach(probes), mode1, mode2)
     except WindowViolationError:
         assume(False)
     if family == "TT":
@@ -462,6 +483,12 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
     got = engine.job(family, a, b, mode1, mode2, 1e-12)
     if alg.zero_total(mode1, mode2):
         assert got is None                  # a central term: the Fock path
+        # the raw central is the one-particle vacuum trace
+        if family == "LT":
+            assert new.raw_central == 0.0
+        else:
+            assert repr(new.raw_central) == repr(_vacuum_trace(
+                family, rep, a or 1, b or 1, mode1[0], mode1[1], cfg))
     else:
         # on the true algebra every compared coefficient vanishes, and the
         # engine's result is the Fock path's, byte for byte in a report
