@@ -30,8 +30,9 @@ from .harmonics import structure_table
 from .lie_core import get_rep, validate_rep
 from .regulator import (HeatSum, UnresolvedPrescriptionError, delta_reg_zero,
                         heat_sum_finite_part, solve_a_m)
-from .verifier import (Window, WindowViolationError, check_sphere_abstract,
-                       check_sphere_realization, check_torus_algebra)
+from .verifier import (Window, WindowViolationError, central_raw_scan,
+                       check_sphere_abstract, check_sphere_realization,
+                       check_torus_algebra)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -354,6 +355,7 @@ def _cmd_structure_constants(args) -> int:
 
 
 def _cmd_regularization(args) -> int:
+    rep = _check_rep(args)
     rows = []
     rows.append({"descriptor": "torus NS", "pole": 0.5,
                  "finite_part": heat_sum_finite_part(HeatSum(1, 0.0))[1],
@@ -386,8 +388,6 @@ def _cmd_regularization(args) -> int:
                          f"{r['finite_part']:>12.10g} {r['delta_reg0']:>13.10g}")
     scan = None
     if args.raw_scan:
-        from .verifier import central_raw_scan
-        rep = _check_rep(args)
         scan = central_raw_scan("NS", "NS", rep.d, rep, Fraction(5, 2),
                                 [Fraction(5, 2), Fraction(9, 2), Fraction(13, 2)])
         lines.append("")
@@ -455,6 +455,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _OutputError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError as exc:      # e.g. a quadrature for a huge --lmax
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"error: out of memory{detail}\n")
         return EXIT_USAGE
 
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi, roots_jacobi
 
 from .halfints import fmt_half, to_doubled
 
@@ -134,6 +133,9 @@ def jacobi_Q(l, m, eta: int, u):
     Symmetric under (m, eta) -> (-m, -eta).  Evaluate on the open interval;
     endpoint weights vanish or stay bounded but carry no lattice meaning.
     """
+    # imported here so that only the NS basis loads scipy.special
+    from scipy.special import eval_jacobi
+
     n, a, b = _ns_indices(l, m, eta)
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
@@ -234,6 +236,8 @@ def structure_table(L_max: int) -> StructureTable:
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, alpha: float, beta: float):
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, alpha, beta)
     return x, w
 

@@ -22,6 +22,11 @@ with the angular cutoff); they come from the regulated pipeline:
 
 The raw divergence remains available as a documented diagnostic.
 
+What the sweep covers, on both geometries: the current family TT only as
+``[T^1, T^2]``, the mixed family LT only with ``a = b = 1``, and LL.  No
+swept bracket carries a level term; the level ``k`` is certified once, at
+m = 1, in the charges block.
+
 The three bracket families' relations live in one place, the adapters' base
 ``_Algebra``: each adapter supplies ``_targets``, the target modes and
 coefficients of a product of two mode functions, and ``_overlap``, the

@@ -296,6 +296,15 @@ def _exit_code(args):
     ["verify-torus", "--window=1,-1,2", "--max-mode", "0"],
     ["verify-torus", "--window=1,1,-1", "--max-mode", "0"],
     ["verify-sphere", "--window=1,1,-1", "--max-l", "0"],
+    # a quadrature for a huge degree is refused at once: its 262 TiB
+    # companion matrix exceeds a 48-bit address space, and numpy's
+    # smaller set-up arrays before it stay under 100 MB
+    ["structure-constants", "--lmax", "4000000"],
+    ["sphere-abstract", "--lmax", "4000000"],
+    ["verify-sphere", "--lmax", "4000000"],
+    # the rep is checked on every run, not only for the raw scan
+    ["regularization", "--d", "5"],
+    ["regularization", "--rep", "foo"],
     pytest.param(["structure-constants", "--lmax", "1", "--output", "/dev/full"],
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="needs /dev/full")),
