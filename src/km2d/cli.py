@@ -344,13 +344,21 @@ def _cmd_sphere_abstract(args) -> int:
 
 def _cmd_structure_constants(args) -> int:
     table = structure_table(args.lmax)
-    if args.format == "csv":
-        with _output(args.output) as fh:
+    with _output(args.output) as fh:
+        if args.format == "csv":
             table.to_csv(fh)
-    else:
-        payload = {"L_max": table.L_max,
-                   "entries": {f"{k}": v for k, v in table.entries.items()}}
-        _write_report(payload, args.output)
+            return EXIT_OK
+        # json.dumps(indent=2) of {"(l1, m1, l2, m2, l3)": value}, streamed
+        head, tail = json.dumps({"L_max": table.L_max, "entries": {"": 0}},
+                                indent=2).split('    "": 0')
+        fh.write(head)
+        chunk = 1 << 16
+        for i in range(0, len(table.values), chunk):
+            lines = ('    "(%d, %d, %d, %d, %d)": %r' % (*k, v) for k, v in
+                     zip(table.keys[i:i + chunk].tolist(),
+                         table.values[i:i + chunk].tolist()))
+            fh.write((",\n" if i else "") + ",\n".join(lines))
+        fh.write(tail + "\n")
     return EXIT_OK
 
 

@@ -150,6 +150,36 @@ def jacobi_Q(l, m, eta: int, u):
 # Structure constants of the Legendre-family product expansion
 # ---------------------------------------------------------------------------
 
+def _rows(L: int):
+    """(l, m) of row r = l^2 + l + m, and the bounds of each row's keys:
+    row r's are ``keys[bounds[r]:bounds[r + 1]]``."""
+    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    ms = np.arange(len(ls)) - ls * ls - ls
+    sizes = [_allowed(l, m, ls, ms).sum() for l, m in zip(ls, ms)]
+    return ls, ms, np.cumsum([0] + sizes)
+
+
+def _allowed(l1: int, m1: int, ls, ms):
+    """Row (l1, m1)'s keys as a (l2, m2) x l3 mask of the selection rules."""
+    l3, lsum = np.arange(ls[-1] + 1), l1 + ls
+    lo = np.maximum(abs(l1 - ls), abs(m1 + ms))[:, None]
+    return ((lo <= l3) & (l3 <= lsum[:, None])
+            & ((lsum % 2)[:, None] == l3 % 2))
+
+
+def _mirror_index(mask, ms):
+    """Where row (l1, -m1)'s entries sit in the block of row (l1, m1): at
+    the running count of the latter's ``mask`` at (l2, -m2, l3)."""
+    count = np.cumsum(mask.ravel()).reshape(mask.shape) - 1
+    neg = np.arange(len(ms)) - 2 * ms             # row of (l, -m)
+    return count[neg][mask[neg]]
+
+
+def _formatted(values):
+    return np.array(("%.17g\n" * len(values) % tuple(values.tolist()))
+                    .splitlines(keepends=True), dtype=object)
+
+
 @dataclass(eq=False)
 class StructureTable:
     """Coefficients c of Q_{l1 m1} Q_{l2 m2} = sum_{l3} c * Q_{l3, m1+m2}.
@@ -158,8 +188,10 @@ class StructureTable:
     the target azimuthal index is always m1 + m2.  Only the
     triangle-and-parity-allowed entries are stored, in lexicographic key
     order.  ``entries`` is the same table as a dict, built on first use.
-    ``to_csv`` formats no integer per row: it looks up the ``l,m,`` prefix
-    fields in small string tables and formats each chunk with one ``%``.
+    ``to_csv`` joins one (l1, m1) row at a time, with the ``l,m,`` fields
+    from small string tables.  Row (l1, -m1) formats its mirror (l1, m1)'s
+    values, reordered for itself and kept for the mirror; it raises
+    ``ValueError`` if they differ from its own in any bit.
     """
 
     L_max: int
@@ -183,20 +215,34 @@ class StructureTable:
 
     def to_csv(self, fh) -> None:
         L = self.L_max
-        lm = np.array([f"{l},{m}," for l in range(L + 1)
-                       for m in range(-l, l + 1)], dtype=object)
+        ls, ms, bounds = _rows(L)
+        lm = np.array([f"{l},{m}," for l, m in zip(ls.tolist(), ms.tolist())],
+                      dtype=object)
         lm3 = np.array([f"{l3},{m3}," for l3 in range(L + 1)
                         for m3 in range(-2 * L, 2 * L + 1)], dtype=object)
+        bits = self.values.view(np.int64)
+        pending = {}        # row (l1, m1 > 0) -> its strings, formatted early
         fh.write("l1,m1,l2,m2,l3,m3,value\n")
-        chunk = 1 << 16
-        for i in range(0, len(self.values), chunk):
-            l1, m1, l2, m2, l3 = self.keys[i:i + chunk].T.astype(np.int64)
-            cells = np.empty((len(l1), 4), dtype=object)
-            cells[:, 0] = lm[l1 * l1 + l1 + m1]
+        for r1, (l1, m1) in enumerate(zip(ls.tolist(), ms.tolist())):
+            block = slice(bounds[r1], bounds[r1 + 1])
+            _, _, l2, m2, l3 = self.keys[block].T.astype(np.int64)
+            cells = np.empty((len(l2), 4), dtype=object)
+            cells[:, 0] = lm[r1]
             cells[:, 1] = lm[l2 * l2 + l2 + m2]
             cells[:, 2] = lm3[l3 * (4 * L + 1) + m1 + m2 + 2 * L]
-            cells[:, 3] = self.values[i:i + chunk]
-            fh.write("%s%s%s%.17g\n" * len(l1) % tuple(cells.ravel()))
+            if m1 < 0:
+                rm = r1 - 2 * m1
+                mirror = slice(bounds[rm], bounds[rm + 1])
+                at = _mirror_index(_allowed(l1, -m1, ls, ms), ms)
+                if not np.array_equal(bits[block], bits[mirror][at]):
+                    raise ValueError(f"structure table row ({l1}, {m1}) "
+                                     f"differs from its mirror")
+                pending[rm] = _formatted(self.values[mirror])
+                cells[:, 3] = pending[rm][at]
+            else:
+                cells[:, 3] = (pending.pop(r1) if m1 else
+                               _formatted(self.values[block]))
+            fh.write("".join(cells.ravel()))
 
 
 @lru_cache(maxsize=8)
@@ -205,32 +251,32 @@ def structure_table(L_max: int) -> StructureTable:
 
     Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each (l1, m1)
     row masks the (l2, m2, l3) grid by the selection rules, which lists its
-    keys in lexicographic order, and takes all its values in one
-    ``vecdot``: one ``ddot`` per entry, bit-identical to ``np.dot``.
+    keys in lexicographic order.  A row with m1 >= 0 takes all its values
+    in one ``vecdot``: one ``ddot`` per entry, bit-identical to ``np.dot``.
+    Row (l1, -m1) copies them: c(l1,-m1,l2,-m2,l3) = c(l1,m1,l2,m2,l3)
+    exactly, since Q_{l,-m} = (-1)^m Q_{lm}.
     """
     if L_max < 0:
         raise ValueError("L_max must be nonnegative")
     nodes, weights = _nodes_for_degree(3 * L_max)
-    ls = np.repeat(np.arange(L_max + 1), 2 * np.arange(L_max + 1) + 1)
-    ms = np.arange(len(ls)) - ls * ls - ls
+    ls, ms, bounds = _rows(L_max)
     rows = list(zip(ls.tolist(), ms.tolist()))
     q = np.array([legendre_Q(l, m, nodes) for l, m in rows])
-    l3 = np.arange(L_max + 1)
-    allowed = []            # per (l1, m1): triangle, parity and |m1 + m2| <= l3
-    for l1, m1 in rows:
-        lsum, m3 = (l1 + ls)[:, None], (m1 + ms)[:, None]
-        allowed.append((abs(l1 - ls)[:, None] <= l3) & (l3 <= lsum)
-                       & ((lsum + l3) % 2 == 0) & (abs(m3) <= l3))
-    ends = np.cumsum([mask.sum() for mask in allowed])
-    keys = np.empty((ends[-1], 5), dtype=np.int32)
-    values = np.empty(ends[-1])
-    for r1, ((l1, m1), mask, end) in enumerate(zip(rows, allowed, ends)):
+    keys = np.empty((bounds[-1], 5), dtype=np.int32)
+    values = np.empty(bounds[-1])
+    for r1, (l1, m1) in enumerate(rows):
+        mask = _allowed(l1, m1, ls, ms)
         r2, l3s = np.nonzero(mask)
-        block = slice(end - len(r2), end)
+        block = slice(bounds[r1], bounds[r1 + 1])
         keys[block, :2] = l1, m1
         keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3s))
-        r3 = l3s * l3s + l3s + m1 + ms[r2]
-        values[block] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
+        if m1 >= 0:
+            r3 = l3s * l3s + l3s + m1 + ms[r2]
+            values[block] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
+        if m1 > 0:
+            rm = r1 - 2 * m1
+            values[bounds[rm]:bounds[rm + 1]] = values[block][
+                _mirror_index(mask, ms)]
     return StructureTable(L_max, keys, values)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from km2d.harmonics import (
+    StructureTable,
     jacobi_Q,
     legendre_Q,
     quadrature,
@@ -204,7 +205,8 @@ def test_structure_csv_format(table4):
 
 @pytest.mark.parametrize("L", [0, 1, 4, 13])
 def test_structure_csv_matches_per_row_oracle(L):
-    # L = 13 has 126,133 rows, so the writer crosses a 65,536-row chunk
+    # every L > 0 has m1 < 0 rows, printed from their mirror (l1, -m1):
+    # L = 1 is the smallest such table, L = 13 has 126,133 rows
     table = structure_table(L)
     fast, slow = io.StringIO(), io.StringIO()
     table.to_csv(fast)
@@ -215,6 +217,32 @@ def test_structure_csv_matches_per_row_oracle(L):
     assert next(((i, a, b) for i, (a, b) in enumerate(zip(got, want))
                  if a != b), None) is None
     assert len(got) == len(want)
+
+
+def test_structure_csv_rejects_a_row_unlike_its_mirror():
+    table = structure_table(4)
+    values = table.values.copy()
+    i = np.flatnonzero(table.keys[:, 1] < 0)[7]
+    values[i] = np.nextafter(values[i], np.inf)
+    bad = StructureTable(4, table.keys, values)
+    with pytest.raises(ValueError, match="mirror"):
+        bad.to_csv(io.StringIO())
+
+
+def test_structure_mirror_rows_match_per_entry_oracle():
+    # the m1 < 0 rows are copies of their mirror; check a sample past L = 8
+    L = 16
+    table = structure_table(L)
+    rng = np.random.default_rng(16)
+    sample = rng.choice(np.flatnonzero(table.keys[:, 1] < 0), 2000,
+                        replace=False)
+    nodes, weights = quadrature(3 * L // 2 + 1)
+    for (l1, m1, l2, m2, l3), value in zip(table.keys[sample].tolist(),
+                                          table.values[sample].tolist()):
+        prod = (legendre_Q(l1, m1, nodes) * legendre_Q(l2, m2, nodes)
+                * weights)
+        assert value == 0.5 * float(np.dot(prod, legendre_Q(l3, m1 + m2,
+                                                            nodes)))
 
 
 @pytest.mark.parametrize("L", [8, 12])
