@@ -254,8 +254,10 @@ def build_parser() -> _Parser:
     pk.add_argument("--sectors", default=None,
                     help="z,angular on the torus (default NS,NS); "
                          "R or NS on the sphere (default NS)")
-    pk.add_argument("--cutoff-m", type=_half, default=Fraction(3, 2))
-    pk.add_argument("--cutoff-p", type=_half, default=Fraction(3, 2))
+    pk.add_argument("--cutoff-m", type=_half, default=None,
+                    help="torus z cutoff (default 3/2)")
+    pk.add_argument("--cutoff-p", type=_half, default=None,
+                    help="torus angular cutoff (default 3/2)")
     pk.add_argument("--cutoff-l", type=_half, default=None,
                     help="degree cutoff (default 1 for R, 3/2 for NS)")
     return parser
@@ -415,10 +417,19 @@ def _cmd_regularization(args) -> int:
 
 
 def _cmd_car_check(args) -> int:
+    other = ({"--cutoff-l": args.cutoff_l} if args.geometry == "torus" else
+             {"--cutoff-m": args.cutoff_m, "--cutoff-p": args.cutoff_p})
+    for flag, value in other.items():
+        if value is not None:
+            sys.stderr.write(f"error: {flag} does not apply to --geometry "
+                             f"{args.geometry}\n")
+            return EXIT_USAGE
     try:
         if args.geometry == "torus":
             z, ang = _torus_sectors(args.sectors or "NS,NS")
-            cfg = torus_sector(z, ang, args.d, args.cutoff_m, args.cutoff_p)
+            m_cut, p_cut = (Fraction(3, 2) if c is None else c
+                            for c in (args.cutoff_m, args.cutoff_p))
+            cfg = torus_sector(z, ang, args.d, m_cut, p_cut)
         else:
             z = _sphere_sector(args.sectors or "NS")
             l_cut = args.cutoff_l

@@ -1,19 +1,19 @@
 """Current-algebra and Virasoro generators as normal-ordered bilinears.
 
-Mode-space forms (targets always live on integer lattices):
+One mode-space form for both geometries (targets live on integer lattices):
 
-torus, with w(q) = exp(-eps(|q| - 1/2)):
-    T^a_{mp} = (i/2) M^a_{ij} sum_{n,q} w(q) w(p-q) :b^i_{nq} b^j_{m-n,p-q}:
-    L_{mp}   = (1/2) sum_i sum_{n,q} (-n) w(q) w(p-q) :b^i_{nq} b^i_{m-n,p-q}:
-               + lam * d  on (m,p) = (0,0)
+    T^a = (i/2) M^a_{ij} sum_{x,y} c_{xy} :b^i_x b^j_y:
+    L   = (1/2) sum_i sum_{x,y} (-z_x) c_{xy} :b^i_x b^i_y:  + lam * d at 0
 
-sphere (R), with c the triple-product table of the Legendre family:
-    T^a_{lm} = (i/2) M^a_{ij} sum c_{l1,m1,l2,m2}^{l,m} :b^i_{l1m1} b^j_{l2m2}:
-    L_{lm}   = (1/2) sum_i sum (-m1) c :b^i b^i: + lam * d on (0,0)
+The pairs (x, y) add up to the target, z_x is the z mode of x (n on the
+torus, m1 on the sphere), and only the pair coefficient c differs:
 
-sphere (NS): same shape with quadrature projections of the half-integer
-basis-function pairs onto Q_{lm}, including the 1/2 from the field's
-1/sqrt2 normalization and the sum over both eta branches.
+torus, x = (n, q), y = (m-n, p-q):  c = w(q) w(p-q), w(q) = exp(-eps(|q| - 1/2))
+sphere R, x = (l1, m1), y = (l2, m2):  c = c_{l1,m1,l2,m2}^{l,m}, the
+    triple-product table of the Legendre family
+sphere NS:  c = 1/2 (the field's 1/sqrt2 normalization, squared) times the
+    quadrature projection of the half-integer basis-function pair onto
+    Q_{lm}; the pairs run over both eta branches
 
 Bilinear sums run over lattice points with BOTH factors inside the cutoffs;
 out-of-range terms are dropped here (the verifier's window rule guarantees
@@ -64,62 +64,60 @@ def _nonzero_entries(rep: LieAlgebraRep, a: int):
     return out
 
 
+def _current(rep: LieAlgebraRep, a: int, cfg: SectorConfig,
+             pairs) -> ModeOperator:
+    if rep.d != cfg.d:
+        raise ValueError(f"rep has d={rep.d}, sector has d={cfg.d}")
+    entries = _nonzero_entries(rep, a)
+    terms: dict = {}
+    for x, y, _, c in pairs:
+        for i, j, mij in entries:
+            add_normal_ordered(terms, cfg, Mode(i, *x), Mode(j, *y),
+                               complex(0.0, 0.5 * mij * c))
+    return ModeOperator(cfg, terms)
+
+
+def _virasoro(cfg: SectorConfig, pairs, at_zero: bool) -> ModeOperator:
+    terms: dict = {}
+    for x, y, z, c in pairs:
+        if z == 0:
+            continue
+        coeff = 0.5 * (-z) * c
+        for i in range(1, cfg.d + 1):
+            add_normal_ordered(terms, cfg, Mode(i, *x), Mode(i, *y), coeff)
+    lam = lam_constant(cfg)
+    if at_zero and lam:
+        terms[()] = lam * cfg.d
+    return ModeOperator(cfg, terms)
+
+
 # ---------------------------------------------------------------------------
 # Torus
 # ---------------------------------------------------------------------------
 
-def _torus_bilinear_lattice(cfg: SectorConfig, m2: int, p2: int):
+def _torus_pairs(cfg: SectorConfig, m: int, p: int, eps: float):
+    """(x, y, z, c) of the bilinear at (m, p): x = (n, q), y = (m-n, p-q)."""
+    m2, p2 = 2 * int(m), 2 * int(p)
     for n2 in cfg.z_lattice():
         if abs(m2 - n2) > cfg.m2_cut:
             continue
         for q2 in cfg.angular_lattice():
             if abs(p2 - q2) > cfg.p2_cut:
                 continue
-            yield n2, q2
+            c = 1.0 if eps == 0.0 else _weight(q2, eps) * _weight(p2 - q2, eps)
+            yield (n2, q2, 0), (m2 - n2, p2 - q2, 0), n2 / 2, c
 
 
 def torus_T(rep: LieAlgebraRep, a: int, m: int, p: int, cfg: SectorConfig,
             eps: float = 0.0) -> ModeOperator:
-    """Current generator T^a at bilinear mode (m, p) on the torus.
-
-    All eps = 0 coefficients are dyadic rationals, so complex floats carry
-    them without rounding.
-    """
-    if rep.d != cfg.d:
-        raise ValueError(f"rep has d={rep.d}, sector has d={cfg.d}")
-    m2, p2 = 2 * int(m), 2 * int(p)
-    entries = _nonzero_entries(rep, a)
-    terms: dict = {}
-    for n2, q2 in _torus_bilinear_lattice(cfg, m2, p2):
-        scale0 = 1.0 if eps == 0.0 else _weight(q2, eps) * _weight(p2 - q2, eps)
-        for i, j, mij in entries:
-            coeff = complex(0.0, 0.5 * mij * scale0)
-            x = Mode(i, n2, q2, 0)
-            y = Mode(j, m2 - n2, p2 - q2, 0)
-            add_normal_ordered(terms, cfg, x, y, coeff)
-    return ModeOperator(cfg, terms)
+    """Current generator T^a at bilinear mode (m, p) on the torus."""
+    return _current(rep, a, cfg, _torus_pairs(cfg, m, p, eps))
 
 
 def torus_L(m: int, p: int, cfg: SectorConfig,
             eps: float = 0.0) -> ModeOperator:
     """Virasoro generator at bilinear mode (m, p) on the torus."""
-    m2, p2 = 2 * int(m), 2 * int(p)
-    lam = lam_constant(cfg)
-    terms: dict = {}
-    for n2, q2 in _torus_bilinear_lattice(cfg, m2, p2):
-        if n2 == 0:
-            continue
-        if eps == 0.0:
-            coeff = -n2 / 4.0
-        else:
-            coeff = (-n2 / 4.0) * _weight(q2, eps) * _weight(p2 - q2, eps)
-        for i in range(1, cfg.d + 1):
-            x = Mode(i, n2, q2, 0)
-            y = Mode(i, m2 - n2, p2 - q2, 0)
-            add_normal_ordered(terms, cfg, x, y, coeff)
-    if m2 == 0 and p2 == 0 and lam:
-        terms[()] = lam * cfg.d
-    return ModeOperator(cfg, terms)
+    return _virasoro(cfg, _torus_pairs(cfg, m, p, eps), (m, p) == (0, 0))
 
 
 def torus_symbol(kind: str, rep: LieAlgebraRep, a, n2: int):
@@ -139,79 +137,24 @@ def torus_symbol(kind: str, rep: LieAlgebraRep, a, n2: int):
 # Sphere
 # ---------------------------------------------------------------------------
 
-def _require_coverage(cfg: SectorConfig, table: StructureTable, l: int):
+def _sphere_pairs(cfg: SectorConfig, table: StructureTable, l: int, m: int):
+    """(x, y, z, c) of the bilinear at target (l, m); z is the m of x."""
+    if l < abs(m):
+        raise ValueError(f"target needs l >= |m|, got ({l}, {m})")
     need = max(l, cfg.l2_cut // 2 if cfg.z_sector == "R" else
                (cfg.l2_cut + 1) // 2)
     if table.L_max < need:
         raise TableCoverageError(need, table.L_max)
-
-
-def _sphere_r_pairs(cfg: SectorConfig, table: StructureTable, l: int, m: int):
-    lcut = cfg.l2_cut // 2
-    for l1 in range(lcut + 1):
-        for m1 in range(-l1, l1 + 1):
-            m2 = m - m1
-            for l2 in range(abs(m2), lcut + 1):
-                c = table.get(l1, m1, l2, m2, l)
-                if c != 0.0:
-                    yield l1, m1, l2, m2, c
-
-
-def sphere_T(rep: LieAlgebraRep, a: int, l: int, m: int, cfg: SectorConfig,
-             table: StructureTable) -> ModeOperator:
-    """Current generator T^a at target (l, m) on the sphere."""
-    if rep.d != cfg.d:
-        raise ValueError(f"rep has d={rep.d}, sector has d={cfg.d}")
-    if l < abs(m):
-        raise ValueError(f"target needs l >= |m|, got ({l}, {m})")
-    _require_coverage(cfg, table, l)
-    entries = _nonzero_entries(rep, a)
-    terms: dict = {}
-    if cfg.z_sector == "R":
-        for l1, m1, l2, m2, c in _sphere_r_pairs(cfg, table, l, m):
-            for i, j, mij in entries:
-                coeff = complex(0.0, 0.5 * mij * c)
-                add_normal_ordered(terms, cfg, Mode(i, 2 * l1, 2 * m1, 0),
-                                   Mode(j, 2 * l2, 2 * m2, 0), coeff)
-    else:
-        for l1d, m1d, e1, l2d, m2d, e2, c in _sphere_ns_pairs(cfg, l, m):
-            for i, j, mij in entries:
-                coeff = complex(0.0, 0.25 * mij * c)
-                add_normal_ordered(terms, cfg, Mode(i, l1d, m1d, e1),
-                                   Mode(j, l2d, m2d, e2), coeff)
-    return ModeOperator(cfg, terms)
-
-
-def sphere_L(l: int, m: int, cfg: SectorConfig,
-             table: StructureTable) -> ModeOperator:
-    """Virasoro generator at target (l, m) on the sphere."""
-    if l < abs(m):
-        raise ValueError(f"target needs l >= |m|, got ({l}, {m})")
-    _require_coverage(cfg, table, l)
-    lam = lam_constant(cfg)
-    terms: dict = {}
-    if cfg.z_sector == "R":
-        for l1, m1, l2, m2, c in _sphere_r_pairs(cfg, table, l, m):
-            if m1 == 0:
-                continue
-            coeff = 0.5 * (-m1) * c
-            for i in range(1, cfg.d + 1):
-                add_normal_ordered(terms, cfg, Mode(i, 2 * l1, 2 * m1, 0),
-                                   Mode(i, 2 * l2, 2 * m2, 0), coeff)
-    else:
-        for l1d, m1d, e1, l2d, m2d, e2, c in _sphere_ns_pairs(cfg, l, m):
-            coeff = 0.25 * (-m1d / 2.0) * c
-            for i in range(1, cfg.d + 1):
-                add_normal_ordered(terms, cfg, Mode(i, l1d, m1d, e1),
-                                   Mode(i, l2d, m2d, e2), coeff)
-    if l == 0 and m == 0 and lam:
-        terms[()] = lam * cfg.d
-    return ModeOperator(cfg, terms)
-
-
-def _sphere_ns_pairs(cfg: SectorConfig, l: int, m: int):
-    """Half-integer mode pairs and their projection coefficients onto Q_{lm}."""
     l2cut = cfg.l2_cut
+    if cfg.z_sector == "R":
+        for l1 in range(l2cut // 2 + 1):
+            for m1 in range(-l1, l1 + 1):
+                m2 = m - m1
+                for l2 in range(abs(m2), l2cut // 2 + 1):
+                    c = table.get(l1, m1, l2, m2, l)
+                    if c != 0.0:
+                        yield (2 * l1, 2 * m1, 0), (2 * l2, 2 * m2, 0), m1, c
+        return
     for l1d in range(1, l2cut + 1, 2):
         for m1d in range(-l1d, l1d + 1, 2):
             m2d = 2 * m - m1d
@@ -222,4 +165,17 @@ def _sphere_ns_pairs(cfg: SectorConfig, l: int, m: int):
                             Fraction(l1d, 2), Fraction(m1d, 2), e1,
                             Fraction(l2d, 2), Fraction(m2d, 2), e2, l, m)
                         if abs(c) > 1e-14:
-                            yield l1d, m1d, e1, l2d, m2d, e2, c
+                            yield ((l1d, m1d, e1), (l2d, m2d, e2), m1d / 2,
+                                   0.5 * c)
+
+
+def sphere_T(rep: LieAlgebraRep, a: int, l: int, m: int, cfg: SectorConfig,
+             table: StructureTable) -> ModeOperator:
+    """Current generator T^a at target (l, m) on the sphere."""
+    return _current(rep, a, cfg, _sphere_pairs(cfg, table, l, m))
+
+
+def sphere_L(l: int, m: int, cfg: SectorConfig,
+             table: StructureTable) -> ModeOperator:
+    """Virasoro generator at target (l, m) on the sphere."""
+    return _virasoro(cfg, _sphere_pairs(cfg, table, l, m), (l, m) == (0, 0))

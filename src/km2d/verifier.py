@@ -918,14 +918,17 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     probes = probe_states(cfg, window)
     if not probes:
         raise ValueError(f"window {window.describe()} holds no probe state")
+    # the tasks' pairs are exactly modes x modes: guard them before the
+    # ~3 N^2 task tuples exist, so a window that fails does so at once
+    reach = _probe_reach(probes)
+    for mode1 in modes:
+        for mode2 in modes:
+            alg.guard(reach, mode1, mode2)
     tasks = [("TT", 1, 2, m1, m2) for m1 in modes for m2 in modes]
     tasks += [("LL", None, None, m1, m2)
               for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
     tasks += [("LT", 1, 1, m1, m2)
               for m1 in modes for m2 in modes]
-    reach = _probe_reach(probes)
-    for family, a, b, mode1, mode2 in tasks:
-        alg.guard(reach, mode1, mode2)
     # a configuration that cannot measure its charges fails here, before
     # any bracket is checked
     charges, charge_pairs = alg.charges(central_method)

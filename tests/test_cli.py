@@ -290,6 +290,9 @@ def _exit_code(args):
     ["car-check", "--geometry", "sphere", "--sectors", "NS,garbage"],
     ["car-check", "--geometry", "sphere", "--sectors", "R,R"],
     ["car-check", "--geometry", "torus", "--sectors", "R"],
+    # the other geometry's cutoff flags are not read, so they are rejected
+    ["car-check", "--geometry", "sphere", "--cutoff-m", "5/2"],
+    ["car-check", "--geometry", "torus", "--cutoff-l", "2"],
     ["verify-torus", "--sectors", "R,R,R"],
     # a negative window bound admits no probe state
     ["verify-torus", "--window=-1,1,2", "--max-mode", "0"],
@@ -321,12 +324,13 @@ def test_bad_input_exits_one(args, capsys):
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def _km2d(args, stdout):
+def _km2d(args, stdout, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "km2d.cli", *args],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            preexec_fn=preexec_fn)
 
 
 def _assert_one_error_line(stderr: bytes):
@@ -374,6 +378,22 @@ def test_closed_pipe_exits_one():
     assert proc.wait(timeout=60) == 1
     _assert_one_error_line(stderr)
     assert b"Broken pipe" in stderr
+
+
+def test_window_guard_fails_before_the_sweep_is_built():
+    # max-mode 30 is 3721 modes, so the sweep would hold ~3.5e7 task tuples;
+    # the guard rejects the first pair before any of them exists.  The
+    # address-space limit keeps a run that builds them first bounded.
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = _km2d(["verify-torus", "--max-mode", "30"], subprocess.PIPE, limit)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and stdout == b""
+    _assert_one_error_line(stderr)
+    assert b"z reach 121/2 exceeds cutoff 9/2" in stderr
 
 
 def test_torus_sectors_need_two_labels(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from km2d.currents import (
 )
 from km2d.fock import sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
+from km2d.lie_core import build_so_adjoint
 from km2d.verifier import Window, probe_states
 
 H = Fraction(1, 2)
@@ -131,3 +133,43 @@ def test_sphere_target_validation(so3, table4):
     cfg = sphere_sector("R", 3, 4)
     with pytest.raises(ValueError):
         sphere_T(so3, 1, 0, 1, cfg, table4)
+
+
+# sha256 of the eps = 0 generators' terms, one repr line per operator: every
+# key, its order and every coefficient bit.  Sphere NS generators reach no
+# pinned report (verify-sphere stops at the charges), so they are pinned here.
+GENERATOR_DIGESTS = {
+    (3, "torus", "NS", "NS"): "4e7910e165006a56fccce2a388fbfadbbcde18711b7748628faff05ec9271cf6",
+    (3, "torus", "R", "R"): "e286118536ba62032bc9597b92016e682c50362a010262384f01f124e9942a27",
+    (3, "torus", "R", "NS"): "b2145540bb0c9ca33530a0f17893418662e26fb20a1986ac4811b6b8300675ff",
+    (3, "sphere", "R", 3): "cbff7a422cf1d968a2c480a88e6570c449d02fda0b484b0ea1eb03ec601594fe",
+    (3, "sphere", "NS", H * 3): "1d62c080e00e52cd3b8176c25e3de440c4e8504275d00d814e38659c872f6106",
+    (3, "sphere", "NS", H * 5): "fb1d454bd2111dc2cc6369a508f8e605e8415bcfb375b988b573afc3ad468347",
+    (4, "torus", "NS", "NS"): "d702560ba3d842aeb715d46f7aec17d0cf4adff157c5158380ff95fa7930fe10",
+    (4, "torus", "R", "R"): "1ea772c58cd64d3b2b4748bb573bd5c573edd6a72344fd24ae4d5a22cadac1bf",
+    (4, "torus", "R", "NS"): "f3fde51e101cdb20f1ec2e51ae08795348812568d718d4473917dae0e9143b17",
+    (4, "sphere", "R", 3): "25707dd2620c71e2337755ba67afc47c855bbd0687538990d94377a5486670ae",
+    (4, "sphere", "NS", H * 3): "79d260b50410e9980cc72adebfcde8ea72ec0fc6a624ef1def259948d7e6a4ab",
+    (4, "sphere", "NS", H * 5): "5e1812840aa7fff68b226e36bb02741b8414799635949630a5f1bc8fff09939d",
+}
+TORUS_CUTS = {"NS": H * 5, "R": 2}
+
+
+@pytest.mark.parametrize("key", GENERATOR_DIGESTS, ids=lambda k: "-".join(map(str, k)))
+def test_generator_terms_are_pinned(key):
+    n, geometry, z, last = key
+    rep = build_so_adjoint(n)
+    currents = range(1, len(rep.M) + 1)
+    if geometry == "torus":
+        cfg = torus_sector(z, last, rep.d, TORUS_CUTS[z], TORUS_CUTS[last])
+        modes = [(0, 0), (1, 0), (-1, 1), (2, -1)]
+        ops = [torus_T(rep, a, m, p, cfg) for m, p in modes for a in currents]
+        ops += [torus_L(m, p, cfg) for m, p in modes]
+    else:
+        cfg, table = sphere_sector(z, rep.d, last), structure_table(3)
+        targets = [(0, 0), (1, 1), (2, -1)]
+        ops = [sphere_T(rep, a, l, m, cfg, table) for l, m in targets
+               for a in currents]
+        ops += [sphere_L(l, m, cfg, table) for l, m in targets]
+    text = "\n".join(repr(list(op.terms.items())) for op in ops)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[key]
