@@ -409,14 +409,6 @@ def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
 # Operators
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {"cre": 0, "zero": 1, "ann": 2}
-
-
-def _order_rank(cfg: SectorConfig, mode: Mode):
-    """Sort key of CAR normal order: creators, zero modes, annihilators."""
-    return _KIND_RANK[cfg.classify(mode)], mode
-
-
 class ModeOperator:
     """Finite combination of ordered products of b operators (lazy action).
 
@@ -495,34 +487,6 @@ class ModeOperator:
                 accumulate(out, (z, x), ca * cb * ky)
             for (z, w), cb in by_second.get(cx, ()):
                 accumulate(out, (z, y), ca * cb * -kx)
-        return ModeOperator(cfg, out)
-
-    def normal_ordered(self) -> "ModeOperator":
-        """The same operator with every bilinear term in CAR normal order.
-
-        Creators stand left of zero modes and zero modes left of
-        annihilators; modes of one kind stand in sorted order.  A term out
-        of order is swapped, b_x b_y = -b_y b_x + {b_x, b_y}, and the pairing
-        joins the identity term; b_z b_z of a self-conjugate zero mode is
-        (1/2){b_z, b_z}, and b_x b_x of any other mode vanishes.  Terms of
-        other lengths are kept as they are.
-        """
-        cfg = self.cfg
-        out: dict = {}
-        for key, c in self.terms.items():
-            if len(key) == 2:
-                x, y = key
-                if x == y:
-                    k = cfg.car_pairing(x, x)
-                    if k:
-                        accumulate(out, (), c * k * Fraction(1, 2))
-                    continue
-                if _order_rank(cfg, y) < _order_rank(cfg, x):
-                    k = cfg.car_pairing(x, y)
-                    if k:
-                        accumulate(out, (), c * k)
-                    key, c = (y, x), -1 * c
-            accumulate(out, key, c)
         return ModeOperator(cfg, out)
 
     # -- application -------------------------------------------------------

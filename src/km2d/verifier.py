@@ -5,11 +5,11 @@ states far enough below the mode cutoffs that every contributing lattice
 term of the commutator survives truncation.  The rule is stated once, as
 the adapters' ``compare_bounds`` margins: the ``guard`` keeps every probe
 mode inside them, and a term is compared when the modes it touches lie
-inside them, the only terms a probe can see.  A torus bracket of nonzero
-total mode is certified by ``TorusEngine`` from one-particle coefficients
-on the box of lattice pairs inside the margins.  Zero-total brackets, every
-sphere bracket and any bracket the engine does not clear go through the
-Fock path, ``_bracket_job``, which filters with ``_exact_terms`` and is
+inside them, the only terms a probe can see.  Every torus bracket is
+certified by ``TorusEngine`` from one-particle coefficients on the box of
+lattice pairs inside the margins, its c-number by the vacuum trace.  Every
+sphere bracket and any torus bracket the engine does not clear go through
+the Fock path, ``_bracket_job``, which filters with ``_exact_terms`` and is
 the engine's oracle in the tests.  Central terms are never read
 from raw truncated commutators (their coincident-point multiplicity grows
 with the angular cutoff); they come from the regulated pipeline:
@@ -175,10 +175,6 @@ class TorusAlgebra(_Algebra):
     """Builds torus generators; mode functions multiply by adding labels."""
 
     kappa_bound = 1e-9          # least bound on the [L, T] refit deviation
-    # the residual is compared in CAR normal order, which folds the
-    # commutator's terms into a few; its coefficients are dyadic, so the
-    # reordering sums them exactly
-    normal_order = True
 
     def engine(self, probes) -> "TorusEngine":
         return TorusEngine(self, probes)
@@ -220,12 +216,8 @@ class TorusAlgebra(_Algebra):
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
         if key not in self._ops:
-            m, p = mode
-            if kind == "T":
-                o = torus_T(self.rep, a, m, p, self.cfg)
-            else:
-                o = torus_L(m, p, self.cfg)
-            self._ops[key] = o
+            self._ops[key] = (torus_T(self.rep, a, *mode, self.cfg)
+                              if kind == "T" else torus_L(*mode, self.cfg))
         return self._ops[key]
 
     def _targets(self, mode1, mode2) -> list:
@@ -273,9 +265,6 @@ class SphereAlgebra(_Algebra):
     """Builds sphere generators; mode functions multiply by the table."""
 
     kappa_bound = 1e-8          # table entries carry quadrature round-off
-    # table coefficients are not dyadic: reordering would re-round the
-    # residuals, so they are compared as the commutator leaves them
-    normal_order = False
 
     def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep,
                  table: StructureTable):
@@ -332,12 +321,9 @@ class SphereAlgebra(_Algebra):
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
         if key not in self._ops:
-            l, m = mode
-            if kind == "T":
-                o = sphere_T(self.rep, a, l, m, self.cfg, self.table)
-            else:
-                o = sphere_L(l, m, self.cfg, self.table)
-            self._ops[key] = o
+            self._ops[key] = (
+                sphere_T(self.rep, a, *mode, self.cfg, self.table)
+                if kind == "T" else sphere_L(*mode, self.cfg, self.table))
         return self._ops[key]
 
     def _targets(self, mode1, mode2) -> list:
@@ -684,7 +670,7 @@ def _generators(family, a, b):
 
 
 class TorusEngine:
-    """Certifies torus brackets of nonzero total mode from one-particle stacks.
+    """Certifies torus brackets from one-particle stacks.
 
     A torus generator X of mode t is sum_{x,y} S_{xy} b_x b_y plus a
     c-number, with S antisymmetric and nonzero only on pairs y = t - x that
@@ -693,9 +679,10 @@ class TorusEngine:
     S[x] = (scale/2) (F(n) - F(m - n)^T) with F and scale from
     ``torus_symbol``.  The CAR give [Q(A), Q(B)] = Q(2 (P - P^T)) plus a
     c-number, where P[x] = A[x] @ B[x - t_A]; so the residual of a bracket
-    of total mode T != 0 is the stack 2 (P[x] - P[T - x]^T) - R[x], R the
-    stack of the right-hand side.  A pair of nonzero total is never a
-    conjugate pair, so no c-number is left.
+    of total mode T is the stack 2 (P[x] - P[T - x]^T) - R[x], R the stack
+    of the right-hand side.  A pair of nonzero total is never a conjugate
+    pair, so no c-number is left; at T = 0 it is the vacuum trace
+    ``_vacuum_trace``, which a zero stack leaves on every probe.
 
     The stack is compared on the box of x with x and T - x inside
     compare_bounds.  Every term the Fock path can see on a probe is there:
@@ -705,7 +692,7 @@ class TorusEngine:
     box, x - t_A and T - x lie inside the cutoffs, so truncation cuts no
     contraction route.  The coefficients are dyadic rationals times
     Gaussian integers, exact in complex128: a box of exact zeros means a
-    Fock residual of exactly 0 on every probe.
+    residual of exactly 0 on every probe.
     """
 
     def __init__(self, alg: TorusAlgebra, probes):
@@ -775,25 +762,27 @@ class TorusEngine:
             D = D - scale * self.stack(kind, c, mode)[zs, qs]
         return not D.any()
 
-    def job(self, family, a, b, mode1, mode2, tol) -> Optional[BracketResult]:
+    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
+            central_tol) -> Optional[BracketResult]:
         """The bracket's result, or None where the Fock path must decide.
 
-        A zero-total bracket carries a central term and takes the Fock
-        path, as does one with a nonzero compared coefficient.  Otherwise
-        the result is the one ``_bracket_job`` gives: residual 0.0 and, as
-        no residual is left on any probe, the rule's own coefficient from
-        the [L, T] refit.
+        A bracket with a nonzero compared coefficient takes the Fock path.
+        Otherwise the result is the one ``_bracket_job`` gives: residual 0.0,
+        the rule's own [L, T] coefficient where the refit has a probe, and
+        at zero total the vacuum trace as raw central (0.0 for LT, as the
+        trace of M^a vanishes).
         """
         alg = self.alg
-        if (alg.zero_total(mode1, mode2)
-                or not self.residual_vanishes(family, a, b, mode1, mode2)):
+        if not self.residual_vanishes(family, a, b, mode1, mode2):
             return None
-        kappa = None
+        kappa = raw_central = None
         if self.kappa_measured(family, a, b, mode1, mode2):
             kappa = float(-alg.z_mode(mode2))
-        return BracketResult(_lhs_label(alg, family, a, b, mode1, mode2),
-                             _rhs_label(alg, family, a, b, mode1, mode2),
-                             0.0, None, None, None, 0.0 <= tol, kappa)
+        if alg.zero_total(mode1, mode2):
+            raw_central = 0.0 if family == "LT" else _vacuum_trace(
+                family, alg.rep, a or 1, b or 1, mode1[0], mode1[1], alg.cfg)
+        return _result(alg, family, a, b, mode1, mode2, 0.0, raw_central,
+                       kappa, tol, central_lookup, central_tol)
 
     def kappa_measured(self, family, a, b, mode1, mode2) -> bool:
         """Whether the Fock path's [L, T] refit has a probe to fit on.
@@ -803,7 +792,9 @@ class TorusEngine:
         there.  Distinct pairs of one nonzero total reach distinct states,
         up to two zero modes of one spinor bit, whose real and imaginary
         Clifford units cannot cancel on the purely imaginary coefficients
-        of T; so a term that acts leaves a nonzero image.
+        of T; so a term that acts leaves a nonzero image.  At T = 0 a pair
+        (x, -x) is a flavour rotation at one oscillator, which acts when the
+        probe holds x in one flavour and not in the other.
         """
         if family != "LT":
             return False
@@ -828,8 +819,6 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         D = D - rhs
     margins = alg.compare_bounds(mode1, mode2)
     D = _exact_terms(D, margins)
-    if alg.normal_order:
-        D = D.normal_ordered()
     zero_tot = alg.zero_total(mode1, mode2)
 
     # independent refit of the [L, T] coefficient against the unit RHS
@@ -866,17 +855,24 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         kappa = (knum / kden).real + field_coeff
 
     raw_central = None
-    central_measured = None
-    central_expected = None
     if zero_tot:
         mean = sum(diags) / len(diags) if diags else 0j
         spread = max((abs(v - mean) for v in diags), default=0.0)
         residual = max(residual, spread, abs(mean.imag))
         raw_central = mean.real
+    return _result(alg, family, a, b, mode1, mode2, residual, raw_central,
+                   kappa, tol, central_lookup, central_tol, worst_state)
+
+
+def _result(alg, family, a, b, mode1, mode2, residual, raw_central, kappa,
+            tol, central_lookup, central_tol,
+            worst_state=None) -> BracketResult:
+    """The BracketResult; a raw central marks a zero-total bracket."""
+    central_measured = central_expected = None
+    passed = residual <= tol
+    if raw_central is not None:
         central_expected = alg.central_expected(family, a, b, mode1, mode2)
         central_measured = central_lookup(family, a, b, mode1, mode2)
-    passed = residual <= tol
-    if central_measured is not None:
         passed = passed and abs(central_measured - central_expected) <= central_tol
     offender = (render_state(worst_state, alg.cfg)
                 if (not passed and worst_state is not None) else None)
@@ -903,13 +899,19 @@ def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+# The most brackets one sweep may hold: torus max-mode 5 at cutoffs 21/2
+# (36,663 brackets) takes about 9 s and 140 MB on a 2-vCPU machine.
+MAX_SWEEP_BRACKETS = 100_000
+
+
 def _certify(alg, window: Window, size: int, tol: float, central_method: str,
              central_tol: float) -> CommutatorReport:
     """Certify the bracket relations of one geometry on a safe window.
 
     Sweeps all pairs of the adapter's mode grid of the given size for the
     three bracket families, measures the regulated central charges, and
-    refits the [L, T] coefficient independently.
+    refits the [L, T] coefficient independently.  A sweep of more than
+    MAX_SWEEP_BRACKETS brackets raises ValueError.
     """
     modes = alg.modes(size)
     if not modes:
@@ -919,8 +921,15 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     if not probes:
         raise ValueError(f"window {window.describe()} holds no probe state")
     # the tasks' pairs are exactly modes x modes: guard them before the
-    # ~3 N^2 task tuples exist, so a window that fails does so at once
+    # task tuples exist, so a window that fails does so at once; the
+    # torus's widest pair first, so that it is named before the sweep size
     reach = _probe_reach(probes)
+    alg.guard(reach, modes[0], modes[0])
+    n = len(modes)
+    n_brackets = 2 * n * n + n * (n + 1) // 2       # TT, LT; LL for i <= j
+    if n_brackets > MAX_SWEEP_BRACKETS:
+        raise ValueError(f"a sweep of {n_brackets} brackets at size {size} "
+                         f"exceeds the limit of {MAX_SWEEP_BRACKETS}")
     for mode1 in modes:
         for mode2 in modes:
             alg.guard(reach, mode1, mode2)
@@ -940,11 +949,12 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
             return 0.0
         return alg.central(family, a, b, mode1, mode2, central_method)
 
-    # the Fock path measures the centrals and reports every residual the
-    # engine does not clear
+    # the engine decides every torus bracket it clears; the Fock path
+    # decides the rest and every sphere bracket
     engine = alg.engine(probes)
     report.brackets = [
-        (engine and engine.job(family, a, b, mode1, mode2, tol))
+        (engine and engine.job(family, a, b, mode1, mode2, tol,
+                               central_lookup, central_tol))
         or _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
                         central_lookup, central_tol)
         for family, a, b, mode1, mode2 in tasks]

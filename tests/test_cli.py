@@ -396,6 +396,24 @@ def test_window_guard_fails_before_the_sweep_is_built():
     assert b"z reach 121/2 exceeds cutoff 9/2" in stderr
 
 
+def test_oversized_sweep_is_refused_up_front():
+    # max-mode 30 at cutoffs 129/2 passes the window guard, and its
+    # 34,616,463 brackets would not fit in the address-space limit; the
+    # count is refused before the guard loop or any task exists
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = _km2d(["verify-torus", "--max-mode", "30", "--cutoff-m", "129/2",
+                  "--cutoff-p", "129/2"], subprocess.PIPE, limit)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and stdout == b""
+    _assert_one_error_line(stderr)
+    assert b"34616463 brackets at size 30 exceeds the limit of 100000" \
+        in stderr
+
+
 def test_torus_sectors_need_two_labels(capsys):
     assert main(["car-check", "--geometry", "torus", "--sectors", "R"]) == 1
     assert capsys.readouterr().err == "error: --sectors needs 'z,angular'\n"
@@ -437,8 +455,10 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # abstract sphere Jacobi check, of the structure table as CSV and JSON, of
 # sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
 # modes, and of torus runs with a second representation (d = 6) and with a
-# mixed sector, of the raw-divergence scan, and of the default torus run
-# (1575 brackets, 63 of them on the Fock path)
+# mixed sector, of the raw-divergence scan, of the default torus run
+# (1575 brackets, 63 of them zero-total), and of three more torus runs
+# whose zero-total brackets the engine decides: the mixed NS,R sector, the
+# eps-extrapolated centrals, and so(4) on R,R (six zero modes)
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -466,6 +486,14 @@ PINNED_REPORTS = [
      "e5ce5c6feb59b4da6af2d55698597250f9a21b01f6f266e177b945f226261292"),
     (["verify-torus"],
      "e0b3fdd12580319c2ccd85e7ae7c77f9688229a70b70cc694c8e8442faaa8ea0"),
+    (["verify-torus", "--sectors", "NS,R", "--cutoff-m", "9/2", "--cutoff-p",
+      "4", "--max-mode", "1"],
+     "f0b89f368e94109739a66da80350d67ddf9933a7089165b56accac6e416878f0"),
+    (["verify-torus", "--method", "eps", "--max-mode", "1"],
+     "8d7209657706b6cfbccdcaedbc7475bddd136c35500972f526b108e29153e4a9"),
+    (["verify-torus", "--sectors", "R,R", "--cutoff-m", "4", "--cutoff-p",
+      "4", "--rep", "so4-adjoint", "--max-mode", "1"],
+     "ada86ea161eb776a18bc6d4c5879ab2836458da7266d555a581d084980d48921"),
 ]
 
 
@@ -473,7 +501,8 @@ PINNED_REPORTS = [
                          ids=["torus", "sphere", "torus-rr", "sphere-abstract",
                               "table-csv", "table-json", "sphere-r-l6",
                               "sphere-r-l5", "torus-so4", "torus-rns",
-                              "raw-scan", "torus-default"])
+                              "raw-scan", "torus-default", "torus-nsr",
+                              "torus-eps", "torus-rr-so4"])
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from km2d.currents import torus_L, torus_T
 from km2d.fock import (
     CLIFFORD_UNITS,
     FockState,
@@ -21,7 +20,6 @@ from km2d.fock import (
     vacuum_states,
 )
 from km2d.scalars import INV_SQRT2, SqrtTwoScalar
-from oracles import exact_operator
 
 H = Fraction(1, 2)
 
@@ -278,33 +276,6 @@ def test_normal_ordering_zero_z_symmetrized():
             x, y = cfg.mode(1, m1, H), cfg.mode(1, m2, -H)
             out = ModeOperator(cfg, normal_ordered(cfg, x, y)).apply_state(vac)
             assert out.get(vac, 0) == 0
-
-
-KIND_RANK = {"cre": 0, "zero": 1, "ann": 2}
-
-
-@pytest.mark.parametrize("z,cut", [("NS", Fraction(3, 2)), ("R", 1)])
-def test_car_normal_order_acts_alike(so3, z, cut):
-    # the reordered operator has the same exact image on every basis state;
-    # the zero-total brackets carry the pairings of conjugate modes, and R,R
-    # adds the zero modes and their squares
-    cfg = torus_sector(z, z, 3, cut, cut)
-    T = [exact_operator(torus_T(so3, a, m, p, cfg))
-         for a, m, p in ((1, 1, 0), (1, -1, 0), (2, 0, -1))]
-    L = [exact_operator(torus_L(m, p, cfg)) for m, p in ((1, 1), (-1, -1))]
-    ops = [T[0], T[2], L[1], T[0].commutator(T[1]), T[1].commutator(T[2]),
-           L[0].commutator(L[1]), L[0].commutator(T[2]) - T[0]]
-    basis = enumerate_states(cfg, max_z2=2 * cut, max_particles=2)
-    folded = 0
-    for op in ops:
-        ordered = op.normal_ordered()
-        folded += len(op.terms) - len(ordered.terms)
-        for key in ordered.terms:
-            ranks = [(KIND_RANK[cfg.classify(m)], m) for m in key]
-            assert ranks == sorted(set(ranks))
-        for s in basis:
-            assert ordered.apply_state(s) == op.apply_state(s)
-    assert folded > 0
 
 
 def test_out_of_cutoff_is_structured_error():

@@ -423,7 +423,7 @@ def test_guard_accepts_only_exact_brackets(so3, bracket):
 
 
 # ---------------------------------------------------------------------------
-# the normal-ordered torus residual against the Fock path
+# the engine's normal-ordered torus residual against the Fock path
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -435,7 +435,7 @@ def rep_brackets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(rep_brackets())
-# the R,R bracket whose unordered diagonal differs by one rounding
+# the R,R bracket whose Fock diagonal differs by one rounding across probes
 @example(bracket=(SO3, torus_sector("R", "R", 3, 2, 1), Window.of(0, 1, 1),
                   "LL", None, None, (-1, 0), (1, 0)))
 # so(4) on R,R: six zero modes, a measured [L, T] refit
@@ -445,9 +445,12 @@ def rep_brackets(draw):
 # one: the only term of T^1_{1,0} that would reach it is blocked
 @example(bracket=(SO3, torus_sector("NS", "NS", 3, 9 * H, 9 * H),
                   Window.of(2, 1, 2), "LT", 1, 1, (0, 0), (1, 0)))
+# a zero-total [L, T] bracket with a measured refit
+@example(bracket=(SO3, torus_sector("NS", "NS", 3, 5 * H, 5 * H),
+                  Window.of(1, 1, 2), "LT", 2, 2, (1, 0), (-1, 0)))
 def test_normal_ordered_residual_matches_fock_path(bracket):
-    # the unordered residual, applied term by term, is the oracle of the
-    # normal-ordered one, and _bracket_job is the oracle of the engine
+    # _bracket_job is the oracle of the engine, on every bracket the guard
+    # accepts, zero-total ones with their raw centrals included
     from km2d.verifier import (_assemble_rhs, _bracket_job, _exact_terms,
                                _probe_reach, _vacuum_trace)
 
@@ -458,66 +461,43 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
         alg.guard(_probe_reach(probes), mode1, mode2)
     except WindowViolationError:
         assume(False)
-    if family == "TT":
-        A, B = alg.op("T", a, mode1), alg.op("T", b, mode2)
-    else:
-        A = alg.op("L", None, mode1)
-        B = alg.op("L" if family == "LL" else "T", b, mode2)
-    D = A.commutator(B)
-    rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
-    if rhs is not None:
-        D = D - rhs
-    unordered = _exact_terms(D, alg.compare_bounds(mode1, mode2))
-    ordered = unordered.normal_ordered()
-    tol = 1e-15 if cfg.zero_modes else 0.0
-    for probe in probes:
-        diff = unordered.apply_state(probe)
-        for s, c in ordered.apply_state(probe).items():
-            diff.add_term(s, -c)
-        assert diff.max_abs() <= tol
-
-    args = (family, a, b, mode1, mode2, probes, 1e-12, lambda *args: 0.0,
-            1e9)
-    new = _bracket_job(alg, *args)
+    args = (family, a, b, mode1, mode2)
+    lookup = (lambda *args: 0.0, 1e9)
+    fock = _bracket_job(alg, *args, probes, 1e-12, *lookup)
     engine = alg.engine(probes)
-    got = engine.job(family, a, b, mode1, mode2, 1e-12)
+    # on the true algebra every compared coefficient vanishes
+    assert engine.residual_vanishes(*args)
+    got = engine.job(*args, 1e-12, *lookup)
+    assert got.residual == 0.0
+    assert engine.kappa_measured(*args) == (fock.kappa is not None)
     if alg.zero_total(mode1, mode2):
-        assert got is None                  # a central term: the Fock path
         # the raw central is the one-particle vacuum trace
-        if family == "LT":
-            assert new.raw_central == 0.0
-        else:
-            assert repr(new.raw_central) == repr(_vacuum_trace(
-                family, rep, a or 1, b or 1, mode1[0], mode1[1], cfg))
+        trace = 0.0 if family == "LT" else _vacuum_trace(
+            family, rep, a or 1, b or 1, mode1[0], mode1[1], cfg)
+        assert repr(got.raw_central) == repr(trace)
     else:
-        # on the true algebra every compared coefficient vanishes, and the
-        # engine's result is the Fock path's, byte for byte in a report
-        assert engine.residual_vanishes(family, a, b, mode1, mode2)
-        assert new.residual == 0.0
-        assert engine.kappa_measured(family, a, b, mode1, mode2) == \
-            (new.kappa is not None)
-        assert json.dumps(got.to_dict()) == json.dumps(new.to_dict())
-        if new.kappa is not None:
-            # probe by probe, as the refit's w_op sees them: a probe set
-            # need not hold every state with one particle taken out
-            w_op = _exact_terms(rhs.scaled(1.0 / -mode2[0]),
-                                alg.compare_bounds(mode1, mode2))
-            for probe in probes:
-                assert alg.engine([probe]).kappa_measured(
-                    family, a, b, mode1, mode2) == \
-                    (w_op.apply_state(probe).norm2() > 1e-12)
-
-    alg.normal_order = False            # the unordered comparison
-    old = _bracket_job(alg, *args)
-    assert new.passed == old.passed
-    for field in ("residual", "raw_central", "kappa"):
-        x, y = getattr(new, field), getattr(old, field)
-        if x is None or y is None:
-            assert x is y
-        elif cfg.zero_modes:
-            assert x == pytest.approx(y, abs=1e-15)
-        else:
-            assert repr(x) == repr(y)
+        assert got.raw_central is None
+    new, old = got.to_dict(), fock.to_dict()
+    if cfg.zero_modes:
+        # the Fock path applies the Clifford units 1/sqrt2 rounded, so a
+        # zero mode's square can read 0.5000000000000001
+        assert new.keys() == old.keys()
+        for key, x in new.items():
+            if isinstance(x, float):
+                assert x == pytest.approx(old[key], abs=1e-15)
+            else:
+                assert x == old[key]
+    else:
+        # the engine's result is the Fock path's, byte for byte in a report
+        assert json.dumps(new) == json.dumps(old)
+    if fock.kappa is not None:
+        # probe by probe, as the refit's w_op sees them: a probe set need
+        # not hold every state with one particle taken out
+        w_op = _exact_terms(_assemble_rhs(alg, *args).scaled(1.0 / -mode2[0]),
+                            alg.compare_bounds(mode1, mode2))
+        for probe in probes:
+            assert alg.engine([probe]).kappa_measured(*args) == \
+                (w_op.apply_state(probe).norm2() > 1e-12)
 
 
 class _WrongAlgebra(TorusAlgebra):
@@ -567,41 +547,50 @@ def test_engine_never_passes_a_wrong_algebra(so3, cfg, window, corruption):
     assert all(r.offending_state for r in failed if r.raw_central is None)
 
 
-def test_fock_path_only_for_zero_total_brackets(so3, nsns, monkeypatch):
-    # the engine certifies all 184 brackets of nonzero total; the Fock path
-    # takes the 23 zero-total ones and builds only their generators
+def test_passing_torus_sweep_never_takes_the_fock_path(so3, nsns,
+                                                      monkeypatch):
+    # the engine certifies all 207 brackets, the 23 zero-total ones with
+    # their centrals, on NS,NS and on R,R with its Clifford zero modes; no
+    # generator is built as a Fock operator
     import km2d.verifier as verifier
 
-    fock = []
-    real = verifier._bracket_job
+    def fock_path(*args):
+        raise AssertionError("the Fock path ran")
 
-    def recorded(alg, family, a, b, mode1, mode2, *rest):
-        fock.append(alg.zero_total(mode1, mode2))
-        return real(alg, family, a, b, mode1, mode2, *rest)
-
-    monkeypatch.setattr(verifier, "_bracket_job", recorded)
-    alg = TorusAlgebra(nsns, so3)
-    report = _certify(alg, Window.of(1, 1, 2), 1, 1e-9, "analytic", 1e-9)
-    assert report.passed and len(report.brackets) == 207
-    assert fock == [True] * 23
-    modes = alg.modes(1)
-    built = {(kind, a, m) for kind, a in (("T", 1), ("T", 2), ("L", None))
-             for m in modes} | {("T", 3, (0, 0))}
-    assert set(alg._ops) == built
+    monkeypatch.setattr(verifier, "_bracket_job", fock_path)
+    for cfg, window in ((nsns, Window.of(1, 1, 2)),
+                        (torus_sector("R", "R", 3, 2, 2), Window.of(0, 0, 2))):
+        alg = TorusAlgebra(cfg, so3)
+        report = _certify(alg, window, 1, 1e-9, "analytic", 1e-9)
+        assert report.passed and len(report.brackets) == 207
+        assert sum(r.raw_central is not None for r in report.brackets) == 23
+        assert alg._ops == {}
 
 
 def test_rr_zero_total_diagonal_is_exact(so3):
-    # unordered, the zero-mode squares leave -0.7500000000000001 on some of
-    # the 8 probes; in normal order they are exactly 1/2
-    from km2d.verifier import TorusAlgebra, _bracket_job
-
+    # the engine reads the diagonal as the vacuum trace, exactly -3/4 with
+    # residual 0.0; the Fock path applies the zero modes' squares as
+    # products of two rounded units 1/sqrt2, -0.7500000000000001 on some of
+    # the 8 probes
     cfg = torus_sector("R", "R", 3, 2, 1)
     probes = probe_states(cfg, Window.of(0, 1, 1))
     assert len(probes) == 8
-    res = _bracket_job(TorusAlgebra(cfg, so3), "LL", None, None, (-1, 0),
-                       (1, 0), probes, 0.0, lambda *args: 0.0, 1e9)
+    res = TorusAlgebra(cfg, so3).engine(probes).job(
+        "LL", None, None, (-1, 0), (1, 0), 0.0, lambda *args: 0.0, 1e9)
     assert res.residual == 0.0
     assert res.raw_central == -0.75
+
+
+def test_sweep_limit_counts_the_brackets(so3, nsns, monkeypatch):
+    # the limit is compared with the number of brackets the sweep checks
+    import km2d.verifier as verifier
+
+    monkeypatch.setattr(verifier, "MAX_SWEEP_BRACKETS", 207)
+    report = check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=1)
+    assert len(report.brackets) == 207
+    monkeypatch.setattr(verifier, "MAX_SWEEP_BRACKETS", 206)
+    with pytest.raises(ValueError, match="sweep of 207 brackets"):
+        check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=1)
 
 
 def test_window_without_probes_is_rejected(so3, nsns):
