@@ -284,49 +284,28 @@ def _check_rep(args):
 def _cmd_verify_torus(args) -> int:
     rep = _check_rep(args)
     if args.cutoff_m <= 0 or args.cutoff_p <= 0:
-        sys.stderr.write("error: cutoffs must be positive\n")
-        return EXIT_USAGE
-    try:
-        z, ang = _torus_sectors(args.sectors)
-        cfg = torus_sector(z, ang, rep.d, args.cutoff_m, args.cutoff_p)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        raise ValueError("cutoffs must be positive")
+    z, ang = _torus_sectors(args.sectors)
+    cfg = torus_sector(z, ang, rep.d, args.cutoff_m, args.cutoff_p)
     method = {"eps": "eps_extrapolated"}.get(args.method, args.method)
-    try:
-        report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
-                                     max_mode=args.max_mode,
-                                     central_method=method)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    report = check_torus_algebra(cfg, rep, args.window, tol=args.tol,
+                                 max_mode=args.max_mode,
+                                 central_method=method)
     _write_report(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_verify_sphere(args) -> int:
     rep = _check_rep(args)
-    try:
-        cfg = sphere_sector(_sphere_sector(args.sectors), rep.d, args.cutoff_l)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    cfg = sphere_sector(_sphere_sector(args.sectors), rep.d, args.cutoff_l)
     l_min = math.ceil(args.cutoff_l)
     l_max = args.lmax if args.lmax is not None else l_min
     if l_max < l_min:
-        sys.stderr.write("error: --lmax below --cutoff-l\n")
-        return EXIT_USAGE
+        raise ValueError("--lmax below --cutoff-l")
     table = structure_table(l_max)
-    try:
-        report = check_sphere_realization(
-            cfg, rep, table, args.window, tol=args.tol, max_l=args.max_l,
-            central_tol=args.central_tol)
-    except UnresolvedPrescriptionError as exc:
-        sys.stderr.write(f"unresolved prescription: {exc}\n")
-        return EXIT_UNRESOLVED
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    report = check_sphere_realization(
+        cfg, rep, table, args.window, tol=args.tol, max_l=args.max_l,
+        central_tol=args.central_tol)
     _write_report(report.to_dict(), args.output)
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -334,9 +313,8 @@ def _cmd_verify_sphere(args) -> int:
 def _cmd_sphere_abstract(args) -> int:
     rep = _check_rep(args)
     if args.lmax < 3 * args.l_probe:
-        sys.stderr.write(f"error: need --lmax >= {3 * args.l_probe} "
-                         f"for --l-probe {args.l_probe}\n")
-        return EXIT_USAGE
+        raise ValueError(f"need --lmax >= {3 * args.l_probe} "
+                         f"for --l-probe {args.l_probe}")
     table = structure_table(args.lmax)
     report = check_sphere_abstract(table, rep, l_probe=args.l_probe,
                                    tol=args.tol)
@@ -366,13 +344,10 @@ def _cmd_structure_constants(args) -> int:
 
 def _cmd_regularization(args) -> int:
     rep = _check_rep(args)
-    rows = []
-    rows.append({"descriptor": "torus NS", "pole": 0.5,
-                 "finite_part": heat_sum_finite_part(HeatSum(1, 0.0))[1],
-                 "delta_reg0": delta_reg_zero("torus", "NS")})
-    rows.append({"descriptor": "torus R", "pole": 0.5,
-                 "finite_part": heat_sum_finite_part(HeatSum(1, -0.5))[1],
-                 "delta_reg0": delta_reg_zero("torus", "R")})
+    rows = [{"descriptor": f"torus {sector}", "pole": 0.5,
+             "finite_part": heat_sum_finite_part(HeatSum(1, shift))[1],
+             "delta_reg0": delta_reg_zero("torus", sector)}
+            for sector, shift in (("NS", 0.0), ("R", -0.5))]
     for m in args.sphere_m:
         a_m = solve_a_m(m)
         hs = HeatSum(2, 2 * abs(m) + a_m)
@@ -421,24 +396,19 @@ def _cmd_car_check(args) -> int:
              {"--cutoff-m": args.cutoff_m, "--cutoff-p": args.cutoff_p})
     for flag, value in other.items():
         if value is not None:
-            sys.stderr.write(f"error: {flag} does not apply to --geometry "
-                             f"{args.geometry}\n")
-            return EXIT_USAGE
-    try:
-        if args.geometry == "torus":
-            z, ang = _torus_sectors(args.sectors or "NS,NS")
-            m_cut, p_cut = (Fraction(3, 2) if c is None else c
-                            for c in (args.cutoff_m, args.cutoff_p))
-            cfg = torus_sector(z, ang, args.d, m_cut, p_cut)
-        else:
-            z = _sphere_sector(args.sectors or "NS")
-            l_cut = args.cutoff_l
-            if l_cut is None:
-                l_cut = Fraction(1) if z == "R" else Fraction(3, 2)
-            cfg = sphere_sector(z, args.d, l_cut)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+            raise ValueError(f"{flag} does not apply to --geometry "
+                             f"{args.geometry}")
+    if args.geometry == "torus":
+        z, ang = _torus_sectors(args.sectors or "NS,NS")
+        m_cut, p_cut = (Fraction(3, 2) if c is None else c
+                        for c in (args.cutoff_m, args.cutoff_p))
+        cfg = torus_sector(z, ang, args.d, m_cut, p_cut)
+    else:
+        z = _sphere_sector(args.sectors or "NS")
+        l_cut = args.cutoff_l
+        if l_cut is None:
+            l_cut = Fraction(1) if z == "R" else Fraction(3, 2)
+        cfg = sphere_sector(z, args.d, l_cut)
     residual = check_car(cfg)
     payload = {"task": "car-check", "sector": cfg.describe(),
                "max_residual": residual, "pass": residual <= 1e-14}
@@ -472,7 +442,7 @@ def main(argv=None) -> int:
     except WindowViolationError as exc:
         sys.stderr.write(f"error: window/cutoff combination invalid: {exc}\n")
         return EXIT_USAGE
-    except _OutputError as exc:
+    except (_OutputError, ValueError) as exc:   # bad input or --output
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except MemoryError as exc:      # e.g. a quadrature for a huge --lmax

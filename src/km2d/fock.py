@@ -184,13 +184,12 @@ class SectorConfig:
             if self.z_sector == "R" and mode.eta != 0:
                 raise ValueError("sphere R modes carry no eta label")
 
-    def in_cutoff(self, mode: Mode) -> bool:
-        if self.geometry == "torus":
-            return abs(mode.k1) <= self.m2_cut and abs(mode.k2) <= self.p2_cut
-        return mode.k1 <= self.l2_cut
-
     def require_in_cutoff(self, mode: Mode) -> None:
-        if not self.in_cutoff(mode):
+        if self.geometry == "torus":
+            inside = abs(mode.k1) <= self.m2_cut and abs(mode.k2) <= self.p2_cut
+        else:
+            inside = mode.k1 <= self.l2_cut
+        if not inside:
             raise OutOfCutoffError(mode, self)
 
     # -- ordering, conjugation, pairing ------------------------------------
@@ -509,7 +508,14 @@ class ModeOperator:
     def _build_groups(self):
         groups: dict = {}
         depth = 0
+        torus = self.cfg.geometry == "torus"
         for key, c in self.terms.items():
+            if (torus and len(key) == 2 and key[0] == key[1]
+                    and self.cfg.classify(key[0]) == "zero"):
+                # b_z b_z = 1/2, exact on the torus's dyadic coefficients,
+                # where two rounded units 1/sqrt2 read 0.5000000000000001;
+                # sphere coefficients carry round-off and keep that product
+                key, c = (), c * Fraction(1, 2)
             req = self._term_requirement(key)
             depth = max(depth, len(req))
             groups.setdefault(req, []).append((key, c))

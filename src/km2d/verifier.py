@@ -44,8 +44,8 @@ import numpy as np
 
 from .currents import (lam_constant, sphere_L, sphere_T, torus_L,
                        torus_symbol, torus_T)
-from .fock import (ModeOperator, SectorConfig, accumulate, enumerate_states,
-                   render_state, torus_sector)
+from .fock import (FockState, ModeOperator, SectorConfig, accumulate,
+                   enumerate_states, render_state, torus_sector)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
@@ -216,8 +216,12 @@ class TorusAlgebra(_Algebra):
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
         if key not in self._ops:
-            self._ops[key] = (torus_T(self.rep, a, *mode, self.cfg)
-                              if kind == "T" else torus_L(*mode, self.cfg))
+            m, p = mode
+            if kind == "T":
+                o = torus_T(self.rep, a, m, p, self.cfg)
+            else:
+                o = torus_L(m, p, self.cfg)
+            self._ops[key] = o
         return self._ops[key]
 
     def _targets(self, mode1, mode2) -> list:
@@ -321,9 +325,12 @@ class SphereAlgebra(_Algebra):
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
         if key not in self._ops:
-            self._ops[key] = (
-                sphere_T(self.rep, a, *mode, self.cfg, self.table)
-                if kind == "T" else sphere_L(*mode, self.cfg, self.table))
+            l, m = mode
+            if kind == "T":
+                o = sphere_T(self.rep, a, l, m, self.cfg, self.table)
+            else:
+                o = sphere_L(l, m, self.cfg, self.table)
+            self._ops[key] = o
         return self._ops[key]
 
     def _targets(self, mode1, mode2) -> list:
@@ -713,6 +720,9 @@ class TorusEngine:
         ann = (n2 > 0) | ((n2 == 0) & (q2 > 0))
         cre = (n2 < 0) | ((n2 == 0) & (q2 < 0))
         self._acts = np.where(ann, held, ~cre | ~held[:, ::-1, ::-1])
+        # a zero-mode bilinear acts on the spinor alone: the signs its two
+        # modes take past the oscillators cancel
+        self._spinors = sorted({FockState(p.sigma, ()) for p in probes})
 
     def stack(self, kind, a, mode) -> np.ndarray:
         """S of one generator as a (z, q, flavour, flavour) array."""
@@ -794,18 +804,34 @@ class TorusEngine:
         Clifford units cannot cancel on the purely imaginary coefficients
         of T; so a term that acts leaves a nonzero image.  At T = 0 a pair
         (x, -x) is a flavour rotation at one oscillator, which acts when the
-        probe holds x in one flavour and not in the other.
+        probe holds x in one flavour and not in the other.  The zero modes
+        pair only with each other there: their pairs are a spin rotation of
+        the probe's spinor, whose terms can cancel on a basis spinor (so(4)
+        on R,R), so that rotation is applied to the probes' spinors.
         """
         if family != "LT":
             return False
+        cfg = self.alg.cfg
         zs, qs = self._box(mode1, mode2)
         acts = self._acts[:, zs, qs]
         partner = acts[:, ::-1, ::-1]
-        return any(
-            (acts[..., :, None] & partner[..., None, :]
-             & (self.stack(kind, c, mode)[zs, qs] != 0)).any()
-            for _, kind, c, mode in self.alg.rhs_terms(family, a, b,
-                                                       mode1, mode2))
+        spin = self.alg.zero_total(mode1, mode2) and cfg.zero_modes
+        iz, iq = cfg.m2_cut // 2, cfg.p2_cut // 2        # the point (0, 0)
+        for _, kind, c, mode in self.alg.rhs_terms(family, a, b,
+                                                   mode1, mode2):
+            S = self.stack(kind, c, mode)
+            hit = acts[..., :, None] & partner[..., None, :] & (S[zs, qs] != 0)
+            if spin:
+                hit[:, iz - zs.start, iq - qs.start] = False
+                R, zm = S[iz, iq], cfg.zero_modes   # flavour i + 1 is zm[i]
+                rotation = ModeOperator(cfg, {(zm[i], zm[j]): complex(R[i, j])
+                                              for i, j in zip(*R.nonzero())})
+                if any(rotation.apply_state(s).norm2() > 1e-12
+                       for s in self._spinors):
+                    return True
+            if hit.any():
+                return True
+        return False
 
 
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
@@ -920,16 +946,14 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     probes = probe_states(cfg, window)
     if not probes:
         raise ValueError(f"window {window.describe()} holds no probe state")
-    # the tasks' pairs are exactly modes x modes: guard them before the
-    # task tuples exist, so a window that fails does so at once; the
-    # torus's widest pair first, so that it is named before the sweep size
-    reach = _probe_reach(probes)
-    alg.guard(reach, modes[0], modes[0])
     n = len(modes)
     n_brackets = 2 * n * n + n * (n + 1) // 2       # TT, LT; LL for i <= j
     if n_brackets > MAX_SWEEP_BRACKETS:
         raise ValueError(f"a sweep of {n_brackets} brackets at size {size} "
                          f"exceeds the limit of {MAX_SWEEP_BRACKETS}")
+    # the tasks' pairs are exactly modes x modes: guard them before the
+    # task tuples exist, so a window that fails does so at once
+    reach = _probe_reach(probes)
     for mode1 in modes:
         for mode2 in modes:
             alg.guard(reach, mode1, mode2)

@@ -381,19 +381,19 @@ def test_closed_pipe_exits_one():
 
 
 def test_window_guard_fails_before_the_sweep_is_built():
-    # max-mode 30 is 3721 modes, so the sweep would hold ~3.5e7 task tuples;
-    # the guard rejects the first pair before any of them exists.  The
+    # max-mode 6 is 169 modes, 71,487 brackets, under the sweep limit; the
+    # guard rejects the first pair before any task tuple exists.  The
     # address-space limit keeps a run that builds them first bounded.
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = _km2d(["verify-torus", "--max-mode", "30"], subprocess.PIPE, limit)
+    proc = _km2d(["verify-torus", "--max-mode", "6"], subprocess.PIPE, limit)
     stdout, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 1 and stdout == b""
     _assert_one_error_line(stderr)
-    assert b"z reach 121/2 exceeds cutoff 9/2" in stderr
+    assert b"z reach 25/2 exceeds cutoff 9/2" in stderr
 
 
 def test_oversized_sweep_is_refused_up_front():

@@ -94,6 +94,17 @@ def test_car_zero_modes():
         assert not cross
 
 
+def test_zero_mode_square_is_exactly_half():
+    # on the torus b_z b_z is applied as 1/2: a float coefficient halves
+    # exactly, where two rounded units 1/sqrt2 read 0.5000000000000001
+    cfg = torus_sector("R", "R", 3, 1, 1)
+    for s in enumerate_states(cfg, max_z2=2, max_particles=2):
+        for i in (1, 2, 3):
+            z = cfg.mode(i, 0, 0)
+            out = ModeOperator(cfg, {(z, z): 1.0}).apply_state(s)
+            assert dict(out) == {s: 0.5}
+
+
 def test_car_sphere_twist():
     cfg = sphere_sector("R", 1, 2)
     vac = vacuum_states(cfg)[0]

@@ -405,9 +405,13 @@ def torus_brackets(draw, rep=SO3):
                   "LL", None, None, (1, 1), (-1, -1)))
 @example(bracket=(torus_sector("NS", "NS", 3, 5 * H, 3 * H), Window(3, 3, 2),
                   "TT", 2, 2, (1, -1), (-1, 1)))
+# an R,R zero-total bracket whose zero-mode squares read 1.1e-16 when applied
+# as two rounded units 1/sqrt2
+@example(bracket=(torus_sector("R", "R", 3, 2, 1), Window(1, 3, 2),
+                  "LL", None, None, (-1, 0), (1, 0)))
 def test_guard_accepts_only_exact_brackets(so3, bracket):
     # whenever the guard accepts, truncation leaves no residual, also with
-    # Clifford zero modes, whose squares normal order makes exact
+    # Clifford zero modes, whose squares the Fock path applies as exactly 1/2
     from km2d.verifier import TorusAlgebra, _bracket_job, _probe_reach
 
     cfg, window, family, a, b, mode1, mode2 = bracket
@@ -448,6 +452,10 @@ def rep_brackets(draw):
 # a zero-total [L, T] bracket with a measured refit
 @example(bracket=(SO3, torus_sector("NS", "NS", 3, 5 * H, 5 * H),
                   Window.of(1, 1, 2), "LT", 2, 2, (1, 0), (-1, 0)))
+# so(4) on R,R at zero total with only the spinors 0 and 7 as probes: the
+# zero modes' spin rotation by T^3 cancels on both, so nothing is refitted
+@example(bracket=(SO4, torus_sector("R", "R", 6, 2, 1), Window(0, 0, 1),
+                  "LT", 3, 3, (-1, 0), (1, 0)))
 def test_normal_ordered_residual_matches_fock_path(bracket):
     # _bracket_job is the oracle of the engine, on every bracket the guard
     # accepts, zero-total ones with their raw centrals included
@@ -477,19 +485,8 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
         assert repr(got.raw_central) == repr(trace)
     else:
         assert got.raw_central is None
-    new, old = got.to_dict(), fock.to_dict()
-    if cfg.zero_modes:
-        # the Fock path applies the Clifford units 1/sqrt2 rounded, so a
-        # zero mode's square can read 0.5000000000000001
-        assert new.keys() == old.keys()
-        for key, x in new.items():
-            if isinstance(x, float):
-                assert x == pytest.approx(old[key], abs=1e-15)
-            else:
-                assert x == old[key]
-    else:
-        # the engine's result is the Fock path's, byte for byte in a report
-        assert json.dumps(new) == json.dumps(old)
+    # the engine's result is the Fock path's, byte for byte in a report
+    assert json.dumps(got.to_dict()) == json.dumps(fock.to_dict())
     if fock.kappa is not None:
         # probe by probe, as the refit's w_op sees them: a probe set need
         # not hold every state with one particle taken out
@@ -569,16 +566,21 @@ def test_passing_torus_sweep_never_takes_the_fock_path(so3, nsns,
 
 def test_rr_zero_total_diagonal_is_exact(so3):
     # the engine reads the diagonal as the vacuum trace, exactly -3/4 with
-    # residual 0.0; the Fock path applies the zero modes' squares as
-    # products of two rounded units 1/sqrt2, -0.7500000000000001 on some of
-    # the 8 probes
+    # residual 0.0; so does the Fock path, which applies the zero modes'
+    # squares as 1/2 (two rounded units 1/sqrt2 read -0.7500000000000001 on
+    # some of the 8 probes)
+    from km2d.verifier import _bracket_job
+
     cfg = torus_sector("R", "R", 3, 2, 1)
     probes = probe_states(cfg, Window.of(0, 1, 1))
     assert len(probes) == 8
-    res = TorusAlgebra(cfg, so3).engine(probes).job(
-        "LL", None, None, (-1, 0), (1, 0), 0.0, lambda *args: 0.0, 1e9)
-    assert res.residual == 0.0
-    assert res.raw_central == -0.75
+    alg = TorusAlgebra(cfg, so3)
+    args = ("LL", None, None, (-1, 0), (1, 0))
+    lookup = (lambda *args: 0.0, 1e9)
+    for res in (alg.engine(probes).job(*args, 0.0, *lookup),
+                _bracket_job(alg, *args, probes, 0.0, *lookup)):
+        assert res.residual == 0.0
+        assert res.raw_central == -0.75
 
 
 def test_sweep_limit_counts_the_brackets(so3, nsns, monkeypatch):
