@@ -267,17 +267,12 @@ def _check_rep(args):
     try:
         rep = get_rep(args.rep)
     except (KeyError, ValueError) as exc:
-        sys.stderr.write(f"error: --rep {args.rep}: {exc.args[0]}\n")
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"--rep {args.rep}: {exc.args[0]}") from None
     if args.d is not None and args.d != rep.d:
-        sys.stderr.write(
-            f"error: --d {args.d} does not match representation "
-            f"{args.rep} with d={rep.d}\n")
-        sys.exit(EXIT_USAGE)
-    check = validate_rep(rep)
-    if not check.passed:
-        sys.stderr.write(f"error: representation {args.rep} invalid\n")
-        sys.exit(EXIT_USAGE)
+        raise ValueError(f"--d {args.d} does not match representation "
+                         f"{args.rep} with d={rep.d}")
+    if not validate_rep(rep).passed:
+        raise ValueError(f"representation {args.rep} invalid")
     return rep
 
 

@@ -5,14 +5,20 @@ states far enough below the mode cutoffs that every contributing lattice
 term of the commutator survives truncation.  The rule is stated once, as
 the adapters' ``compare_bounds`` margins: the ``guard`` keeps every probe
 mode inside them, and a term is compared when the modes it touches lie
-inside them, the only terms a probe can see.  Every torus bracket is
-certified by ``TorusEngine`` from one-particle coefficients on the box of
-lattice pairs inside the margins, its c-number by the vacuum trace.  Every
-sphere bracket and any torus bracket the engine does not clear go through
-the Fock path, ``_bracket_job``, which filters with ``_exact_terms`` and is
-the engine's oracle in the tests.  Central terms are never read
-from raw truncated commutators (their coincident-point multiplicity grows
-with the angular cutoff); they come from the regulated pipeline:
+inside them, the only terms a probe can see.  Brackets are certified from
+one-particle coefficients, by one engine per geometry, on the pairs of
+modes inside the margins.  ``TorusEngine`` clears a torus bracket whose
+compared coefficients are exactly 0 (residual 0.0).  ``SphereEngine`` clears
+a sphere bracket whose largest compared coefficient, its residual, is at
+most tol; the structure table carries quadrature round-off.  At zero total
+the raw central is the oscillator vacuum trace of the bracket.  A bracket
+an engine does not clear goes through the Fock path, ``_bracket_job``,
+which applies the bilinears to the probe states, filters with
+``_exact_terms``, and reports the largest probe amplitude as residual and
+the worst state; it is the engines' oracle in the tests.  Central terms
+are never read from raw truncated commutators (their coincident-point
+multiplicity grows with the angular cutoff); they come from the regulated
+pipeline:
 
     central = (one-dimensional mode anomaly, an exact one-particle vacuum
                trace on a degenerate single-angular-mode sector)
@@ -42,9 +48,9 @@ from typing import Optional
 
 import numpy as np
 
-from .currents import (lam_constant, sphere_L, sphere_T, torus_L,
-                       torus_symbol, torus_T)
-from .fock import (FockState, ModeOperator, SectorConfig, accumulate,
+from .currents import (_sphere_pairs, lam_constant, sphere_L, sphere_T,
+                       torus_L, torus_symbol, torus_T)
+from .fock import (FockState, Mode, ModeOperator, SectorConfig, accumulate,
                    enumerate_states, render_state, torus_sector)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
@@ -131,9 +137,6 @@ class _Algebra:
         self.cfg = cfg
         self.rep = rep
         self._ops: dict = {}
-
-    def engine(self, probes):
-        return None             # the Fock path decides every bracket
 
     def lt_variant(self, kappas, tol) -> dict:
         return {}
@@ -274,6 +277,9 @@ class SphereAlgebra(_Algebra):
                  table: StructureTable):
         super().__init__(cfg, rep)
         self.table = table
+
+    def engine(self, probes) -> "SphereEngine":
+        return SphereEngine(self, probes)
 
     def modes(self, max_l: int) -> list:
         return [(l, m) for l in range(max_l + 1) for m in range(-l, l + 1)]
@@ -676,6 +682,63 @@ def _generators(family, a, b):
             ("L", None) if family == "LL" else ("T", b))
 
 
+class _ProbeModes:
+    """Which one-particle modes act on each probe, over a flat mode index.
+
+    An annihilator acts when the probe holds its oscillator, a creator when
+    the probe leaves its conjugate free, a zero mode always.  This decides
+    whether the Fock path's [L, T] refit has a probe to fit on, for both
+    engines.
+    """
+
+    def __init__(self, cfg: SectorConfig, probes, modes):
+        self.cfg = cfg
+        self.modes = modes
+        index = {m: k for k, m in enumerate(modes)}
+        held = np.zeros((len(probes), len(modes)), bool)
+        for s, probe in enumerate(probes):
+            held[s, [index[m] for m in probe.occ]] = True
+        kind = np.array([cfg.classify(m) for m in modes])
+        conj = [index[cfg.conj(m)] for m in modes]
+        acts = np.where(kind == "ann", held, (kind != "cre") | ~held[:, conj])
+        self.zero = kind == "zero"
+        # the squared amplitude a mode leaves on each probe: 0 where it does
+        # not act, 1/2 for a zero mode (a Clifford unit 1/sqrt2), else 1
+        self.weight = acts * np.where(self.zero, 0.5, 1.0)
+        # a zero-mode bilinear acts on the spinor alone: the signs its two
+        # modes take past the oscillators cancel
+        self.sigmas = [p.sigma for p in probes]
+
+    def refit_has_probe(self, rows, cols, coeffs) -> bool:
+        """Whether the Fock path's [L, T] refit has a probe to fit on.
+
+        The refit's operator is w = sum_k coeffs[k] b_{rows[k]} b_{cols[k]},
+        the compared pairs of the right-hand side, with an antisymmetric
+        coefficient listed in both orders.  It has a probe when the images
+        w|probe> have a squared norm above 1e-12 in sum, as in
+        ``_bracket_job``.  A term with both its modes acting moves a probe
+        by 2 |coeff|, times 1/sqrt2 per zero mode.  Distinct pairs reach
+        distinct states, up to two zero modes of one spinor bit, whose real
+        and imaginary Clifford units are orthogonal on the purely imaginary
+        coefficients of T; so the squared norms add.  At zero total the zero
+        modes pair only with each other: their pairs are a spin rotation of
+        the probe's spinor, whose terms can cancel on a basis spinor (so(4)
+        on the torus R,R), so that rotation is applied to the spinors.
+        """
+        spin = self.zero[rows] & self.zero[cols]
+        norm2 = 0.0
+        if spin.any():
+            rotation = ModeOperator(self.cfg, {
+                (self.modes[r], self.modes[c]): complex(w)
+                for r, c, w in zip(rows[spin], cols[spin], coeffs[spin])})
+            spinor = {s: rotation.apply_state(FockState(s, ())).norm2()
+                      for s in set(self.sigmas)}
+            norm2 = sum(spinor[s] for s in self.sigmas)
+            coeffs = np.where(spin, 0.0, coeffs)
+        weight = self.weight[:, rows] * self.weight[:, cols]
+        return norm2 + 2 * float(np.sum(weight * np.abs(coeffs) ** 2)) > 1e-12
+
+
 class TorusEngine:
     """Certifies torus brackets from one-particle stacks.
 
@@ -708,21 +771,12 @@ class TorusEngine:
         self.z2 = np.array(cfg.z_lattice())
         self.q2 = np.array(cfg.angular_lattice())
         self._stacks: dict = {}
-        # whether the mode (z, q, flavour) acts on each probe: an annihilator
-        # needs its oscillator held, a creator needs its conjugate (the
-        # mirrored lattice point) free, a zero mode always acts
-        held = np.zeros((len(probes), len(self.z2), len(self.q2), cfg.d), bool)
-        for s, probe in enumerate(probes):
-            for m in probe.occ:
-                held[s, (m.k1 + cfg.m2_cut) // 2, (m.k2 + cfg.p2_cut) // 2,
-                     m.i - 1] = True
-        n2, q2 = self.z2[:, None, None], self.q2[None, :, None]
-        ann = (n2 > 0) | ((n2 == 0) & (q2 > 0))
-        cre = (n2 < 0) | ((n2 == 0) & (q2 < 0))
-        self._acts = np.where(ann, held, ~cre | ~held[:, ::-1, ::-1])
-        # a zero-mode bilinear acts on the spinor alone: the signs its two
-        # modes take past the oscillators cancel
-        self._spinors = sorted({FockState(p.sigma, ()) for p in probes})
+        modes = [Mode(i, int(n2), int(q2), 0) for n2 in self.z2
+                 for q2 in self.q2 for i in range(1, cfg.d + 1)]
+        self.probe_modes = _ProbeModes(cfg, probes, modes)
+        # the flat index of each (z, q, flavour)
+        self._flat = np.arange(len(modes)).reshape(len(self.z2),
+                                                   len(self.q2), cfg.d)
 
     def stack(self, kind, a, mode) -> np.ndarray:
         """S of one generator as a (z, q, flavour, flavour) array."""
@@ -795,43 +849,153 @@ class TorusEngine:
                        kappa, tol, central_lookup, central_tol)
 
     def kappa_measured(self, family, a, b, mode1, mode2) -> bool:
-        """Whether the Fock path's [L, T] refit has a probe to fit on.
-
-        It has one when a compared term of the right-hand side acts on some
-        probe: a pair with nonzero coefficient whose two modes both act
-        there.  Distinct pairs of one nonzero total reach distinct states,
-        up to two zero modes of one spinor bit, whose real and imaginary
-        Clifford units cannot cancel on the purely imaginary coefficients
-        of T; so a term that acts leaves a nonzero image.  At T = 0 a pair
-        (x, -x) is a flavour rotation at one oscillator, which acts when the
-        probe holds x in one flavour and not in the other.  The zero modes
-        pair only with each other there: their pairs are a spin rotation of
-        the probe's spinor, whose terms can cancel on a basis spinor (so(4)
-        on R,R), so that rotation is applied to the probes' spinors.
-        """
+        """Whether the Fock path's [L, T] refit has a probe to fit on."""
         if family != "LT":
             return False
-        cfg = self.alg.cfg
+        rhs = self.alg.rhs_terms(family, a, b, mode1, mode2)
+        if not rhs:
+            return False
         zs, qs = self._box(mode1, mode2)
-        acts = self._acts[:, zs, qs]
-        partner = acts[:, ::-1, ::-1]
-        spin = self.alg.zero_total(mode1, mode2) and cfg.zero_modes
-        iz, iq = cfg.m2_cut // 2, cfg.p2_cut // 2        # the point (0, 0)
-        for _, kind, c, mode in self.alg.rhs_terms(family, a, b,
-                                                   mode1, mode2):
-            S = self.stack(kind, c, mode)
-            hit = acts[..., :, None] & partner[..., None, :] & (S[zs, qs] != 0)
-            if spin:
-                hit[:, iz - zs.start, iq - qs.start] = False
-                R, zm = S[iz, iq], cfg.zero_modes   # flavour i + 1 is zm[i]
-                rotation = ModeOperator(cfg, {(zm[i], zm[j]): complex(R[i, j])
-                                              for i, j in zip(*R.nonzero())})
-                if any(rotation.apply_state(s).norm2() > 1e-12
-                       for s in self._spinors):
-                    return True
-            if hit.any():
-                return True
-        return False
+        # the refit's unit right-hand side
+        W = sum(scale * self.stack(kind, c, mode)[zs, qs]
+                for scale, kind, c, mode in rhs) / -mode2[0]
+        z, q, i, j = np.nonzero(W)
+        flat = self._flat[zs, qs]
+        # reversing the box maps x to T - x
+        return self.probe_modes.refit_has_probe(
+            flat[z, q, i], flat[::-1, ::-1][z, q, j], W[z, q, i, j])
+
+
+class SphereEngine:
+    """Certifies sphere brackets from one-particle matrices.
+
+    Over the flat index x = (flavour, mode function (l, m)), a sphere
+    generator is (1/2) sum_{x,y} S_{xy} b_x b_y plus a c-number, with S an
+    antisymmetric flavour matrix times mode-function matrix, F (x) G.  With
+    C_{xy} the pair coefficients of ``_sphere_pairs`` and m the m of x:
+
+        T^a:  F = (i/2) M^a,  G = C + C^T
+        L:    F = 1,          G = A - A^T,  A = -(m/2) C.
+
+    K pairs (l, m) with (l, -m), twisted by (-1)^m: the CAR {b_x, b_y} =
+    K_{xy}.  They give [Q(S_A), Q(S_B)] = Q(S_A K S_B - S_B K S_A), so the
+    residual of a bracket is
+
+        D = F_A F_B (x) G_A K G_B - F_B F_A (x) G_B K G_A - sum of the rhs.
+
+    Its coefficient D_{xy} of x != y is the amplitude of b_x b_y, compared
+    where x and y lie inside compare_bounds, the torus engine's box rule:
+    a mode inside the margins pairs only with modes inside the cutoffs, so
+    truncation cuts no contraction route there.  The table carries
+    quadrature round-off, so the residual is the largest compared
+    coefficient; a bracket whose residual exceeds tol goes to the Fock
+    path, which reports its probe residual and offending state.  At zero
+    total the raw central is the oscillator vacuum trace
+
+        sum_{x ann} N_{x, conj x} K_x - (identity of the rhs),
+
+    N = (F_A F_B (x) G_A K G_B - F_B F_A (x) G_B K G_A) / 2, over every
+    mode inside the cutoffs; the torus's ``_vacuum_trace`` is the same sum.
+    """
+
+    def __init__(self, alg: SphereAlgebra, probes):
+        self.alg = alg
+        cfg = alg.cfg
+        modes = cfg.all_modes()
+        self.probe_modes = _ProbeModes(cfg, probes, modes)
+        # the mode functions, ordered by degree: those inside a margin are
+        # a leading block
+        funcs = [m for m in modes if m.i == 1]
+        self._index = {m[1:]: u for u, m in enumerate(funcs)}
+        self._k1 = np.array([m.k1 for m in funcs])
+        self._m = np.array([m.k2 / 2 for m in funcs])
+        # K maps row conj(x) to row x, with the twist of x
+        self._conj = np.array([self._index[cfg.conj(m)[1:]] for m in funcs])
+        self._twist = np.array([cfg.car_pairing(m, cfg.conj(m))
+                                for m in funcs])
+        self._ann = np.nonzero(self._m > 0)[0]
+        self._G: dict = {}
+
+    def flavour_matrix(self, kind, a) -> np.ndarray:
+        """F of a generator."""
+        if kind == "T":
+            return 0.5j * self.alg.rep.M[a - 1]
+        return np.eye(self.alg.cfg.d)
+
+    def mode_matrix(self, kind, mode) -> np.ndarray:
+        """G of a generator."""
+        if (kind, mode) not in self._G:
+            C = np.zeros((len(self._index),) * 2)
+            for x, y, _, c in _sphere_pairs(self.alg.cfg, self.alg.table,
+                                            *mode):
+                C[self._index[x], self._index[y]] = c
+            if kind == "L":
+                C = -(self._m[:, None] / 2) * C
+            self._G[kind, mode] = C + C.T if kind == "T" else C - C.T
+        return self._G[kind, mode]
+
+    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
+            central_tol) -> Optional[BracketResult]:
+        """The bracket's result, or None where the Fock path must decide.
+
+        The [L, T] coefficient is refitted by least squares on the compared
+        coefficients, where the Fock path's refit has a probe to fit on.
+        """
+        alg = self.alg
+        (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+        FA = self.flavour_matrix(kind_a, ia)
+        FB = self.flavour_matrix(kind_b, ib)
+        GA = self.mode_matrix(kind_a, mode1)
+        GB = self.mode_matrix(kind_b, mode2)
+        KGA, KGB = (self._twist[:, None] * G[self._conj] for G in (GA, GB))
+        n = int(np.count_nonzero(
+            self._k1 <= alg.compare_bounds(mode1, mode2)[0]))
+        rhs = alg.rhs_terms(family, a, b, mode1, mode2)
+        by_flavour: dict = {}
+        for scale, kind, c, mode in rhs:
+            G = scale * self.mode_matrix(kind, mode)[:n, :n]
+            by_flavour[kind, c] = by_flavour.get((kind, c), 0) + G
+        R = sum(_kron(self.flavour_matrix(*key), G)
+                for key, G in by_flavour.items())
+        # einsum, not BLAS: the round-off the report prints does not depend
+        # on the machine's BLAS kernel, and no BLAS buffer adds to peak memory
+        FAB, FBA = (np.einsum("ij,jk->ik", *F) for F in ((FA, FB), (FB, FA)))
+        D = (_kron(FAB, np.einsum("uv,vw->uw", GA[:n], KGB[:, :n]))
+             - _kron(FBA, np.einsum("uv,vw->uw", GB[:n], KGA[:, :n])) - R)
+        residual = float(np.abs(D).max())
+        if residual > tol:
+            return None
+        kappa = raw_central = None
+        field_coeff = -alg.z_mode(mode2)
+        if family == "LT" and rhs:
+            W = R / field_coeff
+            rows, cols = np.nonzero(W)
+            P = len(self._index)
+            if self.probe_modes.refit_has_probe(
+                    rows // n * P + rows % n, cols // n * P + cols % n,
+                    W[rows, cols] / 2):
+                # least squares of D + field_coeff W against W
+                kappa = field_coeff + float(np.sum(W.conj() * D).real
+                                            / np.sum(np.abs(W) ** 2))
+        if alg.zero_total(mode1, mode2):
+            ann, twist = self._ann, self._twist[self._ann]
+            bar = self._conj[ann]
+            lhs = (np.einsum("u,uv,vu->", twist, GA[ann], KGB[:, bar])
+                   - np.einsum("u,uv,vu->", twist, GB[ann], KGA[:, bar]))
+            trace = np.trace(FAB) * lhs / 2
+            identity = sum(scale for scale, kind, _, mode in rhs
+                           if kind == "L" and mode == (0, 0))
+            # + 0.0 turns the -0.0 an LT trace can read into 0.0
+            raw_central = (float(trace.real) - identity * lam_constant(alg.cfg)
+                           * alg.cfg.d) + 0.0
+        return _result(alg, family, a, b, mode1, mode2, residual, raw_central,
+                       kappa, tol, central_lookup, central_tol)
+
+
+def _kron(F, G) -> np.ndarray:
+    """F (x) G on the flat index (flavour, mode function)."""
+    return (F[:, None, :, None] * G[None, :, None, :]).reshape(
+        F.shape[0] * G.shape[0], -1)
 
 
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
@@ -973,8 +1137,7 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
             return 0.0
         return alg.central(family, a, b, mode1, mode2, central_method)
 
-    # the engine decides every torus bracket it clears; the Fock path
-    # decides the rest and every sphere bracket
+    # the engine decides every bracket it clears; the Fock path the rest
     engine = alg.engine(probes)
     report.brackets = [
         (engine and engine.job(family, a, b, mode1, mode2, tol,

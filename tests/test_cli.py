@@ -76,10 +76,10 @@ def test_usage_error_exits_one():
     assert exc.value.code == 1
 
 
-def test_d_mismatch_rejected():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-torus", "--rep", "so3-adjoint", "--d", "4"])
-    assert exc.value.code == 1
+def test_d_mismatch_rejected(capsys):
+    assert main(["verify-torus", "--rep", "so3-adjoint", "--d", "4"]) == 1
+    assert capsys.readouterr().err == ("error: --d 4 does not match "
+                                       "representation so3-adjoint with d=3\n")
 
 
 def test_regularization_table(capsys):
@@ -453,7 +453,7 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # sha256 of reports of the default configurations at two small sweep sizes,
 # of an R,R torus run (Clifford zero modes, exact R anomaly), of the
 # abstract sphere Jacobi check, of the structure table as CSV and JSON, of
-# sphere R runs with 21 (odd: the unpaired generator acts) and 18 zero
+# sphere R runs with 21 (odd: the unpaired generator acts), 18 and 27 zero
 # modes, and of torus runs with a second representation (d = 6) and with a
 # mixed sector, of the raw-divergence scan, of the default torus run
 # (1575 brackets, 63 of them zero-total), and of three more torus runs
@@ -463,7 +463,7 @@ PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "4", "--max-l", "1"],
-     "f6e9412a702393e21f7b45af8060ec14745938095915663e1d2ed670f3a5549e"),
+     "43bf1274ab09cccd71cb2854490cd744ffa2528baba88fbed792c845e334fea6"),
     (["verify-torus", "--sectors", "R,R", "--cutoff-m", "2", "--cutoff-p", "2",
       "--window", "0,0,2", "--max-mode", "1"],
      "78a54e6cde5c07b7acb510a35d591ac71a5900b9a1544f2ae7c9056aa1aa3c02"),
@@ -474,9 +474,9 @@ PINNED_REPORTS = [
     (["structure-constants", "--lmax", "4", "--format", "json"],
      "710dd8cfa9d2cded73adfd77cd6016fca32b463adebe58cb89ca70fb3f11fb87"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "6", "--max-l", "2"],
-     "51e3f07e4a3e79d583e47242c390687ce19cd9bf7a42993f37cee9db94800c94"),
+     "eccf0876d4b638510f1fb7c1a080c14b51f7bc48372b706892acc2cf88e049bd"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "5", "--max-l", "1"],
-     "5a4bebc47527f27d9217e39fcf6616599f886085a0a97b8a589d40ce6e96a4dd"),
+     "8dba36bc3c86fbe489a66f16287678eea682e23e728f81e55655e25c90260ab3"),
     (["verify-torus", "--rep", "so4-adjoint", "--max-mode", "1"],
      "7e43b0e3fdb6a6c7317efaf3291721fb8ffb96d65586a4c428bb114dd5555941"),
     (["verify-torus", "--sectors", "R,NS", "--cutoff-m", "4", "--cutoff-p",
@@ -494,19 +494,53 @@ PINNED_REPORTS = [
     (["verify-torus", "--sectors", "R,R", "--cutoff-m", "4", "--cutoff-p",
       "4", "--rep", "so4-adjoint", "--max-mode", "1"],
      "ada86ea161eb776a18bc6d4c5879ab2836458da7266d555a581d084980d48921"),
+    (["verify-sphere", "--sectors", "R", "--cutoff-l", "8", "--max-l", "3"],
+     "1cf375b39291a23ba270aebd58ab50a3cdedd6e0effdb8507443ebd5c390f877"),
 ]
+PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
+              "table-json", "sphere-r-l6", "sphere-r-l5", "torus-so4",
+              "torus-rns", "raw-scan", "torus-default", "torus-nsr",
+              "torus-eps", "torus-rr-so4", "sphere-r-l8"]
 
 
-@pytest.mark.parametrize("args,digest", PINNED_REPORTS,
-                         ids=["torus", "sphere", "torus-rr", "sphere-abstract",
-                              "table-csv", "table-json", "sphere-r-l6",
-                              "sphere-r-l5", "torus-so4", "torus-rns",
-                              "raw-scan", "torus-default", "torus-nsr",
-                              "torus-eps", "torus-rr-so4"])
+@pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)
 def test_report_bytes_are_pinned(args, digest, tmp_path):
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the pinned sphere reports, as sorted-key JSON, without the fields
+# that changed when the sphere brackets moved from probe states to
+# one-particle matrices: each bracket's residual (now the largest compared
+# coefficient), raw central (now the oscillator vacuum trace) and refitted
+# [L, T] coefficient, and the refit's largest deviation from the rule.
+# Taken from the reports of the Fock path; every verdict, label, central
+# value and count is the same.
+SPHERE_STRIPPED = {
+    "sphere":
+        "622ed73b21058bacbac07ca038d74b6577617b5c1c9fe2c237777e31b5a0922d",
+    "sphere-r-l5":
+        "9c05ccbdfe563d6b2ce5d8b8d62ffc9187b433c945a8f1907cba91911ed6c51b",
+    "sphere-r-l6":
+        "053715acf7378081a8b37cbf20183057000ae78e9ad98856e9e8254b99fad966",
+    "sphere-r-l8":
+        "3d27f821586de846b9c25a4ca4dd61d12f755be0655540d993634519a75a4f53",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_STRIPPED))
+def test_sphere_reports_keep_the_fock_path_fields(name, tmp_path):
+    args = PINNED_REPORTS[PINNED_IDS.index(name)][0]
+    out = tmp_path / "r.json"
+    assert main(args + ["--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    for bracket in report["brackets"]:
+        for key in ("residual", "raw_central", "kappa_measured"):
+            bracket.pop(key, None)
+    del report["lt_coefficient"]["max_deviation_from_rule"]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == SPHERE_STRIPPED[name]
 
 
 def test_raw_scan_table_is_pinned(capsys):

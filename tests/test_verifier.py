@@ -6,15 +6,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from km2d.currents import torus_L, torus_T
-from km2d.fock import ModeOperator, sphere_sector, torus_sector, vacuum_states
+from km2d.fock import (FockState, ModeOperator, sphere_sector, torus_sector,
+                       vacuum_states)
 from km2d.harmonics import structure_table
 from km2d.lie_core import build_so_adjoint
 from km2d.regulator import UnresolvedPrescriptionError
 from km2d.verifier import (
+    SphereAlgebra,
     TorusAlgebra,
     Window,
     WindowViolationError,
     _certify,
+    _probe_reach,
     central_raw_scan,
     check_sphere_abstract,
     check_sphere_realization,
@@ -655,3 +658,164 @@ def test_vacuum_trace_matches_fock_sandwich(so3, central, eps):
         assert trace == fock
     else:
         assert trace == pytest.approx(fock, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sphere engine against the Fock path
+# ---------------------------------------------------------------------------
+
+class _SphereFockOnly(SphereAlgebra):
+    def engine(self, probes):
+        return None
+
+
+def _fock_vacuum_value(alg, family, a, b, mode1, mode2) -> float:
+    """Real part of <0|[X, Y] - rhs|0>, every term of the commutator kept."""
+    from km2d.verifier import _assemble_rhs, _generators
+
+    (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+    D = alg.op(kind_a, ia, mode1).commutator(alg.op(kind_b, ib, mode2))
+    rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
+    if rhs is not None:
+        D = D - rhs
+    vacuum = FockState(0, ())
+    return complex(D.apply_state(vacuum).get(vacuum, 0)).real
+
+
+def _assert_engine_matches_fock(alg, tasks, got, fock, tol):
+    for (family, a, b, mode1, mode2), res, ref in zip(tasks, got, fock):
+        assert res.lhs == ref.lhs and res.rhs == ref.rhs
+        assert res.passed == ref.passed
+        assert res.residual <= tol and ref.residual <= tol
+        assert (res.kappa is None) == (ref.kappa is None)
+        if ref.kappa is not None:
+            assert abs(res.kappa - ref.kappa) <= 1e-12
+        assert (res.central_measured, res.central_expected) == \
+            (ref.central_measured, ref.central_expected)
+        if alg.zero_total(mode1, mode2):
+            # the engine's raw central is the oscillator vacuum trace, the
+            # unfiltered Fock vacuum value
+            assert abs(res.raw_central - _fock_vacuum_value(
+                alg, family, a, b, mode1, mode2)) <= 1e-12
+        else:
+            assert res.raw_central is None
+
+
+@pytest.mark.parametrize("l_cut,max_l", [(4, 1), (5, 1), (6, 2)])
+def test_sphere_engine_matches_fock_sweep(so3, l_cut, max_l):
+    # the pinned R sweeps: every bracket has the Fock path's verdict, its
+    # [L, T] refit where the Fock path has one, and the unfiltered Fock
+    # vacuum value as raw central
+    cfg = sphere_sector("R", 3, l_cut)
+    table = structure_table(l_cut)
+    window = Window.of(1, 1, 2)
+    args = (window, max_l, 1e-9, "analytic", 1e-8)
+    alg = SphereAlgebra(cfg, so3, table)
+    report = _certify(alg, *args)
+    fock = _certify(_SphereFockOnly(cfg, so3, table), *args)
+    modes = alg.modes(max_l)
+    tasks = [("TT", 1, 2, m1, m2) for m1 in modes for m2 in modes]
+    tasks += [("LL", None, None, m1, m2)
+              for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
+    tasks += [("LT", 1, 1, m1, m2) for m1 in modes for m2 in modes]
+    assert report.passed and fock.passed
+    _assert_engine_matches_fock(alg, tasks, report.brackets, fock.brackets,
+                                1e-9)
+    assert report.lt_summary["pairs_measured"] == \
+        fock.lt_summary["pairs_measured"]
+
+
+@st.composite
+def sphere_brackets(draw):
+    """A sphere R sector with degree cutoff 2 to 6, a window, one bracket."""
+    cfg = sphere_sector("R", 3, draw(st.integers(2, 6)))
+    window = Window(draw(st.integers(0, 4)), draw(st.sampled_from([0, 2, 4])),
+                    draw(st.integers(0, 2)))
+    family = draw(st.sampled_from(["TT", "LL", "LT"]))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if family == "LL":
+        a = b = None
+    elif family == "LT":
+        b = a
+
+    def mode():
+        l = draw(st.integers(0, 2))
+        return l, draw(st.integers(-l, l))
+
+    return cfg, window, family, a, b, mode(), mode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sphere_brackets())
+# a zero-total [L, T] bracket whose refit has probes
+@example(bracket=(sphere_sector("R", 3, 4), Window.of(1, 1, 2),
+                  "LT", 2, 2, (1, -1), (1, 1)))
+# probes that are vacua only: the refit sees the zero modes' spin rotation
+@example(bracket=(sphere_sector("R", 3, 4), Window(0, 0, 0),
+                  "LT", 1, 1, (2, -1), (1, 1)))
+def test_sphere_engine_matches_fock_bracket(so3, table8, bracket):
+    from km2d.verifier import _assemble_rhs, _bracket_job, _exact_terms
+
+    cfg, window, family, a, b, mode1, mode2 = bracket
+    alg = SphereAlgebra(cfg, so3, table8)
+    probes = probe_states(cfg, window)
+    try:
+        alg.guard(_probe_reach(probes), mode1, mode2)
+    except WindowViolationError:
+        assume(False)
+    args = (family, a, b, mode1, mode2)
+    lookup = (lambda *args: 0.0, 1e9)
+    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
+    assert got is not None
+    _assert_engine_matches_fock(alg, [args], [got], [fock], 1e-9)
+    if fock.kappa is not None:
+        # probe by probe, as the refit's w_op sees them
+        w_op = _exact_terms(_assemble_rhs(alg, *args).scaled(1.0 / -mode2[1]),
+                            alg.compare_bounds(mode1, mode2))
+        for probe in probes:
+            one = alg.engine([probe]).job(*args, 1e-9, *lookup)
+            assert (one.kappa is not None) == \
+                (w_op.apply_state(probe).norm2() > 1e-12)
+
+
+class _DroppedTerm(SphereAlgebra):
+    """The sphere adapter with the first right-hand-side term dropped."""
+
+    def rhs_terms(self, family, a, b, mode1, mode2):
+        return super().rhs_terms(family, a, b, mode1, mode2)[1:]
+
+
+def test_sphere_engine_declines_a_wrong_bracket(so3):
+    # [L(2,1), L(2,0)] closes on L(2,1) and L(4,1); without the first the
+    # engine declines, and the Fock path fails it on a probe state
+    from km2d.verifier import _bracket_job
+
+    cfg, table = sphere_sector("R", 3, 6), structure_table(6)
+    probes = probe_states(cfg, Window.of(1, 1, 2))
+    args = ("LL", None, None, (2, 1), (2, 0))
+    lookup = (lambda *args: 0.0, 1e9)
+    alg = _DroppedTerm(cfg, so3, table)
+    alg.guard(_probe_reach(probes), (2, 1), (2, 0))
+    assert len(SphereAlgebra(cfg, so3, table).rhs_terms(*args)) == 2
+    assert alg.engine(probes).job(*args, 1e-9, *lookup) is None
+    fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
+    assert not fock.passed and fock.residual > 1e-9
+    assert fock.offending_state
+
+
+def test_passing_sphere_sweep_never_takes_the_fock_path(so3, monkeypatch):
+    # the sphere-closure benchmark's sweep: no bracket goes through
+    # _bracket_job, no commutator is taken, no generator is a Fock operator
+    import km2d.verifier as verifier
+
+    def fock_path(*args):
+        raise AssertionError("the Fock path ran")
+
+    monkeypatch.setattr(verifier, "_bracket_job", fock_path)
+    monkeypatch.setattr(ModeOperator, "commutator", fock_path)
+    alg = SphereAlgebra(sphere_sector("R", 3, 6), so3, structure_table(6))
+    report = _certify(alg, Window.of(1, 1, 2), 2, 1e-9, "analytic", 1e-8)
+    assert report.passed and len(report.brackets) == 207
+    assert report.max_residual <= 1e-9
+    assert alg._ops == {}
