@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     except (_OutputError, ValueError) as exc:   # bad input or --output
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except MemoryError as exc:      # e.g. a quadrature for a huge --lmax
+    except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         sys.stderr.write(f"error: out of memory{detail}\n")
         return EXIT_USAGE

@@ -5,17 +5,16 @@ states far enough below the mode cutoffs that every contributing lattice
 term of the commutator survives truncation.  The rule is stated once, as
 the adapters' ``compare_bounds`` margins: the ``guard`` keeps every probe
 mode inside them, and a term is compared when the modes it touches lie
-inside them, the only terms a probe can see.  Brackets are certified from
-one-particle coefficients, by one engine per geometry, on the pairs of
-modes inside the margins.  ``TorusEngine`` clears a torus bracket whose
-compared coefficients are exactly 0 (residual 0.0).  ``SphereEngine`` clears
-a sphere bracket whose largest compared coefficient, its residual, is at
-most tol; the structure table carries quadrature round-off.  At zero total
-the raw central is the oscillator vacuum trace of the bracket.  A bracket
-an engine does not clear goes through the Fock path, ``_bracket_job``,
-which applies the bilinears to the probe states, filters with
-``_exact_terms``, and reports the largest probe amplitude as residual and
-the worst state; it is the engines' oracle in the tests.  Central terms
+inside them, the only terms a probe can see.  The engine of the geometry
+decides every bracket from one-particle coefficients, on the pairs of modes
+inside the margins: its residual is the largest compared coefficient of
+[Q(A), Q(B)] - rhs, exactly 0.0 for a true torus bracket and quadrature
+round-off on the sphere.  A failing bracket names a state on which its
+largest term acts, whether or not a probe holds it.  At zero total the raw
+central is the oscillator vacuum trace of the bracket.  The Fock path,
+``_bracket_job``, applies the bilinears to the probe states, filters with
+``_exact_terms`` and reports the largest probe amplitude; it certifies
+nothing and is the engines' oracle in the tests.  Central terms
 are never read from raw truncated commutators (their coincident-point
 multiplicity grows with the angular cutoff); they come from the regulated
 pipeline:
@@ -50,8 +49,8 @@ import numpy as np
 
 from .currents import (_sphere_pairs, lam_constant, sphere_L, sphere_T,
                        torus_L, torus_symbol, torus_T)
-from .fock import (FockState, Mode, ModeOperator, SectorConfig, accumulate,
-                   enumerate_states, render_state, torus_sector)
+from .fock import (FockState, Mode, ModeOperator, SectorConfig, _apply_b,
+                   accumulate, enumerate_states, render_state, torus_sector)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
@@ -622,20 +621,12 @@ class CommutatorReport:
     passed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "geometry": self.geometry,
-            "sectors": self.sectors,
-            "d": self.d,
-            "rep": self.rep,
-            "cutoffs": self.cutoffs,
-            "window": self.window,
-            "tol": self.tol,
-            "brackets": [b.to_dict() for b in self.brackets],
-            "charges": self.charges,
-            "lt_coefficient": self.lt_summary,
-            "pass": self.passed,
-        }
+        head = ("task", "geometry", "sectors", "d", "rep", "cutoffs",
+                "window", "tol")
+        return {**{key: getattr(self, key) for key in head},
+                "brackets": [b.to_dict() for b in self.brackets],
+                "charges": self.charges, "lt_coefficient": self.lt_summary,
+                "pass": self.passed}
 
     @property
     def max_residual(self) -> float:
@@ -686,9 +677,10 @@ class _ProbeModes:
     """Which one-particle modes act on each probe, over a flat mode index.
 
     An annihilator acts when the probe holds its oscillator, a creator when
-    the probe leaves its conjugate free, a zero mode always.  This decides
-    whether the Fock path's [L, T] refit has a probe to fit on, for both
-    engines.
+    the probe leaves its conjugate free, a zero mode always.  The engines
+    decide every bracket; this decides only whether an [L, T] coefficient
+    is measured, by the rule of the refit in ``_bracket_job``, the Fock
+    path that is the engines' oracle in the tests.
     """
 
     def __init__(self, cfg: SectorConfig, probes, modes):
@@ -739,8 +731,63 @@ class _ProbeModes:
         return norm2 + 2 * float(np.sum(weight * np.abs(coeffs) ** 2)) > 1e-12
 
 
-class TorusEngine:
-    """Certifies torus brackets from one-particle stacks.
+class _Engine:
+    """Decides every bracket of one geometry from one-particle coefficients.
+
+    A geometry's ``_compared`` hook returns the compared coefficients D of
+    [Q(A), Q(B)] - rhs, those R of the right-hand side, and the flat mode
+    indices x and y of each, all of one shape: the coefficient times
+    ``pair_scale`` is the amplitude of b_x b_y.  Its ``_vacuum_value`` hook
+    returns the raw central of a zero-total bracket.  One rule serves both:
+    the residual is the largest |D| and passes iff it is at most tol; the
+    [L, T] coefficient is the least-squares refit field + Re<W, D> / |W|^2
+    on W = R / field, where ``_ProbeModes`` says it is measured; a failing
+    bracket names a state that the term of its largest coefficient reaches,
+    whether or not a probe of the window holds it.
+    """
+
+    pair_scale = 1.0
+
+    def __init__(self, alg, probes, modes):
+        self.alg = alg
+        self.probe_modes = _ProbeModes(alg.cfg, probes, modes)
+
+    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
+            central_tol) -> BracketResult:
+        alg, cfg = self.alg, self.alg.cfg
+        rhs = alg.rhs_terms(family, a, b, mode1, mode2)
+        D, R, rows, cols = self._compared(family, a, b, mode1, mode2, rhs)
+        residual = float(np.abs(D).max()) if D.any() else 0.0
+        kappa = raw_central = None
+        field_coeff = -alg.z_mode(mode2)
+        if family == "LT" and rhs and field_coeff:
+            W = R / field_coeff
+            nz = np.nonzero(W)
+            if self.probe_modes.refit_has_probe(rows[nz], cols[nz],
+                                                W[nz] * self.pair_scale):
+                # least squares of D + field_coeff W against W; a zero D adds 0
+                kappa = field_coeff + (residual and float(
+                    np.sum(W.conj() * D).real / np.sum(np.abs(W) ** 2)))
+        if alg.zero_total(mode1, mode2):
+            raw_central = self._vacuum_value(family, a, b, mode1, mode2, rhs)
+        res = _result(alg, family, a, b, mode1, mode2, residual, raw_central,
+                      kappa, tol, central_lookup, central_tol)
+        if not res.passed and residual:
+            # b_x b_y|s> of the largest coefficient, spinor 0, s holding the
+            # oscillators the pair annihilates.  They act first, so the
+            # state exists: the two orders differ by a c-number and a sign.
+            at = np.unravel_index(np.argmax(np.abs(D)), D.shape)
+            pair = [self.probe_modes.modes[k[at]] for k in (rows, cols)]
+            state = FockState(0, tuple(sorted(
+                m for m in pair if cfg.classify(m) == "ann")))
+            for mode in sorted(pair, key=lambda m: cfg.classify(m) != "ann"):
+                state = _apply_b(cfg, mode, state)[1]
+            res.offending_state = render_state(state, cfg)
+        return res
+
+
+class TorusEngine(_Engine):
+    """Decides torus brackets from one-particle stacks.
 
     A torus generator X of mode t is sum_{x,y} S_{xy} b_x b_y plus a
     c-number, with S antisymmetric and nonzero only on pairs y = t - x that
@@ -750,33 +797,28 @@ class TorusEngine:
     ``torus_symbol``.  The CAR give [Q(A), Q(B)] = Q(2 (P - P^T)) plus a
     c-number, where P[x] = A[x] @ B[x - t_A]; so the residual of a bracket
     of total mode T is the stack 2 (P[x] - P[T - x]^T) - R[x], R the stack
-    of the right-hand side.  A pair of nonzero total is never a conjugate
-    pair, so no c-number is left; at T = 0 it is the vacuum trace
-    ``_vacuum_trace``, which a zero stack leaves on every probe.
-
+    of the right-hand side.  At T = 0 the c-number is ``_vacuum_trace``.
     The stack is compared on the box of x with x and T - x inside
-    compare_bounds.  Every term the Fock path can see on a probe is there:
-    ``_exact_terms`` keeps a term only if the modes it creates lie inside the
-    margins, and a term that annihilates a mode outside them is zero on
-    every probe, because the guard keeps the probes' modes inside.  On the
-    box, x - t_A and T - x lie inside the cutoffs, so truncation cuts no
-    contraction route.  The coefficients are dyadic rationals times
-    Gaussian integers, exact in complex128: a box of exact zeros means a
-    residual of exactly 0 on every probe.
+    compare_bounds, which holds every term the Fock path can see on a
+    probe (``_exact_terms``); on it, truncation cuts no contraction route.
+    The coefficients are dyadic rationals times Gaussian integers, exact in
+    complex128: a true bracket's residual is exactly 0.0, and its [L, T]
+    refit is the rule's own value.
     """
 
     def __init__(self, alg: TorusAlgebra, probes):
-        self.alg = alg
         cfg = alg.cfg
         self.z2 = np.array(cfg.z_lattice())
         self.q2 = np.array(cfg.angular_lattice())
         self._stacks: dict = {}
         modes = [Mode(i, int(n2), int(q2), 0) for n2 in self.z2
                  for q2 in self.q2 for i in range(1, cfg.d + 1)]
-        self.probe_modes = _ProbeModes(cfg, probes, modes)
-        # the flat index of each (z, q, flavour)
-        self._flat = np.arange(len(modes)).reshape(len(self.z2),
-                                                   len(self.q2), cfg.d)
+        super().__init__(alg, probes, modes)
+        # the flat indices of x = (z, q, i) and of (z, q, j) at each
+        # coefficient of a stack; reversing the box maps the second to y
+        flat = np.arange(len(modes)).reshape(len(self.z2), len(self.q2),
+                                             cfg.d, 1)
+        self._x, self._y = np.broadcast_arrays(flat, flat.swapaxes(-1, -2))
 
     def stack(self, kind, a, mode) -> np.ndarray:
         """S of one generator as a (z, q, flavour, flavour) array."""
@@ -809,8 +851,7 @@ class TorusEngine:
             out.append(slice((lo + cut) // 2, (hi + cut) // 2 + 1))
         return out
 
-    def residual_vanishes(self, family, a, b, mode1, mode2) -> bool:
-        """Whether every compared residual coefficient is exactly 0."""
+    def _compared(self, family, a, b, mode1, mode2, rhs):
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
         zs, qs = self._box(mode1, mode2)
         A = self.stack(kind_a, ia, mode1)[zs, qs]
@@ -819,55 +860,20 @@ class TorusEngine:
             zs.start - mode1[0]:zs.stop - mode1[0],
             qs.start - mode1[1]:qs.stop - mode1[1]]
         P = A @ B
+        R = sum([scale * self.stack(kind, c, mode)[zs, qs]
+                 for scale, kind, c, mode in rhs])
         # reversing the box maps x to T - x
-        D = 2 * (P - P[::-1, ::-1].swapaxes(-1, -2))
-        for scale, kind, c, mode in self.alg.rhs_terms(family, a, b,
-                                                       mode1, mode2):
-            D = D - scale * self.stack(kind, c, mode)[zs, qs]
-        return not D.any()
+        return (2 * (P - P[::-1, ::-1].swapaxes(-1, -2)) - R, R,
+                self._x[zs, qs], self._y[zs, qs][::-1, ::-1])
 
-    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
-            central_tol) -> Optional[BracketResult]:
-        """The bracket's result, or None where the Fock path must decide.
-
-        A bracket with a nonzero compared coefficient takes the Fock path.
-        Otherwise the result is the one ``_bracket_job`` gives: residual 0.0,
-        the rule's own [L, T] coefficient where the refit has a probe, and
-        at zero total the vacuum trace as raw central (0.0 for LT, as the
-        trace of M^a vanishes).
-        """
-        alg = self.alg
-        if not self.residual_vanishes(family, a, b, mode1, mode2):
-            return None
-        kappa = raw_central = None
-        if self.kappa_measured(family, a, b, mode1, mode2):
-            kappa = float(-alg.z_mode(mode2))
-        if alg.zero_total(mode1, mode2):
-            raw_central = 0.0 if family == "LT" else _vacuum_trace(
-                family, alg.rep, a or 1, b or 1, mode1[0], mode1[1], alg.cfg)
-        return _result(alg, family, a, b, mode1, mode2, 0.0, raw_central,
-                       kappa, tol, central_lookup, central_tol)
-
-    def kappa_measured(self, family, a, b, mode1, mode2) -> bool:
-        """Whether the Fock path's [L, T] refit has a probe to fit on."""
-        if family != "LT":
-            return False
-        rhs = self.alg.rhs_terms(family, a, b, mode1, mode2)
-        if not rhs:
-            return False
-        zs, qs = self._box(mode1, mode2)
-        # the refit's unit right-hand side
-        W = sum(scale * self.stack(kind, c, mode)[zs, qs]
-                for scale, kind, c, mode in rhs) / -mode2[0]
-        z, q, i, j = np.nonzero(W)
-        flat = self._flat[zs, qs]
-        # reversing the box maps x to T - x
-        return self.probe_modes.refit_has_probe(
-            flat[z, q, i], flat[::-1, ::-1][z, q, j], W[z, q, i, j])
+    def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
+        # 0.0 for [L, T], as the trace of M^a vanishes
+        return 0.0 if family == "LT" else _vacuum_trace(
+            family, self.alg.rep, a or 1, b or 1, *mode1, self.alg.cfg)
 
 
-class SphereEngine:
-    """Certifies sphere brackets from one-particle matrices.
+class SphereEngine(_Engine):
+    """Decides sphere brackets from one-particle matrices.
 
     Over the flat index x = (flavour, mode function (l, m)), a sphere
     generator is (1/2) sum_{x,y} S_{xy} b_x b_y plus a c-number, with S an
@@ -887,10 +893,8 @@ class SphereEngine:
     where x and y lie inside compare_bounds, the torus engine's box rule:
     a mode inside the margins pairs only with modes inside the cutoffs, so
     truncation cuts no contraction route there.  The table carries
-    quadrature round-off, so the residual is the largest compared
-    coefficient; a bracket whose residual exceeds tol goes to the Fock
-    path, which reports its probe residual and offending state.  At zero
-    total the raw central is the oscillator vacuum trace
+    quadrature round-off: a true bracket's residual is of order 1e-14.  At
+    zero total the raw central is the oscillator vacuum trace
 
         sum_{x ann} N_{x, conj x} K_x - (identity of the rhs),
 
@@ -898,11 +902,12 @@ class SphereEngine:
     mode inside the cutoffs; the torus's ``_vacuum_trace`` is the same sum.
     """
 
+    pair_scale = 0.5
+
     def __init__(self, alg: SphereAlgebra, probes):
-        self.alg = alg
         cfg = alg.cfg
         modes = cfg.all_modes()
-        self.probe_modes = _ProbeModes(cfg, probes, modes)
+        super().__init__(alg, probes, modes)
         # the mode functions, ordered by degree: those inside a margin are
         # a leading block
         funcs = [m for m in modes if m.i == 1]
@@ -934,62 +939,49 @@ class SphereEngine:
             self._G[kind, mode] = C + C.T if kind == "T" else C - C.T
         return self._G[kind, mode]
 
-    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
-            central_tol) -> Optional[BracketResult]:
-        """The bracket's result, or None where the Fock path must decide.
-
-        The [L, T] coefficient is refitted by least squares on the compared
-        coefficients, where the Fock path's refit has a probe to fit on.
-        """
-        alg = self.alg
+    def _products(self, family, a, b, mode1, mode2):
+        """F_A F_B, F_B F_A, G_A, G_B, K G_A and K G_B of a bracket."""
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
         FA = self.flavour_matrix(kind_a, ia)
         FB = self.flavour_matrix(kind_b, ib)
         GA = self.mode_matrix(kind_a, mode1)
         GB = self.mode_matrix(kind_b, mode2)
         KGA, KGB = (self._twist[:, None] * G[self._conj] for G in (GA, GB))
+        # einsum, not BLAS: the round-off the report prints does not depend
+        # on the machine's BLAS kernel, and no BLAS buffer adds to peak memory
+        FAB, FBA = (np.einsum("ij,jk->ik", *F) for F in ((FA, FB), (FB, FA)))
+        return FAB, FBA, GA, GB, KGA, KGB
+
+    def _compared(self, family, a, b, mode1, mode2, rhs):
+        FAB, FBA, GA, GB, KGA, KGB = self._products(family, a, b, mode1,
+                                                    mode2)
         n = int(np.count_nonzero(
-            self._k1 <= alg.compare_bounds(mode1, mode2)[0]))
-        rhs = alg.rhs_terms(family, a, b, mode1, mode2)
+            self._k1 <= self.alg.compare_bounds(mode1, mode2)[0]))
         by_flavour: dict = {}
         for scale, kind, c, mode in rhs:
             G = scale * self.mode_matrix(kind, mode)[:n, :n]
             by_flavour[kind, c] = by_flavour.get((kind, c), 0) + G
         R = sum(_kron(self.flavour_matrix(*key), G)
                 for key, G in by_flavour.items())
-        # einsum, not BLAS: the round-off the report prints does not depend
-        # on the machine's BLAS kernel, and no BLAS buffer adds to peak memory
-        FAB, FBA = (np.einsum("ij,jk->ik", *F) for F in ((FA, FB), (FB, FA)))
         D = (_kron(FAB, np.einsum("uv,vw->uw", GA[:n], KGB[:, :n]))
              - _kron(FBA, np.einsum("uv,vw->uw", GB[:n], KGA[:, :n])) - R)
-        residual = float(np.abs(D).max())
-        if residual > tol:
-            return None
-        kappa = raw_central = None
-        field_coeff = -alg.z_mode(mode2)
-        if family == "LT" and rhs:
-            W = R / field_coeff
-            rows, cols = np.nonzero(W)
-            P = len(self._index)
-            if self.probe_modes.refit_has_probe(
-                    rows // n * P + rows % n, cols // n * P + cols % n,
-                    W[rows, cols] / 2):
-                # least squares of D + field_coeff W against W
-                kappa = field_coeff + float(np.sum(W.conj() * D).real
-                                            / np.sum(np.abs(W) ** 2))
-        if alg.zero_total(mode1, mode2):
-            ann, twist = self._ann, self._twist[self._ann]
-            bar = self._conj[ann]
-            lhs = (np.einsum("u,uv,vu->", twist, GA[ann], KGB[:, bar])
-                   - np.einsum("u,uv,vu->", twist, GB[ann], KGA[:, bar]))
-            trace = np.trace(FAB) * lhs / 2
-            identity = sum(scale for scale, kind, _, mode in rhs
-                           if kind == "L" and mode == (0, 0))
-            # + 0.0 turns the -0.0 an LT trace can read into 0.0
-            raw_central = (float(trace.real) - identity * lam_constant(alg.cfg)
-                           * alg.cfg.d) + 0.0
-        return _result(alg, family, a, b, mode1, mode2, residual, raw_central,
-                       kappa, tol, central_lookup, central_tol)
+        # row k is flavour k // n and mode function k % n
+        flat = np.add.outer(len(self._index) * np.arange(len(D) // n),
+                            np.arange(n)).ravel()
+        return (D, R, *np.broadcast_arrays(flat[:, None], flat[None, :]))
+
+    def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
+        FAB, _, GA, GB, KGA, KGB = self._products(family, a, b, mode1, mode2)
+        ann, twist = self._ann, self._twist[self._ann]
+        bar = self._conj[ann]
+        lhs = (np.einsum("u,uv,vu->", twist, GA[ann], KGB[:, bar])
+               - np.einsum("u,uv,vu->", twist, GB[ann], KGA[:, bar]))
+        trace = np.trace(FAB) * lhs / 2
+        identity = sum(scale for scale, kind, _, mode in rhs
+                       if kind == "L" and mode == (0, 0))
+        # + 0.0 turns the -0.0 an LT trace can read into 0.0
+        return (float(trace.real) - identity * lam_constant(self.alg.cfg)
+                * self.alg.cfg.d) + 0.0
 
 
 def _kron(F, G) -> np.ndarray:
@@ -1137,14 +1129,10 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
             return 0.0
         return alg.central(family, a, b, mode1, mode2, central_method)
 
-    # the engine decides every bracket it clears; the Fock path the rest
     engine = alg.engine(probes)
-    report.brackets = [
-        (engine and engine.job(family, a, b, mode1, mode2, tol,
-                               central_lookup, central_tol))
-        or _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
-                        central_lookup, central_tol)
-        for family, a, b, mode1, mode2 in tasks]
+    report.brackets = [engine.job(family, a, b, mode1, mode2, tol,
+                                  central_lookup, central_tol)
+                       for family, a, b, mode1, mode2 in tasks]
 
     kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)
               in zip(report.brackets, tasks)

@@ -4,8 +4,9 @@ Each one checks a km2d result by an independent route: numeric heat sums,
 the closed-form torus delta function, sphere degree sums against their
 large-degree model, the Rodrigues formula for the Legendre family, the
 reproducing kernel of a truncated basis, the structure-table CSV formatted
-row by row, and the Fock-space vacuum sandwich of a pair of generators
-behind a central value.
+row by row, the Fock-space vacuum sandwich of a pair of generators
+behind a central value, and a sweep whose every bracket is decided on the
+probe states by the Fock path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from km2d.fock import ModeOperator, StateVector, vacuum_states
 from km2d.harmonics import _nodes_for_degree, legendre_Q
 from km2d.regulator import HeatSum, solve_a_m
 from km2d.scalars import SqrtTwoScalar
-from km2d.verifier import measure_central
+from km2d.verifier import _bracket_job, _certify, measure_central
 
 __all__ = [
     "heat_sum_numeric",
@@ -37,6 +38,7 @@ __all__ = [
     "apply_vector",
     "torus_pair",
     "vacuum_sandwich",
+    "fock_sweep",
 ]
 
 
@@ -258,3 +260,29 @@ def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
         A, B = exact_operator(A), exact_operator(B)
         rhs = exact_operator(rhs) if rhs is not None else None
     return A, B, rhs
+
+
+# ---------------------------------------------------------------------------
+# Bracket sweeps
+# ---------------------------------------------------------------------------
+
+def fock_sweep(alg, window, size, tol, central_method, central_tol):
+    """``verifier._certify`` with every bracket decided by ``_bracket_job``.
+
+    The Fock path applies the generators to the window's probe states, so it
+    sees only the terms some probe reaches; the engines see every compared
+    coefficient.
+    """
+    class FockPath:
+        def __init__(self, probes):
+            self.probes = probes
+
+        def job(self, family, a, b, mode1, mode2, *rest):
+            return _bracket_job(alg, family, a, b, mode1, mode2, self.probes,
+                                *rest)
+
+    alg.engine = FockPath
+    try:
+        return _certify(alg, window, size, tol, central_method, central_tol)
+    finally:
+        del alg.engine

@@ -299,9 +299,7 @@ def _exit_code(args):
     ["verify-torus", "--window=1,-1,2", "--max-mode", "0"],
     ["verify-torus", "--window=1,1,-1", "--max-mode", "0"],
     ["verify-sphere", "--window=1,1,-1", "--max-l", "0"],
-    # a quadrature for a huge degree is refused at once: its 262 TiB
-    # companion matrix exceeds a 48-bit address space, and numpy's
-    # smaller set-up arrays before it stay under 100 MB
+    # a structure table above MAX_TABLE_DEGREE is refused at once
     ["structure-constants", "--lmax", "4000000"],
     ["sphere-abstract", "--lmax", "4000000"],
     ["verify-sphere", "--lmax", "4000000"],
@@ -319,6 +317,26 @@ def test_bad_input_exits_one(args, capsys):
     assert len(errors) == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["structure-constants",
+                                     "sphere-abstract", "verify-sphere"])
+def test_oversized_lmax_sets_up_no_quadrature(command, monkeypatch, capsys):
+    # refused before leggauss builds its set-up arrays, which for
+    # --lmax 100000000 take about 3.6 GB before the eigensolve is refused
+    import numpy as np
+
+    from km2d.harmonics import MAX_TABLE_DEGREE
+
+    def leggauss(n):
+        raise AssertionError(f"leggauss({n}) was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    for lmax in (MAX_TABLE_DEGREE + 1, 100_000_000):
+        assert main([command, "--lmax", str(lmax)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: structure table degree {lmax} is not in "
+                       f"0..{MAX_TABLE_DEGREE}\n")
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -458,7 +476,8 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # mixed sector, of the raw-divergence scan, of the default torus run
 # (1575 brackets, 63 of them zero-total), and of three more torus runs
 # whose zero-total brackets the engine decides: the mixed NS,R sector, the
-# eps-extrapolated centrals, and so(4) on R,R (six zero modes)
+# eps-extrapolated centrals, and so(4) on R,R (six zero modes), and of a
+# sphere R run with so(4) (d = 6 flavour matrices)
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -496,11 +515,14 @@ PINNED_REPORTS = [
      "ada86ea161eb776a18bc6d4c5879ab2836458da7266d555a581d084980d48921"),
     (["verify-sphere", "--sectors", "R", "--cutoff-l", "8", "--max-l", "3"],
      "1cf375b39291a23ba270aebd58ab50a3cdedd6e0effdb8507443ebd5c390f877"),
+    (["verify-sphere", "--sectors", "R", "--rep", "so4-adjoint", "--cutoff-l",
+      "6", "--max-l", "2"],
+     "0199d1ef1589ed02c608e5f6f4a4aea14c2c6f4ca1813ae66f8a9d1b010ee564"),
 ]
 PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
               "table-json", "sphere-r-l6", "sphere-r-l5", "torus-so4",
               "torus-rns", "raw-scan", "torus-default", "torus-nsr",
-              "torus-eps", "torus-rr-so4", "sphere-r-l8"]
+              "torus-eps", "torus-rr-so4", "sphere-r-l8", "sphere-r-so4"]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)

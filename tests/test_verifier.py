@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,8 @@ from km2d.verifier import (
     measure_central,
     probe_states,
 )
-from oracles import measure_virasoro_shape, torus_pair, vacuum_sandwich
+from oracles import (fock_sweep, measure_virasoro_shape, torus_pair,
+                     vacuum_sandwich)
 
 H = Fraction(1, 2)
 SO3, SO4 = build_so_adjoint(3), build_so_adjoint(4)
@@ -475,12 +477,10 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
     args = (family, a, b, mode1, mode2)
     lookup = (lambda *args: 0.0, 1e9)
     fock = _bracket_job(alg, *args, probes, 1e-12, *lookup)
-    engine = alg.engine(probes)
-    # on the true algebra every compared coefficient vanishes
-    assert engine.residual_vanishes(*args)
-    got = engine.job(*args, 1e-12, *lookup)
+    # on the true algebra every compared coefficient is exactly 0
+    got = alg.engine(probes).job(*args, 1e-12, *lookup)
     assert got.residual == 0.0
-    assert engine.kappa_measured(*args) == (fock.kappa is not None)
+    assert (got.kappa is None) == (fock.kappa is None)
     if alg.zero_total(mode1, mode2):
         # the raw central is the one-particle vacuum trace
         trace = 0.0 if family == "LT" else _vacuum_trace(
@@ -496,7 +496,8 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
         w_op = _exact_terms(_assemble_rhs(alg, *args).scaled(1.0 / -mode2[0]),
                             alg.compare_bounds(mode1, mode2))
         for probe in probes:
-            assert alg.engine([probe]).kappa_measured(*args) == \
+            one = alg.engine([probe]).job(*args, 1e-12, *lookup)
+            assert (one.kappa is not None) == \
                 (w_op.apply_state(probe).norm2() > 1e-12)
 
 
@@ -517,11 +518,6 @@ class _WrongAlgebra(TorusAlgebra):
         return terms
 
 
-class _FockOnly(_WrongAlgebra):
-    def engine(self, probes):
-        return None
-
-
 @pytest.mark.parametrize("corruption", ["double f_abc", "shift LT"])
 @pytest.mark.parametrize("cfg,window", [
     (torus_sector("NS", "NS", 3, Fraction(9, 2), Fraction(9, 2)),
@@ -529,22 +525,22 @@ class _FockOnly(_WrongAlgebra):
     (torus_sector("R", "R", 3, 2, 2), Window.of(0, 0, 2)),
 ], ids=["NS,NS", "R,R"])
 def test_engine_never_passes_a_wrong_algebra(so3, cfg, window, corruption):
-    # every corrupted bracket the sweep checks fails, with the residual and
-    # offending state of the pure Fock sweep; the report is the same
-    def sweep(adapter):
-        return _certify(adapter(cfg, so3, corruption), window, 1, 1e-9,
-                        "analytic", 1e-9)
-
-    report, fock = sweep(_WrongAlgebra), sweep(_FockOnly)
-    assert report.to_dict() == fock.to_dict()
+    # the engine fails every corrupted bracket that the pure Fock sweep
+    # fails on a probe state, and names a state for each bracket it fails
+    args = (window, 1, 1e-9, "analytic", 1e-9)
+    report = _certify(_WrongAlgebra(cfg, so3, corruption), *args)
+    fock = fock_sweep(_WrongAlgebra(cfg, so3, corruption), *args)
+    assert [r.lhs for r in report.brackets] == [r.lhs for r in fock.brackets]
+    assert all(not r.passed for r, f in zip(report.brackets, fock.brackets)
+               if not f.passed)
+    assert not fock.passed and not report.passed
     family = "TT" if corruption == "double f_abc" else "LT"
     failed = [r for r in report.brackets if not r.passed]
-    assert failed and not report.passed
     assert all(r.lhs.startswith("[T" if family == "TT" else "[L")
                for r in failed)
-    # a bracket of nonzero total (no raw central) fails on a probe state
+    assert all(r.residual > 1e-9 and r.offending_state for r in failed)
+    # a bracket of nonzero total (no raw central) fails
     assert any(r.raw_central is None for r in failed)
-    assert all(r.offending_state for r in failed if r.raw_central is None)
 
 
 def test_passing_torus_sweep_never_takes_the_fock_path(so3, nsns,
@@ -664,11 +660,6 @@ def test_vacuum_trace_matches_fock_sandwich(so3, central, eps):
 # the sphere engine against the Fock path
 # ---------------------------------------------------------------------------
 
-class _SphereFockOnly(SphereAlgebra):
-    def engine(self, probes):
-        return None
-
-
 def _fock_vacuum_value(alg, family, a, b, mode1, mode2) -> float:
     """Real part of <0|[X, Y] - rhs|0>, every term of the commutator kept."""
     from km2d.verifier import _assemble_rhs, _generators
@@ -712,7 +703,7 @@ def test_sphere_engine_matches_fock_sweep(so3, l_cut, max_l):
     args = (window, max_l, 1e-9, "analytic", 1e-8)
     alg = SphereAlgebra(cfg, so3, table)
     report = _certify(alg, *args)
-    fock = _certify(_SphereFockOnly(cfg, so3, table), *args)
+    fock = fock_sweep(SphereAlgebra(cfg, so3, table), *args)
     modes = alg.modes(max_l)
     tasks = [("TT", 1, 2, m1, m2) for m1 in modes for m2 in modes]
     tasks += [("LL", None, None, m1, m2)
@@ -786,9 +777,9 @@ class _DroppedTerm(SphereAlgebra):
         return super().rhs_terms(family, a, b, mode1, mode2)[1:]
 
 
-def test_sphere_engine_declines_a_wrong_bracket(so3):
+def test_sphere_engine_fails_a_wrong_bracket(so3):
     # [L(2,1), L(2,0)] closes on L(2,1) and L(4,1); without the first the
-    # engine declines, and the Fock path fails it on a probe state
+    # engine fails it and names a state, as the Fock path does on a probe
     from km2d.verifier import _bracket_job
 
     cfg, table = sphere_sector("R", 3, 6), structure_table(6)
@@ -798,7 +789,9 @@ def test_sphere_engine_declines_a_wrong_bracket(so3):
     alg = _DroppedTerm(cfg, so3, table)
     alg.guard(_probe_reach(probes), (2, 1), (2, 0))
     assert len(SphereAlgebra(cfg, so3, table).rhs_terms(*args)) == 2
-    assert alg.engine(probes).job(*args, 1e-9, *lookup) is None
+    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    assert not got.passed and got.residual > 1e-9
+    assert got.offending_state
     fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
     assert not fock.passed and fock.residual > 1e-9
     assert fock.offending_state
@@ -819,3 +812,103 @@ def test_passing_sphere_sweep_never_takes_the_fock_path(so3, monkeypatch):
     assert report.passed and len(report.brackets) == 207
     assert report.max_residual <= 1e-9
     assert alg._ops == {}
+
+
+# ---------------------------------------------------------------------------
+# wrong right-hand sides that no probe state sees
+# ---------------------------------------------------------------------------
+
+def _corrupted(adapter, corruption, bracket=None):
+    """The adapter with right-hand sides dropped or doubled: every one, or
+    only that of bracket = (family, mode1, mode2)."""
+    class Corrupted(adapter):
+        def rhs_terms(self, family, a, b, mode1, mode2):
+            terms = super().rhs_terms(family, a, b, mode1, mode2)
+            if bracket not in (None, (family, mode1, mode2)):
+                return terms
+            if corruption == "drop":
+                return []
+            return [(2 * scale, *rest) for scale, *rest in terms]
+    return Corrupted
+
+
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
+def test_sweep_fails_a_bracket_no_probe_sees(so3, table4, geometry,
+                                             monkeypatch):
+    # [L[0,0], L[1,0]] = -L[1,0] on the default torus window at max-mode 1,
+    # and [L(1,0), L(1,1)] = -L(1,1) on the sphere R l=4 with window 0,0,1,
+    # whose probes are vacua that L(l,1) annihilates.  With the right-hand
+    # side dropped, no probe state sees the difference and the Fock sweep
+    # passes; the engine fails the bracket and names a state.
+    import km2d.verifier as verifier
+
+    if geometry == "torus":
+        cfg = torus_sector("NS", "NS", 3, 9 * H, 9 * H)
+        bracket = ("LL", (0, 0), (1, 0))
+        args = (Window.of(1, 1, 2), 1, 1e-9, "analytic", 1e-9)
+        lhs = "[L[0,0], L[1,0]]"
+
+        def adapter():
+            return _corrupted(TorusAlgebra, "drop", bracket)(cfg, so3)
+    else:
+        cfg = sphere_sector("R", 3, 4)
+        bracket = ("LL", (1, 0), (1, 1))
+        args = (Window.of(0, 0, 1), 1, 1e-9, "analytic", 1e-8)
+        lhs = "[L[l=1,m=0], L[l=1,m=1]]"
+
+        def adapter():
+            return _corrupted(SphereAlgebra, "drop", bracket)(cfg, so3, table4)
+
+    assert fock_sweep(adapter(), *args).passed
+
+    def fock_path(*args):
+        raise AssertionError("the Fock path ran")
+
+    monkeypatch.setattr(verifier, "_bracket_job", fock_path)
+    report = _certify(adapter(), *args)
+    failed = [r for r in report.brackets if not r.passed]
+    assert not report.passed
+    assert [(r.lhs, r.rhs) for r in failed] == [(lhs, "0")]
+    assert failed[0].residual > 1e-9 and failed[0].offending_state
+
+
+@st.composite
+def swept_brackets(draw):
+    """A torus or sphere sector, a window, and a bracket of a swept family:
+    TT as [T^1, T^2], LL, and LT with a = b = 1."""
+    geometry = draw(st.sampled_from(["torus", "sphere"]))
+    draw_bracket = torus_brackets() if geometry == "torus" \
+        else sphere_brackets()
+    cfg, window, family, _, _, mode1, mode2 = draw(draw_bracket)
+    a, b = {"TT": (1, 2), "LL": (None, None), "LT": (1, 1)}[family]
+    return cfg, window, family, a, b, mode1, mode2
+
+
+@settings(max_examples=60, deadline=None)
+@given(swept_brackets(), st.sampled_from(["drop", "double"]))
+def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
+                                              corruption):
+    # a right-hand side whose compared coefficients exceed tol plus the true
+    # residual cannot be dropped or doubled without the bracket failing
+    cfg, window, family, a, b, mode1, mode2 = bracket
+    if cfg.geometry == "torus":
+        true, wrong = (adapter(cfg, so3) for adapter in
+                       (TorusAlgebra, _corrupted(TorusAlgebra, corruption)))
+    else:
+        true, wrong = (adapter(cfg, so3, table8) for adapter in
+                       (SphereAlgebra, _corrupted(SphereAlgebra, corruption)))
+    probes = probe_states(cfg, window)
+    try:
+        true.guard(_probe_reach(probes), mode1, mode2)
+    except WindowViolationError:
+        assume(False)
+    args = (family, a, b, mode1, mode2)
+    lookup = (lambda *args: 0.0, 1e9)
+    engine = true.engine(probes)
+    R = engine._compared(*args, true.rhs_terms(*args))[1]
+    truth = engine.job(*args, 1e-9, *lookup)
+    assert truth.passed
+    assume(np.abs(R).max(initial=0.0) > 1e-9 + truth.residual)
+    got = wrong.engine(probes).job(*args, 1e-9, *lookup)
+    assert not got.passed and got.residual > 1e-9
+    assert got.offending_state
