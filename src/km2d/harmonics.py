@@ -150,34 +150,55 @@ def jacobi_Q(l, m, eta: int, u):
 # Structure constants of the Legendre-family product expansion
 # ---------------------------------------------------------------------------
 
-def _rows(L: int):
-    """(l, m) of row r = l^2 + l + m, and the bounds of each row's keys:
-    row r's are ``keys[bounds[r]:bounds[r + 1]]``."""
-    ls = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-    ms = np.arange(len(ls)) - ls * ls - ls
-    sizes = [_allowed(l, m, ls, ms).sum() for l, m in zip(ls, ms)]
-    return ls, ms, np.cumsum([0] + sizes)
+class _OrbitIndex:
+    """Where each entry of the degree-L table sits, and where its orbit starts.
 
+    Rows a = (l1, m1) and b = (l2, m2), numbered r = l^2 + l + m, meet in
+    block (a, b): its ``count[a, b]`` entries have l3 = lo[a, b],
+    lo[a, b] + 2, ... up to min(l1 + l2, L) and fill the CSV from position
+    ``start[a, b]``, blocks in row-major order.  Swap (a, b) -> (b, a) and
+    mirror (l, m) -> (l, -m) of both rows keep lo and count and fix every
+    value bit for bit, so an entry's orbit is the same slot k of its block's
+    images.  Its first member, the head, is slot k of the earliest image,
+    which starts at ``first[a, b]``; heads are numbered in CSV order from
+    ``orbit[a, b]`` + k.
+    """
 
-def _allowed(l1: int, m1: int, ls, ms):
-    """Row (l1, m1)'s keys as a (l2, m2) x l3 mask of the selection rules."""
-    l3, lsum = np.arange(ls[-1] + 1), l1 + ls
-    lo = np.maximum(abs(l1 - ls), abs(m1 + ms))[:, None]
-    return ((lo <= l3) & (l3 <= lsum[:, None])
-            & ((lsum % 2)[:, None] == l3 % 2))
+    def __init__(self, L: int):
+        # int16 and int32 keep these (L+1)^4-element arrays small
+        ls = np.repeat(np.arange(L + 1, dtype=np.int16),
+                       2 * np.arange(L + 1) + 1)
+        ms = np.arange(len(ls), dtype=np.int16) - ls * ls - ls
+        lsum = ls[:, None] + ls
+        lo = np.maximum(abs(ls[:, None] - ls), abs(ms[:, None] + ms))
+        lo += (lo + lsum) % 2                        # l1 + l2 + l3 even
+        count = np.maximum((np.minimum(lsum, L) - lo) // 2 + 1, 0)
+        start = np.cumsum(count, dtype=np.int32).reshape(count.shape) - count
+        neg = np.arange(len(ls)) - 2 * ms            # row of (l, -m)
 
+        def earliest(x):
+            # positions and head numbers both grow in row-major order
+            mirror = x[neg][:, neg]
+            return np.minimum(np.minimum(x, x.T), np.minimum(mirror, mirror.T))
 
-def _mirror_index(mask, ms):
-    """Where row (l1, -m1)'s entries sit in the block of row (l1, m1): at
-    the running count of the latter's ``mask`` at (l2, -m2, l3)."""
-    count = np.cumsum(mask.ravel()).reshape(mask.shape) - 1
-    neg = np.arange(len(ms)) - 2 * ms             # row of (l, -m)
-    return count[neg][mask[neg]]
+        self.first = earliest(start)
+        heads = np.where(self.first == start, count, 0)
+        self.orbit = earliest(np.cumsum(heads, dtype=np.int32).reshape(
+            count.shape) - heads)
+        self.ls, self.ms, self.lo, self.count, self.start = ls, ms, lo, count, start
+        self.size, self.n_heads = int(count.sum()), int(heads.sum())
 
-
-def _formatted(values):
-    return np.array(("%.17g\n" * len(values) % tuple(values.tolist()))
-                    .splitlines(keepends=True), dtype=object)
+    def rows(self):
+        """Per row r1: the slice of its entries, their rows r2 and degrees
+        l3, whether each is a head, and its head's position and number."""
+        for r1, n in enumerate(self.count):
+            r2 = np.repeat(np.arange(len(n)), n)
+            start = self.start[r1, r2]
+            own = np.arange(start[0], start[0] + len(r2))
+            k = own - start
+            head = self.first[r1, r2] + k
+            yield (r1, slice(own[0], own[-1] + 1), r2, self.lo[r1, r2] + 2 * k,
+                   head == own, head, self.orbit[r1, r2] + k)
 
 
 @dataclass(eq=False)
@@ -187,15 +208,17 @@ class StructureTable:
     Entry ``i`` is ``values[i]`` at key ``keys[i] = (l1, m1, l2, m2, l3)``;
     the target azimuthal index is always m1 + m2.  Only the
     triangle-and-parity-allowed entries are stored, in lexicographic key
-    order.  ``entries`` is the same table as a dict, built on first use.
-    ``to_csv`` joins one (l1, m1) row at a time, with the ``l,m,`` fields
-    from small string tables.  Row (l1, -m1) formats its mirror (l1, m1)'s
-    values, reordered for itself and kept for the mirror; it raises
-    ``ValueError`` if they differ from its own in any bit.
+    order; the keys are int8, as |l|, |m| <= MAX_TABLE_DEGREE.  ``entries``
+    is the same table as a dict, built on first use.  ``to_csv`` walks the
+    rows of the orbit index (``_OrbitIndex``): it formats each orbit's head
+    once with ``%.17g``, into a fixed-width bytes array, and writes every
+    member of the orbit from that string, each row as one array of records
+    with the ``l,m,`` fields from small string tables.  It raises
+    ``ValueError`` if any entry differs in any bit from its head.
     """
 
     L_max: int
-    keys: np.ndarray        # int32, shape (K, 5)
+    keys: np.ndarray        # int8, shape (K, 5)
     values: np.ndarray      # float64, shape (K,)
 
     @cached_property
@@ -214,39 +237,36 @@ class StructureTable:
         return l <= self.L_max
 
     def to_csv(self, fh) -> None:
-        L = self.L_max
-        ls, ms, bounds = _rows(L)
+        L, index = self.L_max, _OrbitIndex(self.L_max)
+        ls, ms = index.ls, index.ms
         lm = np.array([f"{l},{m}," for l, m in zip(ls.tolist(), ms.tolist())],
-                      dtype=object)
+                      dtype=bytes)
         lm3 = np.array([f"{l3},{m3}," for l3 in range(L + 1)
-                        for m3 in range(-2 * L, 2 * L + 1)], dtype=object)
+                        for m3 in range(-2 * L, 2 * L + 1)], dtype=bytes)
+        # 24 characters hold %.17g of any double, as -2.2250738585072014e-308
+        text = np.empty(index.n_heads, dtype="S25")
+        record = np.dtype([("lm1", lm.dtype), ("lm2", lm.dtype),
+                           ("lm3", lm3.dtype), ("value", text.dtype)])
         bits = self.values.view(np.int64)
-        pending = {}        # row (l1, m1 > 0) -> its strings, formatted early
         fh.write("l1,m1,l2,m2,l3,m3,value\n")
-        for r1, (l1, m1) in enumerate(zip(ls.tolist(), ms.tolist())):
-            block = slice(bounds[r1], bounds[r1 + 1])
-            _, _, l2, m2, l3 = self.keys[block].T.astype(np.int64)
-            cells = np.empty((len(l2), 4), dtype=object)
-            cells[:, 0] = lm[r1]
-            cells[:, 1] = lm[l2 * l2 + l2 + m2]
-            cells[:, 2] = lm3[l3 * (4 * L + 1) + m1 + m2 + 2 * L]
-            if m1 < 0:
-                rm = r1 - 2 * m1
-                mirror = slice(bounds[rm], bounds[rm + 1])
-                at = _mirror_index(_allowed(l1, -m1, ls, ms), ms)
-                if not np.array_equal(bits[block], bits[mirror][at]):
-                    raise ValueError(f"structure table row ({l1}, {m1}) "
-                                     f"differs from its mirror")
-                pending[rm] = _formatted(self.values[mirror])
-                cells[:, 3] = pending[rm][at]
-            else:
-                cells[:, 3] = (pending.pop(r1) if m1 else
-                               _formatted(self.values[block]))
-            fh.write("".join(cells.ravel()))
+        for r1, block, r2, l3, new, head, orbit in index.rows():
+            if not np.array_equal(bits[block], bits[head]):
+                raise ValueError(f"structure table row ({ls[r1]}, {ms[r1]}) "
+                                 f"differs from its swap or mirror image")
+            fresh = self.values[block][new].tolist()
+            text[orbit[new]] = ("%.17g\n" * len(fresh) % tuple(fresh)).encode(
+                ).splitlines(keepends=True)
+            cells = np.empty(len(r2), record)
+            cells["lm1"] = lm[r1]
+            cells["lm2"] = lm[r2]
+            cells["lm3"] = lm3[l3 * (4 * L + 1) + ms[r1] + ms[r2] + 2 * L]
+            cells["value"] = text[orbit]
+            fh.write(cells.tobytes().translate(None, b"\0").decode())
 
 
 # structure-constants --lmax 32 (8,958,473 entries, growing as L^5) writes
-# its CSV in about 11 s at a 297 MB peak on a 2-vCPU machine
+# its CSV in 6.2-6.6 s at a 245 MB peak on a 2-vCPU machine; int8 keys
+# need |l|, |m| <= 127
 MAX_TABLE_DEGREE = 32
 
 
@@ -254,36 +274,32 @@ MAX_TABLE_DEGREE = 32
 def structure_table(L_max: int) -> StructureTable:
     """Triple-product table for all l1, l2, l3 <= L_max by exact quadrature.
 
-    Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each (l1, m1)
-    row masks the (l2, m2, l3) grid by the selection rules, which lists its
-    keys in lexicographic order.  A row with m1 >= 0 takes all its values
-    in one ``vecdot``: one ``ddot`` per entry, bit-identical to ``np.dot``.
-    Row (l1, -m1) copies them: c(l1,-m1,l2,-m2,l3) = c(l1,m1,l2,m2,l3)
-    exactly, since Q_{l,-m} = (-1)^m Q_{lm}.  A degree outside
-    0..MAX_TABLE_DEGREE raises ValueError before anything is allocated.
+    Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each row of the
+    orbit index lists its keys in lexicographic order.  Its orbit heads take
+    their values in one ``vecdot``: one ``ddot`` per entry, bit-identical to
+    ``np.dot``.  Every other entry copies its head's value in one gather:
+    c(l1,m1,l2,m2,l3) = c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly,
+    since q1 * q2 commutes in IEEE arithmetic and Q_{l,-m} = (-1)^m Q_{lm}.
+    A degree outside 0..MAX_TABLE_DEGREE raises ValueError before anything
+    is allocated.
     """
     if not 0 <= L_max <= MAX_TABLE_DEGREE:
         raise ValueError(f"structure table degree {L_max} is not in "
                          f"0..{MAX_TABLE_DEGREE}")
     nodes, weights = _nodes_for_degree(3 * L_max)
-    ls, ms, bounds = _rows(L_max)
-    rows = list(zip(ls.tolist(), ms.tolist()))
-    q = np.array([legendre_Q(l, m, nodes) for l, m in rows])
-    keys = np.empty((bounds[-1], 5), dtype=np.int32)
-    values = np.empty(bounds[-1])
-    for r1, (l1, m1) in enumerate(rows):
-        mask = _allowed(l1, m1, ls, ms)
-        r2, l3s = np.nonzero(mask)
-        block = slice(bounds[r1], bounds[r1 + 1])
-        keys[block, :2] = l1, m1
-        keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3s))
-        if m1 >= 0:
-            r3 = l3s * l3s + l3s + m1 + ms[r2]
-            values[block] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
-        if m1 > 0:
-            rm = r1 - 2 * m1
-            values[bounds[rm]:bounds[rm + 1]] = values[block][
-                _mirror_index(mask, ms)]
+    index = _OrbitIndex(L_max)
+    ls, ms = index.ls, index.ms
+    q = np.array([legendre_Q(l, m, nodes)
+                  for l, m in zip(ls.tolist(), ms.tolist())])
+    keys = np.empty((index.size, 5), dtype=np.int8)
+    values = np.empty(index.size)
+    for r1, block, r2, l3, new, head, _ in index.rows():
+        keys[block, :2] = ls[r1], ms[r1]
+        keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3))
+        r2, l3 = r2[new], l3[new]
+        r3 = l3 * l3 + l3 + ms[r1] + ms[r2]
+        values[block][new] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
+        values[block] = values[head]
     return StructureTable(L_max, keys, values)
 
 

@@ -410,7 +410,8 @@ def _theta2(n2: int, q2: np.ndarray) -> np.ndarray:
 
 
 def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
-                  p: int, cfg: SectorConfig, eps: float = 0.0) -> float:
+                  p: int, cfg: SectorConfig, eps: float = 0.0,
+                  rhs: Optional[list] = None) -> float:
     """<0| [X_{m,p}, X_{-m,-p}] - rhs |0> from one-particle coefficients.
 
     Up to c-numbers :b_x b_y: is (1/2)[b_x, b_y], so the commutator sees only
@@ -429,16 +430,19 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
     normal order has vacuum value 0, and on it the pair coefficient vanishes
     (L: the factor n; T: trace M^c = 0 for antisymmetric M^c).
 
-    Raises AssertionError for a value with an imaginary part, or one that
-    would differ across the vacuum multiplet: a nonzero antisymmetric
-    zero-mode block of [A, B] - rhs.  This check does not depend on how the
+    The value subtracts ``rhs``, the caller's right-hand side terms, by
+    default those of ``TorusAlgebra``.  Raises AssertionError for a value
+    with an imaginary part, or one that would differ across the vacuum
+    multiplet: a nonzero antisymmetric zero-mode block of [A, B] minus the
+    ``TorusAlgebra`` right-hand side.  This check does not depend on how the
     zero modes are paired into spinor labels.
     """
     if family not in ("TT", "LL"):
         raise ValueError("central terms exist for TT and LL only")
     kind = family[0]
     m2, p2 = 2 * m, 2 * p
-    rhs = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
+    own = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
+    rhs = own if rhs is None else rhs
 
     def w(k2):
         # the damping weight of torus_T and torus_L
@@ -472,7 +476,7 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
             block = (scale2 / 2 * (w0 * float(w(p2))) ** 2
                      * (np.einsum("ik,jk->ij", FB, FA)
                         - np.einsum("ik,jk->ij", FA, FB)))
-        for scale, kind_c, c, _ in rhs:
+        for scale, kind_c, c, _ in own:
             block = block - (scale * torus_symbol(kind_c, rep, c, 0)[1]
                              / 2 * w0 ** 2 * _pair_matrix(kind_c, rep, c, 0, 0))
         spread = float(np.abs(block).max())
@@ -869,7 +873,8 @@ class TorusEngine(_Engine):
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         # 0.0 for [L, T], as the trace of M^a vanishes
         return 0.0 if family == "LT" else _vacuum_trace(
-            family, self.alg.rep, a or 1, b or 1, *mode1, self.alg.cfg)
+            family, self.alg.rep, a or 1, b or 1, *mode1, self.alg.cfg,
+            rhs=rhs)
 
 
 class SphereEngine(_Engine):

@@ -220,22 +220,31 @@ def test_structure_csv_matches_per_row_oracle(L):
 
 
 def test_structure_csv_rejects_a_row_unlike_its_mirror():
+    # a perturbed entry of row (l1, m1 < 0), and one of a row (l1, 0) after
+    # its swap image's row (l2, m2): each shares its string with another
     table = structure_table(4)
-    values = table.values.copy()
-    i = np.flatnonzero(table.keys[:, 1] < 0)[7]
-    values[i] = np.nextafter(values[i], np.inf)
-    bad = StructureTable(4, table.keys, values)
-    with pytest.raises(ValueError, match="mirror"):
-        bad.to_csv(io.StringIO())
+    l1, m1, l2, m2, _ = table.keys.T.astype(np.int64)
+    for picks in (m1 < 0, (m1 == 0) & (l1 * l1 + l1 + m1 > l2 * l2 + l2 + m2)):
+        values = table.values.copy()
+        i = np.flatnonzero(picks)[7]
+        values[i] = np.nextafter(values[i], np.inf)
+        bad = StructureTable(4, table.keys, values)
+        with pytest.raises(ValueError, match="mirror"):
+            bad.to_csv(io.StringIO())
 
 
 def test_structure_mirror_rows_match_per_entry_oracle():
-    # the m1 < 0 rows are copies of their mirror; check a sample past L = 8
+    # entries of rows m1 < 0 and of rows after their swap image's row are
+    # copies of an earlier entry; check a sample of each past L = 8
     L = 16
     table = structure_table(L)
+    key = table.keys.T.astype(np.int64)
+    row1 = key[0] * key[0] + key[0] + key[1]         # r = l^2 + l + m
+    row2 = key[2] * key[2] + key[2] + key[3]
     rng = np.random.default_rng(16)
-    sample = rng.choice(np.flatnonzero(table.keys[:, 1] < 0), 2000,
-                        replace=False)
+    sample = np.concatenate([
+        rng.choice(np.flatnonzero(picks), 2000, replace=False)
+        for picks in (key[1] < 0, row1 > row2)])
     nodes, weights = quadrature(3 * L // 2 + 1)
     for (l1, m1, l2, m2, l3), value in zip(table.keys[sample].tolist(),
                                           table.values[sample].tolist()):

@@ -912,3 +912,31 @@ def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
     got = wrong.engine(probes).job(*args, 1e-9, *lookup)
     assert not got.passed and got.residual > 1e-9
     assert got.offending_state
+
+
+@pytest.mark.parametrize("corruption", ["drop", "double"])
+@pytest.mark.parametrize("geometry", ["torus", "sphere"])
+def test_raw_central_subtracts_the_adapters_right_hand_side(
+        so3, table4, geometry, corruption):
+    # [L(1,0), L(-1,0)] on torus R,NS and [L(1,1), L(1,-1)] on sphere R l=4
+    # close on L(0,0), whose vacuum value lam * d is nonzero on a z-R sector.
+    # With it dropped or doubled, the engine's raw central is the vacuum
+    # value of [X, Y] minus the adapter's right-hand side.  (On NS,NS lam is
+    # 0, so no right-hand side moves the vacuum value there.)
+    if geometry == "torus":
+        cfg = torus_sector("R", "NS", 3, 4, 9 * H)
+        bracket = ("LL", (1, 0), (-1, 0))
+        alg = _corrupted(TorusAlgebra, corruption, bracket)(cfg, so3)
+        true = TorusAlgebra(cfg, so3)
+    else:
+        cfg = sphere_sector("R", 3, 4)
+        bracket = ("LL", (1, 1), (1, -1))
+        alg = _corrupted(SphereAlgebra, corruption, bracket)(cfg, so3, table4)
+        true = SphereAlgebra(cfg, so3, table4)
+    probes = probe_states(cfg, Window.of(1, 1, 2))
+    args = (bracket[0], None, None, *bracket[1:])
+    lookup = (lambda *args: 0.0, 1e9)
+    got = alg.engine(probes).job(*args, 1e-9, *lookup).raw_central
+    assert abs(got - _fock_vacuum_value(alg, *args)) <= 1e-12
+    assert abs(got - true.engine(probes).job(*args, 1e-9, *lookup)
+               .raw_central) >= 0.25
