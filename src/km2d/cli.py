@@ -321,7 +321,7 @@ def _cmd_structure_constants(args) -> int:
     table = structure_table(args.lmax)
     with _output(args.output) as fh:
         if args.format == "csv":
-            table.to_csv(fh)
+            table.to_csv(fh.buffer)
             return EXIT_OK
         # json.dumps(indent=2) of {"(l1, m1, l2, m2, l3)": value}, streamed
         head, tail = json.dumps({"L_max": table.L_max, "entries": {"": 0}},

@@ -186,7 +186,7 @@ class _OrbitIndex:
         self.orbit = earliest(np.cumsum(heads, dtype=np.int32).reshape(
             count.shape) - heads)
         self.ls, self.ms, self.lo, self.count, self.start = ls, ms, lo, count, start
-        self.size, self.n_heads = int(count.sum()), int(heads.sum())
+        self.size = int(count.sum())
 
     def rows(self):
         """Per row r1: the slice of its entries, their rows r2 and degrees
@@ -201,25 +201,86 @@ class _OrbitIndex:
                    head == own, head, self.orbit[r1, r2] + k)
 
 
+# 10^(16 - e) for the decimal exponents e = -4..-1 of the numpy path, exact
+_SCALES = np.array([float(10 ** (16 - e)) for e in range(-4, 0)])
+
+
+def _format_17g(x: np.ndarray) -> np.ndarray:
+    """``%.17g`` and a newline of each double in x, as ``S25`` text whose
+    NUL bytes the CSV writer drops (24 characters hold ``%.17g`` of any
+    double, as -2.2250738585072014e-308).
+
+    Magnitudes in [1e-4, 1) print as ``0.``, -e - 1 zeros and the 17 digits
+    of round(|x| * 10^(16 - e)) for e = floor(log10|x|), trailing zeros
+    dropped; numpy forms them.  Below 10^17 < 2^57, that product in the
+    extended type (64-bit mantissa) is within 2^-8 of its exact value, so
+    it rounds to the same integer unless its fraction lies within 2^-7 of
+    one half.  Those, products outside (10^16, 10^17 - 1), other
+    magnitudes, and platforms without the extended type take Python's
+    ``%`` operator.
+    """
+    a = abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -4) & (e <= -1) & (np.finfo(np.longdouble).nmant >= 63)
+    e = np.where(fast, e, -1).astype(int)
+    y = np.where(fast, a, 0.5).astype(np.longdouble) * _SCALES[e + 4]
+    n = y.astype(np.int64)
+    frac = (y - n).astype(float)
+    fast &= (y > 1e16 + 1) & (y < 1e17 - 1) & (abs(frac - 0.5) > 2.0 ** -7)
+    n += frac > 0.5
+    out = np.zeros((len(x), 25), np.uint8)
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 1], out[:, 2] = ord("0"), ord(".")
+    out[:, 3:6] = (np.arange(3) < -1 - e[:, None]) * ord("0")
+    nonzero = np.zeros(len(x), bool)
+    for col in range(22, 5, -1):            # the last digit first
+        n, digit = np.divmod(n, 10)
+        nonzero |= digit != 0
+        out[:, col] = nonzero * (digit + ord("0"))
+    out[:, 23] = ord("\n")
+    text = out.view("S25").ravel()
+    slow = np.flatnonzero(~fast)
+    rest = x[slow].tolist()
+    text[slow] = ("%.17g\n" * len(rest) % tuple(rest)).encode().splitlines(
+        keepends=True)
+    return text
+
+
 @dataclass(eq=False)
 class StructureTable:
     """Coefficients c of Q_{l1 m1} Q_{l2 m2} = sum_{l3} c * Q_{l3, m1+m2}.
 
-    Entry ``i`` is ``values[i]`` at key ``keys[i] = (l1, m1, l2, m2, l3)``;
-    the target azimuthal index is always m1 + m2.  Only the
+    The table is one float64 array ``values`` plus the orbit index
+    (``_OrbitIndex``) that places its entries: only the
     triangle-and-parity-allowed entries are stored, in lexicographic key
-    order; the keys are int8, as |l|, |m| <= MAX_TABLE_DEGREE.  ``entries``
-    is the same table as a dict, built on first use.  ``to_csv`` walks the
-    rows of the orbit index (``_OrbitIndex``): it formats each orbit's head
-    once with ``%.17g``, into a fixed-width bytes array, and writes every
-    member of the orbit from that string, each row as one array of records
-    with the ``l,m,`` fields from small string tables.  It raises
+    order, and the target azimuthal index is always m1 + m2.  ``keys``
+    (int8, shape (K, 5), rows ``(l1, m1, l2, m2, l3)``) and the dict
+    ``entries`` are derived from the index on first use; the CSV writer
+    reads neither.  ``to_csv`` writes bytes to a binary file: it formats
+    each orbit's head once, as ``%.17g`` does (``_format_17g``), into a
+    fixed-width bytes array, then walks the rows of the index and writes
+    every member of the orbit from that string, each row as one array of
+    records with the ``l,m,`` fields from small string tables.  It raises
     ``ValueError`` if any entry differs in any bit from its head.
     """
 
     L_max: int
-    keys: np.ndarray        # int8, shape (K, 5)
     values: np.ndarray      # float64, shape (K,)
+
+    @cached_property
+    def index(self) -> _OrbitIndex:
+        # structure_table stores the index it built the values from
+        return _OrbitIndex(self.L_max)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        ls, ms = self.index.ls, self.index.ms
+        keys = np.empty((self.index.size, 5), dtype=np.int8)
+        for r1, block, r2, l3, *_ in self.index.rows():
+            keys[block, :2] = ls[r1], ms[r1]
+            keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3))
+        return keys
 
     @cached_property
     def entries(self) -> dict:
@@ -237,35 +298,37 @@ class StructureTable:
         return l <= self.L_max
 
     def to_csv(self, fh) -> None:
-        L, index = self.L_max, _OrbitIndex(self.L_max)
+        L, index = self.L_max, self.index
         ls, ms = index.ls, index.ms
         lm = np.array([f"{l},{m}," for l, m in zip(ls.tolist(), ms.tolist())],
                       dtype=bytes)
         lm3 = np.array([f"{l3},{m3}," for l3 in range(L + 1)
                         for m3 in range(-2 * L, 2 * L + 1)], dtype=bytes)
-        # 24 characters hold %.17g of any double, as -2.2250738585072014e-308
-        text = np.empty(index.n_heads, dtype="S25")
+        # the heads in head-number order: the entries of each block that is
+        # the earliest image of its orbit; chunks bound the temporaries
+        heads = self.values[np.repeat((index.first == index.start).ravel(),
+                                      index.count.ravel())]
+        text, chunk = np.empty(len(heads), dtype="S25"), 1 << 16
+        for i in range(0, len(heads), chunk):
+            text[i:i + chunk] = _format_17g(heads[i:i + chunk])
         record = np.dtype([("lm1", lm.dtype), ("lm2", lm.dtype),
                            ("lm3", lm3.dtype), ("value", text.dtype)])
         bits = self.values.view(np.int64)
-        fh.write("l1,m1,l2,m2,l3,m3,value\n")
-        for r1, block, r2, l3, new, head, orbit in index.rows():
+        fh.write(b"l1,m1,l2,m2,l3,m3,value\n")
+        for r1, block, r2, l3, _, head, orbit in index.rows():
             if not np.array_equal(bits[block], bits[head]):
                 raise ValueError(f"structure table row ({ls[r1]}, {ms[r1]}) "
                                  f"differs from its swap or mirror image")
-            fresh = self.values[block][new].tolist()
-            text[orbit[new]] = ("%.17g\n" * len(fresh) % tuple(fresh)).encode(
-                ).splitlines(keepends=True)
             cells = np.empty(len(r2), record)
             cells["lm1"] = lm[r1]
             cells["lm2"] = lm[r2]
             cells["lm3"] = lm3[l3 * (4 * L + 1) + ms[r1] + ms[r2] + 2 * L]
             cells["value"] = text[orbit]
-            fh.write(cells.tobytes().translate(None, b"\0").decode())
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 # structure-constants --lmax 32 (8,958,473 entries, growing as L^5) writes
-# its CSV in 6.2-6.6 s at a 245 MB peak on a 2-vCPU machine; int8 keys
+# its CSV in 4.0-4.4 s at a 215 MB peak on a 2-vCPU machine; int8 keys
 # need |l|, |m| <= 127
 MAX_TABLE_DEGREE = 32
 
@@ -275,7 +338,8 @@ def structure_table(L_max: int) -> StructureTable:
     """Triple-product table for all l1, l2, l3 <= L_max by exact quadrature.
 
     Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each row of the
-    orbit index lists its keys in lexicographic order.  Its orbit heads take
+    orbit index lists its entries in lexicographic key order; the build fills
+    their values only, and the table keeps the index.  Its orbit heads take
     their values in one ``vecdot``: one ``ddot`` per entry, bit-identical to
     ``np.dot``.  Every other entry copies its head's value in one gather:
     c(l1,m1,l2,m2,l3) = c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly,
@@ -291,16 +355,15 @@ def structure_table(L_max: int) -> StructureTable:
     ls, ms = index.ls, index.ms
     q = np.array([legendre_Q(l, m, nodes)
                   for l, m in zip(ls.tolist(), ms.tolist())])
-    keys = np.empty((index.size, 5), dtype=np.int8)
     values = np.empty(index.size)
     for r1, block, r2, l3, new, head, _ in index.rows():
-        keys[block, :2] = ls[r1], ms[r1]
-        keys[block, 2:] = np.column_stack((ls[r2], ms[r2], l3))
         r2, l3 = r2[new], l3[new]
         r3 = l3 * l3 + l3 + ms[r1] + ms[r2]
         values[block][new] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
         values[block] = values[head]
-    return StructureTable(L_max, keys, values)
+    table = StructureTable(L_max, values)
+    table.index = index
+    return table
 
 
 @lru_cache(maxsize=64)

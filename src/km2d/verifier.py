@@ -774,8 +774,8 @@ class _Engine:
                     np.sum(W.conj() * D).real / np.sum(np.abs(W) ** 2)))
         if alg.zero_total(mode1, mode2):
             raw_central = self._vacuum_value(family, a, b, mode1, mode2, rhs)
-        res = _result(alg, family, a, b, mode1, mode2, residual, raw_central,
-                      kappa, tol, central_lookup, central_tol)
+        res = _result(alg, family, a, b, mode1, mode2, rhs, residual,
+                      raw_central, kappa, tol, central_lookup, central_tol)
         if not res.passed and residual:
             # b_x b_y|s> of the largest coefficient, spinor 0, s holding the
             # oscillators the pair annihilates.  They act first, so the
@@ -1047,14 +1047,17 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         spread = max((abs(v - mean) for v in diags), default=0.0)
         residual = max(residual, spread, abs(mean.imag))
         raw_central = mean.real
-    return _result(alg, family, a, b, mode1, mode2, residual, raw_central,
-                   kappa, tol, central_lookup, central_tol, worst_state)
+    return _result(alg, family, a, b, mode1, mode2,
+                   alg.rhs_terms(family, a, b, mode1, mode2), residual,
+                   raw_central, kappa, tol, central_lookup, central_tol,
+                   worst_state)
 
 
-def _result(alg, family, a, b, mode1, mode2, residual, raw_central, kappa,
-            tol, central_lookup, central_tol,
+def _result(alg, family, a, b, mode1, mode2, rhs, residual, raw_central,
+            kappa, tol, central_lookup, central_tol,
             worst_state=None) -> BracketResult:
-    """The BracketResult; a raw central marks a zero-total bracket."""
+    """The BracketResult; a raw central marks a zero-total bracket.  ``rhs``
+    is the adapter's ``rhs_terms`` of the bracket."""
     central_measured = central_expected = None
     passed = residual <= tol
     if raw_central is not None:
@@ -1064,7 +1067,7 @@ def _result(alg, family, a, b, mode1, mode2, residual, raw_central, kappa,
     offender = (render_state(worst_state, alg.cfg)
                 if (not passed and worst_state is not None) else None)
     return BracketResult(_lhs_label(alg, family, a, b, mode1, mode2),
-                         _rhs_label(alg, family, a, b, mode1, mode2),
+                         _rhs_label(alg, rhs),
                          residual, raw_central, central_measured,
                          central_expected, passed, kappa, offender)
 
@@ -1075,9 +1078,9 @@ def _lhs_label(alg, family, a, b, mode1, mode2) -> str:
             f"{alg.mode_label(kind_b, ib, mode2)}]")
 
 
-def _rhs_label(alg, family, a, b, mode1, mode2) -> str:
+def _rhs_label(alg, rhs) -> str:
     parts = []
-    for scale, kind, c, mode in alg.rhs_terms(family, a, b, mode1, mode2):
+    for scale, kind, c, mode in rhs:
         if isinstance(scale, complex):
             txt = f"({scale.real:+.6g}{scale.imag:+.6g}i)"
         else:

@@ -164,11 +164,12 @@ def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
 
 
 def structure_csv(table, fh) -> None:
-    """``StructureTable.to_csv`` with every field formatted per row."""
-    fh.write("l1,m1,l2,m2,l3,m3,value\n")
+    """``StructureTable.to_csv`` with every field formatted per row, written
+    as bytes to the binary file ``fh``."""
+    fh.write(b"l1,m1,l2,m2,l3,m3,value\n")
     for (l1, m1, l2, m2, l3), v in zip(table.keys.tolist(),
                                        table.values.tolist()):
-        fh.write(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},{v:.17g}\n")
+        fh.write(f"{l1},{m1},{l2},{m2},{l3},{m1 + m2},{v:.17g}\n".encode())
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_structure_constants_csv(tmp_path):
+def test_structure_constants_csv(tmp_path, capsysbinary):
     out = tmp_path / "sc.csv"
     assert main(["structure-constants", "--lmax", "4",
                  "--output", str(out)]) == 0
@@ -45,6 +45,9 @@ def test_structure_constants_csv(tmp_path):
     assert lines[0] == "l1,m1,l2,m2,l3,m3,value"
     golden = [ln for ln in lines if ln.startswith("1,0,1,0,2,0,0.894427")]
     assert golden, "expected the 2/sqrt(5) row"
+    # stdout is the other write path: the same bytes through its buffer
+    assert main(["structure-constants", "--lmax", "4"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_half_integer_flag_forms(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from km2d import harmonics
 from km2d.harmonics import (
     StructureTable,
     jacobi_Q,
@@ -195,12 +196,12 @@ def test_structure_associativity(table8):
 
 
 def test_structure_csv_format(table4):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     table4.to_csv(buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "l1,m1,l2,m2,l3,m3,value"
-    row = next(ln for ln in lines if ln.startswith("1,0,1,0,2,0,"))
-    assert row.split(",")[-1].startswith("0.894427190999")
+    assert lines[0] == b"l1,m1,l2,m2,l3,m3,value"
+    row = next(ln for ln in lines if ln.startswith(b"1,0,1,0,2,0,"))
+    assert row.split(b",")[-1].startswith(b"0.894427190999")
 
 
 @pytest.mark.parametrize("L", [0, 1, 4, 13])
@@ -208,7 +209,7 @@ def test_structure_csv_matches_per_row_oracle(L):
     # every L > 0 has m1 < 0 rows, printed from their mirror (l1, -m1):
     # L = 1 is the smallest such table, L = 13 has 126,133 rows
     table = structure_table(L)
-    fast, slow = io.StringIO(), io.StringIO()
+    fast, slow = io.BytesIO(), io.BytesIO()
     table.to_csv(fast)
     structure_csv(table, slow)
     got = fast.getvalue().splitlines(keepends=True)
@@ -228,9 +229,47 @@ def test_structure_csv_rejects_a_row_unlike_its_mirror():
         values = table.values.copy()
         i = np.flatnonzero(picks)[7]
         values[i] = np.nextafter(values[i], np.inf)
-        bad = StructureTable(4, table.keys, values)
+        bad = StructureTable(4, values)
         with pytest.raises(ValueError, match="mirror"):
-            bad.to_csv(io.StringIO())
+            bad.to_csv(io.BytesIO())
+
+
+def test_format_17g_matches_python():
+    # the numpy path against Python's %.17g in every decade it serves and
+    # beyond, signed; about 0.3 % of those in [1e-4, 1) round to a fraction
+    # of exactly one half in the extended type and must take Python's path
+    rng = np.random.default_rng(17)
+    x = rng.random(200_000) * 10.0 ** rng.integers(-7, 2, 200_000)
+    x[::2] *= -1
+    edges = np.array([0.0, -0.0, 1.0, 0.1, 1e-4, 1e-5, 0.5, 5e-324,
+                      1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    x = np.concatenate([x, edges, np.nextafter(edges, 0),
+                        np.nextafter(edges, 1)])
+    got = harmonics._format_17g(x).tobytes().translate(None, b"\0")
+    assert got == ("%.17g\n" * len(x) % tuple(x.tolist())).encode()
+
+
+def test_structure_csv_reads_no_keys(monkeypatch):
+    # the build fills the values only and the writer reuses the build's
+    # orbit index; keys and entries stay underived.  A fresh table, as the
+    # cached one may have had its keys read by another test.
+    built = []
+
+    class CountedIndex(harmonics._OrbitIndex):
+        def __init__(self, L):
+            built.append(L)
+            super().__init__(L)
+
+    monkeypatch.setattr(harmonics, "_OrbitIndex", CountedIndex)
+    table = structure_table.__wrapped__(12)
+    buf = io.BytesIO()
+    table.to_csv(buf)
+    assert built == [12]
+    assert "keys" not in vars(table) and "entries" not in vars(table)
+    slow = io.BytesIO()
+    structure_csv(table, slow)
+    same = buf.getvalue() == slow.getvalue()     # no diff of megabytes
+    assert same
 
 
 def test_structure_mirror_rows_match_per_entry_oracle():
