@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .fock import (Mode, ModeOperator, SectorConfig, TableCoverageError,
                    add_normal_ordered)
 from .harmonics import StructureTable, triple_product_ns
@@ -38,7 +36,6 @@ __all__ = [
     "lam_constant",
     "torus_T",
     "torus_L",
-    "torus_symbol",
     "sphere_T",
     "sphere_L",
     "TableCoverageError",
@@ -118,19 +115,6 @@ def torus_L(m: int, p: int, cfg: SectorConfig,
             eps: float = 0.0) -> ModeOperator:
     """Virasoro generator at bilinear mode (m, p) on the torus."""
     return _virasoro(cfg, _torus_pairs(cfg, m, p, eps), (m, p) == (0, 0))
-
-
-def torus_symbol(kind: str, rep: LieAlgebraRep, a, n2: int):
-    """(F, scale) of the torus generators' pair coefficients, as matrices.
-
-    torus_T and torus_L put scale * F_{ij} w(q) w(p-q) on the pair
-    :b^i_{n,q} b^j_{m-n,p-q}: with doubled z index n2 = 2n: T^a has
-    F = i M^a and scale 1/2, L has F = -n2 times the identity and scale
-    1/4.  F has Gaussian-integer entries; the scale is a dyadic float.
-    """
-    if kind == "T":
-        return 1j * rep.M[a - 1], 0.5
-    return -n2 * np.eye(rep.d), 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,10 @@ from typing import Optional
 import numpy as np
 
 from .currents import (_sphere_pairs, lam_constant, sphere_L, sphere_T,
-                       torus_L, torus_symbol, torus_T)
+                       torus_L, torus_T)
 from .fock import (FockState, Mode, ModeOperator, SectorConfig, _apply_b,
-                   accumulate, enumerate_states, render_state, torus_sector)
+                   accumulate, enumerate_states, render_state, torus_sector,
+                   vacuum_states)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
@@ -151,8 +152,8 @@ class _Algebra:
         if family == "LL":
             scale, kind, c = self.z_mode(mode1) - self.z_mode(mode2), "L", None
         elif family == "LT":
-            # minus the z-mode of the current
-            scale, kind, c = -self.z_mode(mode2), "T", a
+            # minus the z-mode of the current T^b
+            scale, kind, c = -self.z_mode(mode2), "T", b
         else:
             raise ValueError(f"unknown family {family!r}")
         if not scale:
@@ -391,15 +392,10 @@ def _one_dim_reduction(z_sector: str, d: int, m: int) -> SectorConfig:
     return torus_sector(z_sector, "R", d, Fraction(m2_cut, 2), 0)
 
 
-def _pair_matrix(kind, rep, a, n2: int, m2: int) -> np.ndarray:
-    """F(n2) - F(m2 - n2)^T: the pair coefficient, antisymmetrized, over scale/2.
-
-    F is the flavour matrix of ``torus_symbol``; its Gaussian-integer
-    entries are exact in complex128, so sums of these matrices times integer
-    angular counts are exact before the dyadic scale applies.
-    """
-    return (torus_symbol(kind, rep, a, n2)[0]
-            - torus_symbol(kind, rep, a, m2 - n2)[0].T)
+def _z_weight(kind, n2, m2):
+    """The z factor of a torus generator's mode weight g at doubled z index
+    n2 and doubled z mode m2: 1 for T, (m2 - 2 n2)/8 for L, exact in float."""
+    return 1.0 if kind == "T" else (m2 - 2 * n2) / 8
 
 
 def _theta2(n2: int, q2: np.ndarray) -> np.ndarray:
@@ -422,20 +418,22 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
         <[Q(A), Q(B)]>
             = 2 sum_{x,y} A_{xy} (theta_x + theta_y - 1) B_{conj y, conj x}.
 
-    A pair x = (i, n, q), y = (j, m-n, p-q) splits this into a flavour trace
-    per z index n times the angular sum of w(q)^2 w(p-q)^2 (theta_x + theta_y
-    - 1), in float64.  At eps = 0 the weights are exactly 1 and every term is
-    a dyadic rational, so the value is exact.  The right-hand side X_{0,0}
-    has vacuum value equal to its identity term: off the z = 0 line the
-    normal order has vacuum value 0, and on it the pair coefficient vanishes
-    (L: the factor n; T: trace M^c = 0 for antisymmetric M^c).
+    A generator's coefficient on x = (i, n, q), y = (j, m-n, p-q) is the
+    engines' F (x) g, damped: F_{ij} g(n) w(q) w(p-q), with g(n) the
+    ``_z_weight``.  So the sum is trace(F_A F_B) g_A g_B per z index n times
+    the angular sum of w(q)^2 w(p-q)^2 (theta_x + theta_y - 1), in float64.
+    At eps = 0 the weights are exactly 1 and every term is a dyadic
+    rational, so the value is exact.  The right-hand side X_{0,0} has vacuum
+    value equal to its identity term: off the z = 0 line the normal order
+    has vacuum value 0, and on it the pair coefficient vanishes (L: g = 0;
+    T: trace M^c = 0 for antisymmetric M^c).
 
     The value subtracts ``rhs``, the caller's right-hand side terms, by
     default those of ``TorusAlgebra``.  Raises AssertionError for a value
     with an imaginary part, or one that would differ across the vacuum
     multiplet: a nonzero antisymmetric zero-mode block of [A, B] minus the
-    ``TorusAlgebra`` right-hand side.  This check does not depend on how the
-    zero modes are paired into spinor labels.
+    ``TorusAlgebra`` right-hand side, read from F (x) g as well.  This check
+    does not depend on how the zero modes are paired into spinor labels.
     """
     if family not in ("TT", "LL"):
         raise ValueError("central terms exist for TT and LL only")
@@ -443,6 +441,10 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
     m2, p2 = 2 * m, 2 * p
     own = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
     rhs = own if rhs is None else rhs
+    FA, FB = (_Engine.flavour_matrix(rep, kind, c) for c in (a, b))
+    # trace(FA FB), summed elementwise: a BLAS product of these small
+    # matrices would cost its buffers in peak memory
+    trace = np.sum(FA * FB.T)
 
     def w(k2):
         # the damping weight of torus_T and torus_L
@@ -456,13 +458,10 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
         if abs(m2 - n2) > cfg.m2_cut:
             continue
         # A's pair (x, y) meets B's pair (conj y, conj x)
-        FA = _pair_matrix(kind, rep, a, n2, m2)
-        FB = _pair_matrix(kind, rep, b, n2 - m2, -m2)
         theta2 = _theta2(n2, q2) + _theta2(m2 - n2, p2 - q2) - 2
-        # trace(FA FB), summed elementwise: a BLAS product of these small
-        # matrices would cost its buffers in peak memory
-        flavour_angular += np.sum(FA * FB.T) * np.sum(ww * theta2)
-    scale2 = torus_symbol(kind, rep, a, 0)[1] ** 2
+        flavour_angular += (trace * _z_weight(kind, n2, m2)
+                            * _z_weight(kind, n2 - m2, -m2)
+                            * np.sum(ww * theta2))
 
     if cfg.zero_modes:
         # the zero modes u_i = (i, 0, 0) pair with (k, m, p) in A and with
@@ -471,27 +470,25 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
         w0 = float(w(0))
         block = np.zeros((rep.d, rep.d))
         if abs(m2) <= cfg.m2_cut and abs(p2) <= cfg.p2_cut:
-            FA = _pair_matrix(kind, rep, a, 0, m2)
-            FB = _pair_matrix(kind, rep, b, 0, -m2)
-            block = (scale2 / 2 * (w0 * float(w(p2))) ** 2
+            block = (2 * _z_weight(kind, 0, m2) * _z_weight(kind, 0, -m2)
+                     * (w0 * float(w(p2))) ** 2
                      * (np.einsum("ik,jk->ij", FB, FA)
                         - np.einsum("ik,jk->ij", FA, FB)))
         for scale, kind_c, c, _ in own:
-            block = block - (scale * torus_symbol(kind_c, rep, c, 0)[1]
-                             / 2 * w0 ** 2 * _pair_matrix(kind_c, rep, c, 0, 0))
+            block = block - (scale * _z_weight(kind_c, 0, 0) * w0 ** 2
+                             * _Engine.flavour_matrix(rep, kind_c, c))
         spread = float(np.abs(block).max())
         if spread > 1e-10:
             raise AssertionError(f"central value varies across the vacuum "
                                  f"multiplet: zero-mode block {spread:.3e}")
 
-    # 2 * (scale/2)^2 * (1/2 for the doubled theta); of the rhs only the
+    # the sum's factor 2 cancels the doubling of theta; of the rhs only the
     # identity term lam * d of L_{0,0} has a vacuum value
-    imag = flavour_angular.imag * scale2 / 4
-    if abs(imag) > 1e-10:
-        raise AssertionError(f"central value has imaginary part {imag:.3e}")
+    if abs(flavour_angular.imag) > 1e-10:
+        raise AssertionError(f"central value has imaginary part "
+                             f"{flavour_angular.imag:.3e}")
     identity = sum(scale for scale, kind_c, _, _ in rhs if kind_c == "L")
-    return float(flavour_angular.real * scale2 / 4
-                 - identity * lam_constant(cfg) * cfg.d)
+    return float(flavour_angular.real - identity * lam_constant(cfg) * cfg.d)
 
 
 def _legendre_overlap(l1: int, l2: int, m: int) -> float:
@@ -756,6 +753,13 @@ class _Engine:
         self.alg = alg
         self.probe_modes = _ProbeModes(alg.cfg, probes, modes)
 
+    @staticmethod
+    def flavour_matrix(rep, kind, a) -> np.ndarray:
+        """F of a generator: (i/2) M^a for T^a, the identity for L."""
+        if kind == "T":
+            return 0.5j * rep.M[a - 1]
+        return np.eye(rep.d)
+
     def job(self, family, a, b, mode1, mode2, tol, central_lookup,
             central_tol) -> BracketResult:
         alg, cfg = self.alg, self.alg.cfg
@@ -791,21 +795,26 @@ class _Engine:
 
 
 class TorusEngine(_Engine):
-    """Decides torus brackets from one-particle stacks.
+    """Decides torus brackets from one-particle flavour and mode weights.
 
     A torus generator X of mode t is sum_{x,y} S_{xy} b_x b_y plus a
     c-number, with S antisymmetric and nonzero only on pairs y = t - x that
     lie inside the cutoffs.  Over the lattice point x = (n, q) of the first
-    mode, S is a stack of d x d flavour matrices,
-    S[x] = (scale/2) (F(n) - F(m - n)^T) with F and scale from
-    ``torus_symbol``.  The CAR give [Q(A), Q(B)] = Q(2 (P - P^T)) plus a
-    c-number, where P[x] = A[x] @ B[x - t_A]; so the residual of a bracket
-    of total mode T is the stack 2 (P[x] - P[T - x]^T) - R[x], R the stack
-    of the right-hand side.  At T = 0 the c-number is ``_vacuum_trace``.
-    The stack is compared on the box of x with x and T - x inside
-    compare_bounds, which holds every term the Fock path can see on a
-    probe (``_exact_terms``); on it, truncation cuts no contraction route.
-    The coefficients are dyadic rationals times Gaussian integers, exact in
+    mode, S = F (x) g: F the ``flavour_matrix``, g the 0/1 mask of a partner
+    inside the cutoffs, times ``_z_weight`` for L.  The CAR give
+    [Q(A), Q(B)] = Q(2 (P - P^T)) plus a c-number, where P[x] =
+    A[x] B[x - t_A] = F_A F_B h(x), h(x) = g_A(x) g_B(x - t_A); so the
+    residual of a bracket of total mode T, with the rhs sum_c s_c F_c (x) g_c,
+    is
+
+        D = 2 (F_A F_B (x) h(x) - (F_A F_B)^T (x) h(T - x)) - rhs.
+
+    The transpose is not the sphere's F_B F_A: [L, T] pairs a symmetric F
+    with an antisymmetric one.  At T = 0 the c-number is ``_vacuum_trace``.
+    D is compared on the box of x with x and T - x inside compare_bounds,
+    which holds every term the Fock path can see on a probe
+    (``_exact_terms``); on it, truncation cuts no contraction route.  The
+    coefficients are dyadic rationals times Gaussian integers, exact in
     complex128: a true bracket's residual is exactly 0.0, and its [L, T]
     refit is the rule's own value.
     """
@@ -814,30 +823,26 @@ class TorusEngine(_Engine):
         cfg = alg.cfg
         self.z2 = np.array(cfg.z_lattice())
         self.q2 = np.array(cfg.angular_lattice())
-        self._stacks: dict = {}
+        self._g: dict = {}
         modes = [Mode(i, int(n2), int(q2), 0) for n2 in self.z2
                  for q2 in self.q2 for i in range(1, cfg.d + 1)]
         super().__init__(alg, probes, modes)
         # the flat indices of x = (z, q, i) and of (z, q, j) at each
-        # coefficient of a stack; reversing the box maps the second to y
+        # coefficient of D; reversing the box maps the second to y
         flat = np.arange(len(modes)).reshape(len(self.z2), len(self.q2),
                                              cfg.d, 1)
         self._x, self._y = np.broadcast_arrays(flat, flat.swapaxes(-1, -2))
 
-    def stack(self, kind, a, mode) -> np.ndarray:
-        """S of one generator as a (z, q, flavour, flavour) array."""
-        key = (kind, a, mode)
-        if key not in self._stacks:
-            cfg, rep = self.alg.cfg, self.alg.rep
+    def mode_weight(self, kind, mode) -> np.ndarray:
+        """g of a generator as a (z, q) array."""
+        if (kind, mode) not in self._g:
+            cfg = self.alg.cfg
             m2, p2 = 2 * mode[0], 2 * mode[1]
-            pair = np.array([_pair_matrix(kind, rep, a, n2, m2)
-                             for n2 in self.z2])
             inside = ((np.abs(m2 - self.z2) <= cfg.m2_cut)[:, None]
                       & (np.abs(p2 - self.q2) <= cfg.p2_cut))
-            scale = torus_symbol(kind, rep, a, 0)[1]
-            self._stacks[key] = (scale / 2 * inside)[:, :, None, None] \
-                * pair[:, None]
-        return self._stacks[key]
+            self._g[kind, mode] = inside * _z_weight(kind, self.z2[:, None],
+                                                     m2)
+        return self._g[kind, mode]
 
     def _box(self, mode1, mode2):
         """Index slices of the points x with x and T - x inside the margins.
@@ -857,18 +862,21 @@ class TorusEngine(_Engine):
 
     def _compared(self, family, a, b, mode1, mode2, rhs):
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
+        rep = self.alg.rep
         zs, qs = self._box(mode1, mode2)
-        A = self.stack(kind_a, ia, mode1)[zs, qs]
-        # B at x - t_A, which stays inside the cutoffs on the box
-        B = self.stack(kind_b, ib, mode2)[
-            zs.start - mode1[0]:zs.stop - mode1[0],
-            qs.start - mode1[1]:qs.stop - mode1[1]]
-        P = A @ B
-        R = sum([scale * self.stack(kind, c, mode)[zs, qs]
+        # g_B at x - t_A, which stays inside the cutoffs on the box
+        h = self.mode_weight(kind_a, mode1)[zs, qs] * self.mode_weight(
+            kind_b, mode2)[zs.start - mode1[0]:zs.stop - mode1[0],
+                           qs.start - mode1[1]:qs.stop - mode1[1]]
+        FAB = np.einsum("ij,jk->ik", self.flavour_matrix(rep, kind_a, ia),
+                        self.flavour_matrix(rep, kind_b, ib))
+        R = sum([scale * self.mode_weight(kind, mode)[zs, qs, None, None]
+                 * self.flavour_matrix(rep, kind, c)
                  for scale, kind, c, mode in rhs])
         # reversing the box maps x to T - x
-        return (2 * (P - P[::-1, ::-1].swapaxes(-1, -2)) - R, R,
-                self._x[zs, qs], self._y[zs, qs][::-1, ::-1])
+        D = 2 * (h[:, :, None, None] * FAB
+                 - h[::-1, ::-1, None, None] * FAB.T) - R
+        return D, R, self._x[zs, qs], self._y[zs, qs][::-1, ::-1]
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         # 0.0 for [L, T], as the trace of M^a vanishes
@@ -926,12 +934,6 @@ class SphereEngine(_Engine):
         self._ann = np.nonzero(self._m > 0)[0]
         self._G: dict = {}
 
-    def flavour_matrix(self, kind, a) -> np.ndarray:
-        """F of a generator."""
-        if kind == "T":
-            return 0.5j * self.alg.rep.M[a - 1]
-        return np.eye(self.alg.cfg.d)
-
     def mode_matrix(self, kind, mode) -> np.ndarray:
         """G of a generator."""
         if (kind, mode) not in self._G:
@@ -947,8 +949,8 @@ class SphereEngine(_Engine):
     def _products(self, family, a, b, mode1, mode2):
         """F_A F_B, F_B F_A, G_A, G_B, K G_A and K G_B of a bracket."""
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
-        FA = self.flavour_matrix(kind_a, ia)
-        FB = self.flavour_matrix(kind_b, ib)
+        FA = self.flavour_matrix(self.alg.rep, kind_a, ia)
+        FB = self.flavour_matrix(self.alg.rep, kind_b, ib)
         GA = self.mode_matrix(kind_a, mode1)
         GB = self.mode_matrix(kind_b, mode2)
         KGA, KGB = (self._twist[:, None] * G[self._conj] for G in (GA, GB))
@@ -966,7 +968,7 @@ class SphereEngine(_Engine):
         for scale, kind, c, mode in rhs:
             G = scale * self.mode_matrix(kind, mode)[:n, :n]
             by_flavour[kind, c] = by_flavour.get((kind, c), 0) + G
-        R = sum(_kron(self.flavour_matrix(*key), G)
+        R = sum(_kron(self.flavour_matrix(self.alg.rep, *key), G)
                 for key, G in by_flavour.items())
         D = (_kron(FAB, np.einsum("uv,vw->uw", GA[:n], KGB[:, :n]))
              - _kron(FBA, np.einsum("uv,vw->uw", GB[:n], KGA[:, :n])) - R)
@@ -1001,11 +1003,11 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
     A = alg.op(kind_a, ia, mode1)
     B = alg.op(kind_b, ib, mode2)
     rhs = _assemble_rhs(alg, family, a, b, mode1, mode2)
-    D = A.commutator(B)
+    full = A.commutator(B)
     if rhs is not None:
-        D = D - rhs
+        full = full - rhs
     margins = alg.compare_bounds(mode1, mode2)
-    D = _exact_terms(D, margins)
+    D = _exact_terms(full, margins)
     zero_tot = alg.zero_total(mode1, mode2)
 
     # independent refit of the [L, T] coefficient against the unit RHS
@@ -1046,7 +1048,11 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         mean = sum(diags) / len(diags) if diags else 0j
         spread = max((abs(v - mean) for v in diags), default=0.0)
         residual = max(residual, spread, abs(mean.imag))
-        raw_central = mean.real
+        # the vacuum value of every term: on the spinors 0 and last the zero
+        # modes' diagonal bilinears cancel, as in the multiplet's trace
+        vacua = vacuum_states(alg.cfg)
+        raw_central = sum(complex(full.apply_state(v).get(v, 0)).real
+                          for v in (vacua[0], vacua[-1])) / 2
     return _result(alg, family, a, b, mode1, mode2,
                    alg.rhs_terms(family, a, b, mode1, mode2), residual,
                    raw_central, kappa, tol, central_lookup, central_tol,

@@ -521,11 +521,20 @@ PINNED_REPORTS = [
     (["verify-sphere", "--sectors", "R", "--rep", "so4-adjoint", "--cutoff-l",
       "6", "--max-l", "2"],
      "0199d1ef1589ed02c608e5f6f4a4aea14c2c6f4ca1813ae66f8a9d1b010ee564"),
+    # sweep size 2 on R,R: the L weight at n = 0 and the zero-mode block of
+    # the vacuum trace, on 63 zero-total brackets
+    (["verify-torus", "--sectors", "R,R", "--cutoff-m", "5", "--cutoff-p", "5",
+      "--max-mode", "2"],
+     "5051bd7cc1d3617dc8b7c86d78fbf07f6c3ed0d257a3157ed206f161fde40c37"),
+    (["verify-torus", "--sectors", "R,R", "--cutoff-m", "5", "--cutoff-p", "5",
+      "--max-mode", "2", "--rep", "so4-adjoint"],
+     "7baf975a92a860b09a05067a4e00f038bb5859b31954ff2defe5347dddeaaab5"),
 ]
 PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
               "table-json", "sphere-r-l6", "sphere-r-l5", "torus-so4",
               "torus-rns", "raw-scan", "torus-default", "torus-nsr",
-              "torus-eps", "torus-rr-so4", "sphere-r-l8", "sphere-r-so4"]
+              "torus-eps", "torus-rr-so4", "sphere-r-l8", "sphere-r-so4",
+              "torus-rr-2", "torus-rr-so4-2"]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -395,8 +396,6 @@ def torus_brackets(draw, rep=SO3):
     a, b = draw(st.integers(1, rep.dim_g)), draw(st.integers(1, rep.dim_g))
     if family == "LL":
         a = b = None
-    elif family == "LT":
-        b = a               # [L, T^a] closes on T^a
     mode = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
     return cfg, window, family, a, b, draw(mode), draw(mode)
 
@@ -461,6 +460,9 @@ def rep_brackets(draw):
 # zero modes' spin rotation by T^3 cancels on both, so nothing is refitted
 @example(bracket=(SO4, torus_sector("R", "R", 6, 2, 1), Window(0, 0, 1),
                   "LT", 3, 3, (-1, 0), (1, 0)))
+# [L, T^2] closes on T^2, whatever the unused index a of L
+@example(bracket=(SO3, torus_sector("NS", "NS", 3, 9 * H, 9 * H),
+                  Window.of(1, 1, 2), "LT", 1, 2, (0, 1), (1, 0)))
 def test_normal_ordered_residual_matches_fock_path(bracket):
     # _bracket_job is the oracle of the engine, on every bracket the guard
     # accepts, zero-total ones with their raw centrals included
@@ -514,8 +516,21 @@ class _WrongAlgebra(TorusAlgebra):
             return [(2 * scale, *rest) for scale, *rest in terms]
         if family == "LT" and self.corruption == "shift LT":
             msum = (mode1[0] + mode2[0], mode1[1] + mode2[1])
-            return [(1 - mode2[0], "T", a, msum)]
+            return [(1 - mode2[0], "T", b, msum)]
         return terms
+
+
+# sha256 of json.dumps of each wrong algebra's failing report
+WRONG_ALGEBRA_REPORTS = {
+    ("NS", "double f_abc"):
+        "81f0139f3fcbfc9ec6cc86417f985d94ec92ed63e83257db8d6b65d0fd12a271",
+    ("NS", "shift LT"):
+        "f2ae676eb9ce08614655b53ce4b14611c8efa3d5cbf9c059a21fe6ac5b7abb3b",
+    ("R", "double f_abc"):
+        "f27165c18f8dd41080fe6edfa75c4648717ee82444323328cf229d86e01571b5",
+    ("R", "shift LT"):
+        "f167bdc01d0114508c30c28b6ae28c00432976d626d8ff3746da2f9c0c308a39",
+}
 
 
 @pytest.mark.parametrize("corruption", ["double f_abc", "shift LT"])
@@ -541,6 +556,10 @@ def test_engine_never_passes_a_wrong_algebra(so3, cfg, window, corruption):
     assert all(r.residual > 1e-9 and r.offending_state for r in failed)
     # a bracket of nonzero total (no raw central) fails
     assert any(r.raw_central is None for r in failed)
+    # the report, with its nonzero residuals and offending states, is pinned
+    text = json.dumps(report.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        WRONG_ALGEBRA_REPORTS[cfg.z_sector, corruption]
 
 
 def test_passing_torus_sweep_never_takes_the_fock_path(so3, nsns,
@@ -726,8 +745,6 @@ def sphere_brackets(draw):
     a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     if family == "LL":
         a = b = None
-    elif family == "LT":
-        b = a
 
     def mode():
         l = draw(st.integers(0, 2))
@@ -912,6 +929,24 @@ def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
     got = wrong.engine(probes).job(*args, 1e-9, *lookup)
     assert not got.passed and got.residual > 1e-9
     assert got.offending_state
+
+
+def test_fock_raw_central_is_the_vacuum_value(so3, nsns):
+    # [L(1,0), L(-1,0)] on NS,NS 9/2 with its right-hand side 2 L(0,0)
+    # dropped: the probes' mean diagonal is 1.636, the vacuum value is the
+    # engine's 0.0, and the Fock path reports the vacuum value
+    from km2d.verifier import _bracket_job
+
+    bracket = ("LL", (1, 0), (-1, 0))
+    alg = _corrupted(TorusAlgebra, "drop", bracket)(nsns, so3)
+    probes = probe_states(nsns, Window.of(1, 1, 2))
+    args = (bracket[0], None, None, *bracket[1:])
+    lookup = (lambda *args: 0.0, 1e9)
+    fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
+    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    assert not fock.passed and not got.passed
+    assert fock.raw_central == got.raw_central == \
+        _fock_vacuum_value(alg, *args) == 0.0
 
 
 @pytest.mark.parametrize("corruption", ["drop", "double"])
