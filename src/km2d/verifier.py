@@ -9,15 +9,18 @@ inside them, the only terms a probe can see.  The engine of the geometry
 decides every bracket from one-particle coefficients, on the pairs of modes
 inside the margins: its residual is the largest compared coefficient of
 [Q(A), Q(B)] - rhs, exactly 0.0 for a true torus bracket and quadrature
-round-off on the sphere.  A failing bracket names a state on which its
-largest term acts, whether or not a probe holds it.  At zero total the raw
-central is the oscillator vacuum trace of the bracket.  The Fock path,
-``_bracket_job``, applies the bilinears to the probe states, filters with
-``_exact_terms`` and reports the largest probe amplitude; it certifies
-nothing and is the engines' oracle in the tests.  Central terms
-are never read from raw truncated commutators (their coincident-point
-multiplicity grows with the angular cutoff); they come from the regulated
-pipeline:
+round-off on the sphere.  The engine decides a group at a time, a family
+with fixed flavour indices; the torus engine evaluates a whole group on
+its brackets' compared points laid end to end, exactly, as every torus
+coefficient is a dyadic rational times a Gaussian integer.  A failing
+bracket names a state on which its largest term acts, whether or not a
+probe holds it.  At zero total the raw central is the oscillator vacuum
+trace of the bracket.  The Fock path, ``_bracket_job``, applies the
+bilinears to the probe states, filters with ``_exact_terms`` and reports
+the largest probe amplitude; it certifies nothing and is the engines'
+oracle in the tests.  Central terms are never read from raw truncated
+commutators (their coincident-point multiplicity grows with the angular
+cutoff); they come from the regulated pipeline:
 
     central = (one-dimensional mode anomaly, an exact one-particle vacuum
                trace on a degenerate single-angular-mode sector)
@@ -49,7 +52,7 @@ import numpy as np
 
 from .currents import (_sphere_pairs, lam_constant, sphere_L, sphere_T,
                        torus_L, torus_T)
-from .fock import (FockState, Mode, ModeOperator, SectorConfig, _apply_b,
+from .fock import (FockState, ModeOperator, SectorConfig, _apply_b,
                    accumulate, enumerate_states, render_state, torus_sector,
                    vacuum_states)
 from .halfints import fmt_half, to_doubled
@@ -258,10 +261,10 @@ class TorusAlgebra(_Algebra):
                 f"{fmt_half(cfg.p2_cut)}")
 
     def compare_bounds(self, mode1, mode2):
-        """Doubled (|z|, |angular|) margins, one operator strength inside."""
-        margin_z = self.cfg.m2_cut - 2 * max(abs(mode1[0]), abs(mode2[0]))
-        margin_a = self.cfg.p2_cut - 2 * max(abs(mode1[1]), abs(mode2[1]))
-        return margin_z, margin_a
+        """Doubled (|z|, |angular|) margins, one operator strength inside;
+        the mode labels may be arrays over brackets."""
+        reach = 2 * np.maximum(np.abs(mode1), np.abs(mode2))
+        return self.cfg.m2_cut - reach[0], self.cfg.p2_cut - reach[1]
 
     def mode_label(self, kind, a, mode) -> str:
         tag = f"T{a}" if kind == "T" else "L"
@@ -441,7 +444,8 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
     m2, p2 = 2 * m, 2 * p
     own = TorusAlgebra(cfg, rep).rhs_terms(family, a, b, (m, p), (-m, -p))
     rhs = own if rhs is None else rhs
-    FA, FB = (_Engine.flavour_matrix(rep, kind, c) for c in (a, b))
+    F = _flavours(rep)
+    FA, FB = (F[kind, c if kind == "T" else None] for c in (a, b))
     # trace(FA FB), summed elementwise: a BLAS product of these small
     # matrices would cost its buffers in peak memory
     trace = np.sum(FA * FB.T)
@@ -476,7 +480,7 @@ def _vacuum_trace(family: str, rep: LieAlgebraRep, a: int, b: int, m: int,
                         - np.einsum("ik,jk->ij", FA, FB)))
         for scale, kind_c, c, _ in own:
             block = block - (scale * _z_weight(kind_c, 0, 0) * w0 ** 2
-                             * _Engine.flavour_matrix(rep, kind_c, c))
+                             * F[kind_c, c])
         spread = float(np.abs(block).max())
         if spread > 1e-10:
             raise AssertionError(f"central value varies across the vacuum "
@@ -674,124 +678,116 @@ def _generators(family, a, b):
             ("L", None) if family == "LL" else ("T", b))
 
 
-class _ProbeModes:
-    """Which one-particle modes act on each probe, over a flat mode index.
-
-    An annihilator acts when the probe holds its oscillator, a creator when
-    the probe leaves its conjugate free, a zero mode always.  The engines
-    decide every bracket; this decides only whether an [L, T] coefficient
-    is measured, by the rule of the refit in ``_bracket_job``, the Fock
-    path that is the engines' oracle in the tests.
-    """
-
-    def __init__(self, cfg: SectorConfig, probes, modes):
-        self.cfg = cfg
-        self.modes = modes
-        index = {m: k for k, m in enumerate(modes)}
-        held = np.zeros((len(probes), len(modes)), bool)
-        for s, probe in enumerate(probes):
-            held[s, [index[m] for m in probe.occ]] = True
-        kind = np.array([cfg.classify(m) for m in modes])
-        conj = [index[cfg.conj(m)] for m in modes]
-        acts = np.where(kind == "ann", held, (kind != "cre") | ~held[:, conj])
-        self.zero = kind == "zero"
-        # the squared amplitude a mode leaves on each probe: 0 where it does
-        # not act, 1/2 for a zero mode (a Clifford unit 1/sqrt2), else 1
-        self.weight = acts * np.where(self.zero, 0.5, 1.0)
-        # a zero-mode bilinear acts on the spinor alone: the signs its two
-        # modes take past the oscillators cancel
-        self.sigmas = [p.sigma for p in probes]
-
-    def refit_has_probe(self, rows, cols, coeffs) -> bool:
-        """Whether the Fock path's [L, T] refit has a probe to fit on.
-
-        The refit's operator is w = sum_k coeffs[k] b_{rows[k]} b_{cols[k]},
-        the compared pairs of the right-hand side, with an antisymmetric
-        coefficient listed in both orders.  It has a probe when the images
-        w|probe> have a squared norm above 1e-12 in sum, as in
-        ``_bracket_job``.  A term with both its modes acting moves a probe
-        by 2 |coeff|, times 1/sqrt2 per zero mode.  Distinct pairs reach
-        distinct states, up to two zero modes of one spinor bit, whose real
-        and imaginary Clifford units are orthogonal on the purely imaginary
-        coefficients of T; so the squared norms add.  At zero total the zero
-        modes pair only with each other: their pairs are a spin rotation of
-        the probe's spinor, whose terms can cancel on a basis spinor (so(4)
-        on the torus R,R), so that rotation is applied to the spinors.
-        """
-        spin = self.zero[rows] & self.zero[cols]
-        norm2 = 0.0
-        if spin.any():
-            rotation = ModeOperator(self.cfg, {
-                (self.modes[r], self.modes[c]): complex(w)
-                for r, c, w in zip(rows[spin], cols[spin], coeffs[spin])})
-            spinor = {s: rotation.apply_state(FockState(s, ())).norm2()
-                      for s in set(self.sigmas)}
-            norm2 = sum(spinor[s] for s in self.sigmas)
-            coeffs = np.where(spin, 0.0, coeffs)
-        weight = self.weight[:, rows] * self.weight[:, cols]
-        return norm2 + 2 * float(np.sum(weight * np.abs(coeffs) ** 2)) > 1e-12
+def _flavours(rep) -> dict:
+    """F of each generator by (kind, a): (i/2) M^a for T^a, 1 for L."""
+    return {("L", None): np.eye(rep.d), **dict(zip(
+        [("T", a) for a in range(1, rep.dim_g + 1)], 0.5j * rep.M))}
 
 
 class _Engine:
     """Decides every bracket of one geometry from one-particle coefficients.
 
-    A geometry's ``_compared`` hook returns the compared coefficients D of
-    [Q(A), Q(B)] - rhs, those R of the right-hand side, and the flat mode
-    indices x and y of each, all of one shape: the coefficient times
-    ``pair_scale`` is the amplitude of b_x b_y.  Its ``_vacuum_value`` hook
-    returns the raw central of a zero-total bracket.  One rule serves both:
-    the residual is the largest |D| and passes iff it is at most tol; the
-    [L, T] coefficient is the least-squares refit field + Re<W, D> / |W|^2
-    on W = R / field, where ``_ProbeModes`` says it is measured; a failing
-    bracket names a state that the term of its largest coefficient reaches,
-    whether or not a probe of the window holds it.
+    ``jobs`` yields the BracketResult of each pair of a group, one family
+    with fixed flavour indices, from the geometry's ``_group`` hook, which
+    gives per bracket the residual, the largest |D| of the compared
+    coefficients D of [Q(A), Q(B)] - rhs; the [L, T] refit's shift from
+    the rule's field coefficient, the least squares Re<W, D> / |W|^2 on
+    W = R / field, R the rhs part of D, or None where ``refit_has_probe``
+    says it is not measured; and for a nonzero residual the flat mode
+    indices (x, y) of the first largest coefficient, the amplitude of
+    b_x b_y.  ``_vacuum_value`` gives a zero-total bracket's raw central.
+    A bracket passes iff its residual is at most tol; a failing one names a
+    state that the term of its largest coefficient reaches, whether or not
+    a probe holds it.
     """
 
-    pair_scale = 1.0
+    def __init__(self, alg, probes):
+        modes = alg.cfg.all_modes()        # flavour first, then the mode
+        self.alg, self.modes, self.F = alg, modes, _flavours(alg.rep)
+        # an annihilator acts on a probe holding its oscillator, a creator
+        # on one leaving its conjugate free, a zero mode on every probe
+        index = {m: k for k, m in enumerate(modes)}
+        held = np.zeros((len(probes), len(modes)), bool)
+        for s, probe in enumerate(probes):
+            held[s, [index[m] for m in probe.occ]] = True
+        kind = np.array([alg.cfg.classify(m) for m in modes])
+        conj = [index[alg.cfg.conj(m)] for m in modes]
+        acts = np.where(kind == "ann", held, (kind != "cre") | ~held[:, conj])
+        self.zero = kind == "zero"
+        # per mode: the probes it acts on, and the squared amplitude it
+        # leaves there, 1/2 for a zero mode (Clifford unit 1/sqrt2)
+        self.acts = acts.T.copy()
+        self.weight = np.where(self.zero, 0.5, 1.0)
+        # a zero-mode bilinear acts on the spinor alone: the signs its two
+        # modes take past the oscillators cancel
+        self.sigmas = [p.sigma for p in probes]
 
-    def __init__(self, alg, probes, modes):
-        self.alg = alg
-        self.probe_modes = _ProbeModes(alg.cfg, probes, modes)
+    def refit_has_probe(self, rows, cols, coeffs, seg, n) -> np.ndarray:
+        """Whether each of n [L, T] refits of the Fock path has a probe.
 
-    @staticmethod
-    def flavour_matrix(rep, kind, a) -> np.ndarray:
-        """F of a generator: (i/2) M^a for T^a, the identity for L."""
-        if kind == "T":
-            return 0.5j * rep.M[a - 1]
-        return np.eye(rep.d)
+        Refit k's operator is w = sum coeffs[e] b_{rows[e]} b_{cols[e]} over
+        the entries e with seg[e] = k, the compared pairs of the right-hand
+        side, an antisymmetric coefficient listed in both orders.  It has a
+        probe when the images w|probe> have a squared norm above 1e-12 in
+        sum, as in ``_bracket_job``.  A term with both its modes acting
+        moves a probe by 2 |coeff|, times 1/sqrt2 per zero mode.  Distinct
+        pairs reach distinct states, up to two zero modes of one spinor bit,
+        whose real and imaginary Clifford units are orthogonal on the purely
+        imaginary coefficients of T; so the squared norms add.  At zero total
+        the zero modes pair only with each other, a spin rotation of the
+        probe's spinor whose terms can cancel on a basis spinor (so(4) on the
+        torus R,R): it is applied to the spinors, one refit at a time.
+        """
+        spin = self.zero[rows] & self.zero[cols]
+        moves = (self.weight[rows] * self.weight[cols]
+                 * (self.acts[rows] & self.acts[cols]).sum(axis=1))
+        norm2 = 2 * np.bincount(seg, (moves * np.abs(coeffs) ** 2)
+                                * ~spin, minlength=n)
+        for k in set(seg[spin].tolist()):
+            own = spin & (seg == k)
+            rotation = ModeOperator(self.alg.cfg, {
+                (self.modes[r], self.modes[c]): complex(w)
+                for r, c, w in zip(rows[own], cols[own], coeffs[own])})
+            spinor = {s: rotation.apply_state(FockState(s, ())).norm2()
+                      for s in set(self.sigmas)}
+            norm2[k] += sum(spinor[s] for s in self.sigmas)
+        return norm2 > 1e-12
 
     def job(self, family, a, b, mode1, mode2, tol, central_lookup,
             central_tol) -> BracketResult:
+        return next(self.jobs(family, a, b, [(mode1, mode2)], tol,
+                              central_lookup, central_tol))
+
+    def jobs(self, family, a, b, pairs, tol, central_lookup, central_tol):
         alg, cfg = self.alg, self.alg.cfg
-        rhs = alg.rhs_terms(family, a, b, mode1, mode2)
-        D, R, rows, cols = self._compared(family, a, b, mode1, mode2, rhs)
-        residual = float(np.abs(D).max()) if D.any() else 0.0
-        kappa = raw_central = None
-        field_coeff = -alg.z_mode(mode2)
-        if family == "LT" and rhs and field_coeff:
-            W = R / field_coeff
-            nz = np.nonzero(W)
-            if self.probe_modes.refit_has_probe(rows[nz], cols[nz],
-                                                W[nz] * self.pair_scale):
-                # least squares of D + field_coeff W against W; a zero D adds 0
-                kappa = field_coeff + (residual and float(
-                    np.sum(W.conj() * D).real / np.sum(np.abs(W) ** 2)))
-        if alg.zero_total(mode1, mode2):
-            raw_central = self._vacuum_value(family, a, b, mode1, mode2, rhs)
-        res = _result(alg, family, a, b, mode1, mode2, rhs, residual,
-                      raw_central, kappa, tol, central_lookup, central_tol)
-        if not res.passed and residual:
-            # b_x b_y|s> of the largest coefficient, spinor 0, s holding the
-            # oscillators the pair annihilates.  They act first, so the
-            # state exists: the two orders differ by a c-number and a sign.
-            at = np.unravel_index(np.argmax(np.abs(D)), D.shape)
-            pair = [self.probe_modes.modes[k[at]] for k in (rows, cols)]
-            state = FockState(0, tuple(sorted(
-                m for m in pair if cfg.classify(m) == "ann")))
-            for mode in sorted(pair, key=lambda m: cfg.classify(m) != "ann"):
-                state = _apply_b(cfg, mode, state)[1]
-            res.offending_state = render_state(state, cfg)
-        return res
+        rhss = [alg.rhs_terms(family, a, b, *pair) for pair in pairs]
+        # the rule's field coefficient of each refitted [L, T] bracket, else 0
+        fields = [-alg.z_mode(mode2) if family == "LT" and rhs else 0
+                  for (_, mode2), rhs in zip(pairs, rhss)]
+        for (mode1, mode2), rhs, field, (residual, shift, worst) in zip(
+                pairs, rhss, fields,
+                self._group(family, a, b, pairs, rhss, fields)):
+            kappa = None if shift is None else field + shift
+            raw_central = (self._vacuum_value(family, a, b, mode1, mode2, rhs)
+                           if alg.zero_total(mode1, mode2) else None)
+            res = _result(alg, family, a, b, mode1, mode2, rhs, residual,
+                          raw_central, kappa, tol, central_lookup, central_tol)
+            if not res.passed and residual:
+                # b_x b_y|s> of the largest coefficient, spinor 0, s holding
+                # the oscillators the pair annihilates: they act first, so
+                # the state exists (the orders differ by a c-number, a sign)
+                pair = [self.modes[k] for k in worst]
+                ann = [m for m in pair if cfg.classify(m) == "ann"]
+                state = FockState(0, tuple(sorted(ann)))
+                for mode in ann + [m for m in pair if m not in ann]:
+                    state = _apply_b(cfg, mode, state)[1]
+                res.offending_state = render_state(state, cfg)
+            yield res
+
+
+# The coefficients TorusEngine forms at once, d^2 per box point.  Of 2^12
+# to 2^15, 2^14 gave so5-adjoint max-mode 3 its least peak RSS.
+GROUP_CHUNK = 1 << 14
 
 
 class TorusEngine(_Engine):
@@ -800,83 +796,101 @@ class TorusEngine(_Engine):
     A torus generator X of mode t is sum_{x,y} S_{xy} b_x b_y plus a
     c-number, with S antisymmetric and nonzero only on pairs y = t - x that
     lie inside the cutoffs.  Over the lattice point x = (n, q) of the first
-    mode, S = F (x) g: F the ``flavour_matrix``, g the 0/1 mask of a partner
+    mode, S = F (x) g: F the flavour matrix, g the 0/1 mask of a partner
     inside the cutoffs, times ``_z_weight`` for L.  The CAR give
     [Q(A), Q(B)] = Q(2 (P - P^T)) plus a c-number, where P[x] =
     A[x] B[x - t_A] = F_A F_B h(x), h(x) = g_A(x) g_B(x - t_A); so the
-    residual of a bracket of total mode T, with the rhs sum_c s_c F_c (x) g_c,
-    is
+    residual of a bracket of total mode T, with the rhs R = sum_c s_c F_c
+    (x) g_c at T (the one target of ``TorusAlgebra._targets``), is
 
-        D = 2 (F_A F_B (x) h(x) - (F_A F_B)^T (x) h(T - x)) - rhs.
+        D = 2 (F_A F_B (x) h(x) - (F_A F_B)^T (x) h(T - x)) - R.
 
     The transpose is not the sphere's F_B F_A: [L, T] pairs a symmetric F
     with an antisymmetric one.  At T = 0 the c-number is ``_vacuum_trace``.
     D is compared on the box of x with x and T - x inside compare_bounds,
     which holds every term the Fock path can see on a probe
-    (``_exact_terms``); on it, truncation cuts no contraction route.  The
-    coefficients are dyadic rationals times Gaussian integers, exact in
-    complex128: a true bracket's residual is exactly 0.0, and its [L, T]
-    refit is the rule's own value.
+    (``_exact_terms``); on it, truncation cuts no contraction route, and
+    every partner lies inside the cutoffs, so each g is its z weight.
+
+    ``_group`` lays a group's boxes end to end, each row-major in (z, q),
+    and forms D = C B about GROUP_CHUNK coefficients at a time: C the
+    points' weights 2 h(x), -2 h(T - x), s_c g_c(x), B the shared flavour
+    matrices F_A F_B, its transpose, F_c.  Every coefficient is a dyadic
+    rational times a Gaussian integer, so every product and sum is exact in
+    complex128 and no reduction order shows: a true bracket's residual is
+    exactly 0.0, and the [L, T] refit, field Re<R, D> / |R|^2, rounds once.
     """
 
-    def __init__(self, alg: TorusAlgebra, probes):
-        cfg = alg.cfg
-        self.z2 = np.array(cfg.z_lattice())
-        self.q2 = np.array(cfg.angular_lattice())
-        self._g: dict = {}
-        modes = [Mode(i, int(n2), int(q2), 0) for n2 in self.z2
-                 for q2 in self.q2 for i in range(1, cfg.d + 1)]
-        super().__init__(alg, probes, modes)
-        # the flat indices of x = (z, q, i) and of (z, q, j) at each
-        # coefficient of D; reversing the box maps the second to y
-        flat = np.arange(len(modes)).reshape(len(self.z2), len(self.q2),
-                                             cfg.d, 1)
-        self._x, self._y = np.broadcast_arrays(flat, flat.swapaxes(-1, -2))
-
-    def mode_weight(self, kind, mode) -> np.ndarray:
-        """g of a generator as a (z, q) array."""
-        if (kind, mode) not in self._g:
-            cfg = self.alg.cfg
-            m2, p2 = 2 * mode[0], 2 * mode[1]
-            inside = ((np.abs(m2 - self.z2) <= cfg.m2_cut)[:, None]
-                      & (np.abs(p2 - self.q2) <= cfg.p2_cut))
-            self._g[kind, mode] = inside * _z_weight(kind, self.z2[:, None],
-                                                     m2)
-        return self._g[kind, mode]
-
-    def _box(self, mode1, mode2):
-        """Index slices of the points x with x and T - x inside the margins.
-
-        The guard keeps the margins nonnegative, so the slices and their
-        shifts by a bracket mode stay on the lattice.
-        """
-        cfg = self.alg.cfg
-        out = []
-        for t2, margin, cut in zip((2 * (mode1[0] + mode2[0]),
-                                    2 * (mode1[1] + mode2[1])),
-                                   self.alg.compare_bounds(mode1, mode2),
-                                   (cfg.m2_cut, cfg.p2_cut)):
-            lo, hi = max(-margin, t2 - margin), min(margin, t2 + margin)
-            out.append(slice((lo + cut) // 2, (hi + cut) // 2 + 1))
-        return out
-
-    def _compared(self, family, a, b, mode1, mode2, rhs):
+    def _group(self, family, a, b, pairs, rhss, fields):
+        cfg, d, n = self.alg.cfg, self.alg.cfg.d, len(pairs)
+        field_of, points = np.array(fields), len(self.modes) // d
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
-        rep = self.alg.rep
-        zs, qs = self._box(mode1, mode2)
-        # g_B at x - t_A, which stays inside the cutoffs on the box
-        h = self.mode_weight(kind_a, mode1)[zs, qs] * self.mode_weight(
-            kind_b, mode2)[zs.start - mode1[0]:zs.stop - mode1[0],
-                           qs.start - mode1[1]:qs.stop - mode1[1]]
-        FAB = np.einsum("ij,jk->ik", self.flavour_matrix(rep, kind_a, ia),
-                        self.flavour_matrix(rep, kind_b, ib))
-        R = sum([scale * self.mode_weight(kind, mode)[zs, qs, None, None]
-                 * self.flavour_matrix(rep, kind, c)
-                 for scale, kind, c, mode in rhs])
-        # reversing the box maps x to T - x
-        D = 2 * (h[:, :, None, None] * FAB
-                 - h[::-1, ::-1, None, None] * FAB.T) - R
-        return D, R, self._x[zs, qs], self._y[zs, qs][::-1, ::-1]
+        FAB = np.einsum("ij,jk->ik", self.F[kind_a, ia], self.F[kind_b, ib])
+        mode1, mode2 = np.array(pairs).reshape(n, 2, 2).transpose(1, 2, 0)
+        # doubled t_A (z) and T; the box of x, T - x inside the margins
+        tA, T = 2 * mode1[0], 2 * (mode1 + mode2).T
+        margin = np.stack(self.alg.compare_bounds(mode1, mode2), axis=1)
+        lo = np.maximum(-margin, T - margin)
+        side = np.maximum((np.minimum(margin, T + margin) - lo) // 2 + 1, 0)
+        size = side[:, 0] * side[:, 1]
+        start = np.cumsum(size) - size
+        slots: dict = {}        # rhs scales by term (position, kind, c)
+        for k, rhs in enumerate(rhss):
+            for j, (scale, kind, c, _) in enumerate(rhs):
+                slots.setdefault((j, kind, c), {})[k] = scale
+        B = np.array([FAB, FAB.T] + [self.F[key[1:]] for key in slots],
+                     complex).reshape(-1, d * d)
+        scales = np.array([[s.get(k, 0) for k in range(n)]
+                           for s in slots.values()], complex).reshape(-1, n)
+        residual, shift, worst = np.zeros(n), [None] * n, [None] * n
+        cut = np.flatnonzero(np.diff(start // max(1, GROUP_CHUNK // d ** 2)))
+        for k0, k1 in zip([0, *(cut + 1)], [*(cut + 1), n]):
+            seg = np.repeat(np.arange(k0, k1), size[k0:k1])
+            iz, iq = np.divmod(np.arange(len(seg)) - start[seg] + start[k0],
+                               side[seg, 1])
+            z2, q2 = lo[seg, 0] + 2 * iz, lo[seg, 1] + 2 * iq
+            tz, tq, ta = T[seg, 0], T[seg, 1], tA[seg]
+            C = np.empty((len(B), len(seg)), complex)
+            for row, sign, z in zip(C, (2, -2), (z2, tz - z2)):
+                row[:] = sign * _z_weight(kind_a, z, ta) * _z_weight(
+                    kind_b, z - ta, tz - ta)
+            for row, (_, kind, _), scale in zip(C[2:], slots, scales):
+                row[:] = -scale[seg] * _z_weight(kind, z2, tz)
+            D = np.einsum("kn,kf->nf", C, B)
+            field = field_of[seg]
+            if not (D.any() or field.any()):    # a true TT or LL chunk
+                continue
+            # the flat mode indices of x and of T - x at flavour 1; a
+            # lattice row holds p2_cut + 1 points
+            x0, y0 = ((u + cfg.m2_cut) // 2 * (cfg.p2_cut + 1)
+                      + (v + cfg.p2_cut) // 2
+                      for u, v in ((z2, q2), (tz - z2, tq - q2)))
+            if D.any():     # a true group's D is exactly 0
+                absD = np.abs(D)
+                top = absD.max(axis=1)
+                np.maximum.at(residual, seg, top)
+                # the first largest coefficient of each bracket
+                hit = np.flatnonzero((top == residual[seg]) & (top > 0))
+                at = hit[np.diff(seg[hit], prepend=-1) > 0]
+                i, j = np.divmod(absD[at].argmax(axis=1), d)
+                for k, x, y in zip(seg[at], x0[at] + i * points,
+                                   y0[at] + j * points):
+                    worst[k] = x, y
+            if not field.any():
+                continue
+            R = -np.einsum("kn,kf->nf", C[2:], B[2:])
+            p, f = np.nonzero((R != 0) & (field != 0)[:, None])
+            has = self.refit_has_probe(
+                x0[p] + f // d * points, y0[p] + f % d * points,
+                R[p, f] / field[p], seg[p] - k0, k1 - k0)
+            for k in np.flatnonzero(has) + k0:
+                shift[k] = 0.0          # a zero D adds 0
+            # least squares of D + field W on W = R / field, summed exactly
+            for k in np.flatnonzero(has & (residual[k0:k1] > 0)) + k0:
+                R_k, D_k = R[seg == k], D[seg == k]
+                shift[k] = float(fields[k] * np.vdot(R_k, D_k).real
+                                 / np.vdot(R_k, R_k).real)
+        return zip(residual.tolist(), shift, worst)
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         # 0.0 for [L, T], as the trace of M^a vanishes
@@ -915,15 +929,12 @@ class SphereEngine(_Engine):
     mode inside the cutoffs; the torus's ``_vacuum_trace`` is the same sum.
     """
 
-    pair_scale = 0.5
-
     def __init__(self, alg: SphereAlgebra, probes):
+        super().__init__(alg, probes)
         cfg = alg.cfg
-        modes = cfg.all_modes()
-        super().__init__(alg, probes, modes)
         # the mode functions, ordered by degree: those inside a margin are
         # a leading block
-        funcs = [m for m in modes if m.i == 1]
+        funcs = [m for m in self.modes if m.i == 1]
         self._index = {m[1:]: u for u, m in enumerate(funcs)}
         self._k1 = np.array([m.k1 for m in funcs])
         self._m = np.array([m.k2 / 2 for m in funcs])
@@ -949,8 +960,7 @@ class SphereEngine(_Engine):
     def _products(self, family, a, b, mode1, mode2):
         """F_A F_B, F_B F_A, G_A, G_B, K G_A and K G_B of a bracket."""
         (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
-        FA = self.flavour_matrix(self.alg.rep, kind_a, ia)
-        FB = self.flavour_matrix(self.alg.rep, kind_b, ib)
+        FA, FB = self.F[kind_a, ia], self.F[kind_b, ib]
         GA = self.mode_matrix(kind_a, mode1)
         GB = self.mode_matrix(kind_b, mode2)
         KGA, KGB = (self._twist[:, None] * G[self._conj] for G in (GA, GB))
@@ -968,14 +978,34 @@ class SphereEngine(_Engine):
         for scale, kind, c, mode in rhs:
             G = scale * self.mode_matrix(kind, mode)[:n, :n]
             by_flavour[kind, c] = by_flavour.get((kind, c), 0) + G
-        R = sum(_kron(self.flavour_matrix(self.alg.rep, *key), G)
-                for key, G in by_flavour.items())
+        R = sum(_kron(self.F[key], G) for key, G in by_flavour.items())
         D = (_kron(FAB, np.einsum("uv,vw->uw", GA[:n], KGB[:, :n]))
              - _kron(FBA, np.einsum("uv,vw->uw", GB[:n], KGA[:, :n])) - R)
         # row k is flavour k // n and mode function k % n
         flat = np.add.outer(len(self._index) * np.arange(len(D) // n),
                             np.arange(n)).ravel()
         return (D, R, *np.broadcast_arrays(flat[:, None], flat[None, :]))
+
+    def _group(self, family, a, b, pairs, rhss, fields):
+        """The brackets one at a time, each from its own products."""
+        for (mode1, mode2), rhs, field in zip(pairs, rhss, fields):
+            D, R, rows, cols = self._compared(family, a, b, mode1, mode2, rhs)
+            # the first largest coefficient
+            absD, shift = np.abs(D), None
+            at = divmod(int(absD.argmax()), len(D)) if D.any() else None
+            residual = 0.0 if at is None else float(absD[at])
+            worst = None if at is None else (rows[at], cols[at])
+            del absD                # before the refit's arrays
+            if field:
+                W = R / field
+                nz = np.nonzero(W)
+                # a sphere generator's pair amplitude is half its coefficient
+                if self.refit_has_probe(rows[nz], cols[nz], W[nz] / 2,
+                                        np.zeros_like(nz[0]), 1)[0]:
+                    # least squares of D + field W against W; a zero D adds 0
+                    shift = residual and float(np.sum(W.conj() * D).real
+                                               / np.sum(np.abs(W) ** 2))
+            yield residual, shift, worst
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         FAB, _, GA, GB, KGA, KGB = self._products(family, a, b, mode1, mode2)
@@ -1096,7 +1126,8 @@ def _rhs_label(alg, rhs) -> str:
 
 
 # The most brackets one sweep may hold: torus max-mode 5 at cutoffs 21/2
-# (36,663 brackets) takes about 9 s and 140 MB on a 2-vCPU machine.
+# (36,663 brackets) takes 2.4-2.5 s and a peak RSS of 102 MB on a 2-vCPU
+# machine, most of it the report.
 MAX_SWEEP_BRACKETS = 100_000
 
 
@@ -1121,17 +1152,16 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     if n_brackets > MAX_SWEEP_BRACKETS:
         raise ValueError(f"a sweep of {n_brackets} brackets at size {size} "
                          f"exceeds the limit of {MAX_SWEEP_BRACKETS}")
-    # the tasks' pairs are exactly modes x modes: guard them before the
-    # task tuples exist, so a window that fails does so at once
+    # the groups' pairs are modes x modes: guard them before the groups
+    # exist, so a window that fails does so at once
     reach = _probe_reach(probes)
     for mode1 in modes:
         for mode2 in modes:
             alg.guard(reach, mode1, mode2)
-    tasks = [("TT", 1, 2, m1, m2) for m1 in modes for m2 in modes]
-    tasks += [("LL", None, None, m1, m2)
-              for i1, m1 in enumerate(modes) for m2 in modes[i1:]]
-    tasks += [("LT", 1, 1, m1, m2)
-              for m1 in modes for m2 in modes]
+    pairs = [(m1, m2) for m1 in modes for m2 in modes]
+    groups = [("TT", 1, 2, pairs), ("LL", None, None, [
+        (m1, m2) for i1, m1 in enumerate(modes) for m2 in modes[i1:]]),
+        ("LT", 1, 1, pairs)]
     # a configuration that cannot measure its charges fails here, before
     # any bracket is checked
     charges, charge_pairs = alg.charges(central_method)
@@ -1144,13 +1174,12 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
         return alg.central(family, a, b, mode1, mode2, central_method)
 
     engine = alg.engine(probes)
-    report.brackets = [engine.job(family, a, b, mode1, mode2, tol,
-                                  central_lookup, central_tol)
-                       for family, a, b, mode1, mode2 in tasks]
-
-    kappas = [(m1, m2, r.kappa) for r, (family, _, _, m1, m2)
-              in zip(report.brackets, tasks)
-              if family == "LT" and r.kappa is not None]
+    report.brackets = [res for family, a, b, group in groups for res in
+                       engine.jobs(family, a, b, group, tol, central_lookup,
+                                   central_tol)]
+    kappas = [(m1, m2, r.kappa) for r, (m1, m2)
+              in zip(report.brackets[-len(pairs):], pairs)  # [L, T] last
+              if r.kappa is not None]
     max_dev = max((abs(k - (-alg.z_mode(m2))) for _, m2, k in kappas),
                   default=0.0)
     report.lt_summary = {

@@ -278,9 +278,9 @@ def fock_sweep(alg, window, size, tol, central_method, central_tol):
         def __init__(self, probes):
             self.probes = probes
 
-        def job(self, family, a, b, mode1, mode2, *rest):
-            return _bracket_job(alg, family, a, b, mode1, mode2, self.probes,
-                                *rest)
+        def jobs(self, family, a, b, pairs, *rest):
+            return [_bracket_job(alg, family, a, b, mode1, mode2,
+                                 self.probes, *rest) for mode1, mode2 in pairs]
 
     alg.engine = FockPath
     try:
