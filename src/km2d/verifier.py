@@ -10,17 +10,17 @@ decides every bracket from one-particle coefficients, on the pairs of modes
 inside the margins: its residual is the largest compared coefficient of
 [Q(A), Q(B)] - rhs, exactly 0.0 for a true torus bracket and quadrature
 round-off on the sphere.  The engine decides a group at a time, a family
-with fixed flavour indices; the torus engine evaluates a whole group on
-its brackets' compared points laid end to end, exactly, as every torus
-coefficient is a dyadic rational times a Gaussian integer.  A failing
-bracket names a state on which its largest term acts, whether or not a
-probe holds it.  At zero total the raw central is the oscillator vacuum
-trace of the bracket.  The Fock path, ``_bracket_job``, applies the
-bilinears to the probe states, filters with ``_exact_terms`` and reports
-the largest probe amplitude; it certifies nothing and is the engines'
-oracle in the tests.  Central terms are never read from raw truncated
-commutators (their coincident-point multiplicity grows with the angular
-cutoff); they come from the regulated pipeline:
+with fixed flavour indices, in one reduction for both geometries over its
+brackets' compared points laid end to end; on the torus it is exact, as
+every torus coefficient is a dyadic rational times a Gaussian integer.  A
+failing bracket names a state on which its largest term of smallest flat
+mode pair acts, whether or not a probe holds it.  At zero total the raw
+central is the oscillator vacuum trace of the bracket.  The Fock path,
+``_bracket_job``, applies the bilinears to the probe states, filters with
+``_exact_terms`` and reports the largest probe amplitude; it certifies
+nothing and is the engines' oracle in the tests.  Central terms are never
+read from raw truncated commutators (their coincident-point multiplicity
+grows with the angular cutoff); they come from the regulated pipeline:
 
     central = (one-dimensional mode anomaly, an exact one-particle vacuum
                trace on a degenerate single-angular-mode sector)
@@ -688,17 +688,17 @@ class _Engine:
     """Decides every bracket of one geometry from one-particle coefficients.
 
     ``jobs`` yields the BracketResult of each pair of a group, one family
-    with fixed flavour indices, from the geometry's ``_group`` hook, which
-    gives per bracket the residual, the largest |D| of the compared
-    coefficients D of [Q(A), Q(B)] - rhs; the [L, T] refit's shift from
-    the rule's field coefficient, the least squares Re<W, D> / |W|^2 on
-    W = R / field, R the rhs part of D, or None where ``refit_has_probe``
-    says it is not measured; and for a nonzero residual the flat mode
-    indices (x, y) of the first largest coefficient, the amplitude of
-    b_x b_y.  ``_vacuum_value`` gives a zero-total bracket's raw central.
-    A bracket passes iff its residual is at most tol; a failing one names a
-    state that the term of its largest coefficient reaches, whether or not
-    a probe holds it.
+    with fixed flavour indices.  A generator is a flavour matrix times a
+    mode weight, so the compared coefficients of [Q(A), Q(B)] - rhs are
+    D = C B: B the flavour basis F_A F_B, SWAPPED and each rhs F_c, C the
+    weights of each compared point from the geometry's ``_points``.
+    ``_group``, the one reduction, gives per bracket the residual, the
+    largest |D|; the [L, T] refit's shift field Re<R, D> / |R|^2, R the rhs
+    part of D, or None where ``refit_has_probe`` finds no probe; and the
+    flat mode indices (x, y) of b_x b_y, the smallest of a largest |D|.  A
+    bracket passes iff its residual is at most tol; a failing one names a
+    state that this term reaches, whether or not a probe holds it.
+    ``_vacuum_value`` gives a zero-total bracket's raw central.
     """
 
     def __init__(self, alg, probes):
@@ -784,10 +784,75 @@ class _Engine:
                 res.offending_state = render_state(state, cfg)
             yield res
 
+    def _group(self, family, a, b, pairs, rhss, fields):
+        d, n = self.alg.cfg.d, len(pairs)
+        points = len(self.modes) // d       # the flat index: flavour major
+        FA, FB = (self.F[key] for key in _generators(family, a, b))
+        # the rhs flavour keys (kind, c), in order of first use
+        keys = list(dict.fromkeys((kind, c) for rhs in rhss
+                                  for _, kind, c, _ in rhs))
+        # einsum, not BLAS: the round-off the report prints does not depend
+        # on the machine's BLAS kernel, and no BLAS buffer adds to peak memory
+        products = [np.einsum(s, FA, FB) for s in ("ij,jk->ik", self.SWAPPED)]
+        B = np.array(products + [self.F[key] for key in keys],
+                     complex).reshape(-1, d * d)
+        field_of = np.array(fields)
+        residual, shift, worst = np.zeros(n), [None] * n, [None] * n
+        for seg, C, x0, y0 in self._points(family, a, b, pairs, rhss, keys):
+            # D[f, point] = (F_A F_B c_0 + SWAPPED c_1) - R, R the rhs part
+            R = 0
+            for F, c in zip(B[2:], C[2:]):
+                R = R - F[:, None] * c
+            D = B[0][:, None] * C[0]
+            D += B[1][:, None] * C[1]
+            D -= R
+            field, nonzero = field_of[seg], D.any()
+            if not (nonzero or field.any()):    # a true TT or LL chunk
+                continue
+            # a chunk holds whole brackets k0 .. k1 - 1
+            k0, k1 = seg[0], seg[-1] + 1
+            if nonzero:     # a true torus group's D is exactly 0
+                absD = np.abs(D)
+                top = absD.max(axis=0)
+                np.maximum.at(residual, seg, top)
+                # of each bracket's largest coefficients, the smallest (x, y):
+                # at a point, the first in flavour order
+                p = np.flatnonzero((top == residual[seg]) & (top > 0))
+                f = (absD[:, p] == top[p]).argmax(axis=0)
+                x, y = x0[p] + f // d * points, y0[p] + f % d * points
+                k, first = seg[p], np.lexsort((y, x, seg[p]))
+                for i in first[np.diff(k[first], prepend=-1) > 0]:
+                    worst[k[i]] = x[i], y[i]
+                del absD                # before the refit's arrays
+            if not field.any():
+                continue
+            f, p = np.nonzero((R != 0) & (field != 0))
+            has = self.refit_has_probe(
+                x0[p] + f // d * points, y0[p] + f % d * points,
+                R[f, p] / field[p] * self.AMPLITUDE, seg[p] - k0, k1 - k0)
+            for k in np.flatnonzero(has) + k0:
+                shift[k] = 0.0          # a zero D adds 0
+            # least squares of D + field W on W = R / field
+            for k in np.flatnonzero(has & (residual[k0:k1] > 0)) + k0:
+                R_k, D_k = R[:, seg == k], D[:, seg == k]
+                shift[k] = float(fields[k] * np.vdot(R_k, D_k).real
+                                 / np.vdot(R_k, R_k).real)
+        return zip(residual.tolist(), shift, worst)
 
-# The coefficients TorusEngine forms at once, d^2 per box point.  Of 2^12
-# to 2^15, 2^14 gave so5-adjoint max-mode 3 its least peak RSS.
-GROUP_CHUNK = 1 << 14
+
+# The coefficients an engine forms at once, d^2 per compared point: of 2^12
+# to 2^14, 2^13 gave sphere R its least peak RSS, torus within 0.4 MB of it.
+GROUP_CHUNK = 1 << 13
+
+
+def _chunks(size, per_point):
+    """Brackets of size[k] points, per_point coefficients each, in chunks of
+    about GROUP_CHUNK coefficients: each point's bracket and index in it."""
+    start = np.cumsum(size) - size
+    cut = np.flatnonzero(np.diff(start // max(1, GROUP_CHUNK // per_point)))
+    for k0, k1 in zip([0, *(cut + 1)], [*(cut + 1), len(size)]):
+        seg = np.repeat(np.arange(k0, k1), size[k0:k1])
+        yield seg, np.arange(len(seg)) - start[seg] + start[k0]
 
 
 class TorusEngine(_Engine):
@@ -812,85 +877,45 @@ class TorusEngine(_Engine):
     (``_exact_terms``); on it, truncation cuts no contraction route, and
     every partner lies inside the cutoffs, so each g is its z weight.
 
-    ``_group`` lays a group's boxes end to end, each row-major in (z, q),
-    and forms D = C B about GROUP_CHUNK coefficients at a time: C the
-    points' weights 2 h(x), -2 h(T - x), s_c g_c(x), B the shared flavour
-    matrices F_A F_B, its transpose, F_c.  Every coefficient is a dyadic
-    rational times a Gaussian integer, so every product and sum is exact in
-    complex128 and no reduction order shows: a true bracket's residual is
-    exactly 0.0, and the [L, T] refit, field Re<R, D> / |R|^2, rounds once.
+    ``_points`` lays a group's boxes end to end, each row-major in (z, q),
+    with the points' weights C = (2 h(x), -2 h(T - x), -s_c g_c(x)).  Every
+    coefficient is a dyadic rational times a Gaussian integer, so every
+    product and sum is exact in complex128 and no reduction order shows: a
+    true bracket's residual is exactly 0.0, and the [L, T] refit rounds
+    once.
     """
 
-    def _group(self, family, a, b, pairs, rhss, fields):
-        cfg, d, n = self.alg.cfg, self.alg.cfg.d, len(pairs)
-        field_of, points = np.array(fields), len(self.modes) // d
-        (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
-        FAB = np.einsum("ij,jk->ik", self.F[kind_a, ia], self.F[kind_b, ib])
+    # (F_A F_B)^T as einsum subscripts of (F_A, F_B); a pair's amplitude per
+    # unit of its coefficient
+    SWAPPED, AMPLITUDE = "ij,jk->ki", 1
+
+    def _points(self, family, a, b, pairs, rhss, keys):
+        cfg, n = self.alg.cfg, len(pairs)
+        (kind_a, _), (kind_b, _) = _generators(family, a, b)
         mode1, mode2 = np.array(pairs).reshape(n, 2, 2).transpose(1, 2, 0)
         # doubled t_A (z) and T; the box of x, T - x inside the margins
         tA, T = 2 * mode1[0], 2 * (mode1 + mode2).T
         margin = np.stack(self.alg.compare_bounds(mode1, mode2), axis=1)
         lo = np.maximum(-margin, T - margin)
         side = np.maximum((np.minimum(margin, T + margin) - lo) // 2 + 1, 0)
-        size = side[:, 0] * side[:, 1]
-        start = np.cumsum(size) - size
-        slots: dict = {}        # rhs scales by term (position, kind, c)
-        for k, rhs in enumerate(rhss):
-            for j, (scale, kind, c, _) in enumerate(rhs):
-                slots.setdefault((j, kind, c), {})[k] = scale
-        B = np.array([FAB, FAB.T] + [self.F[key[1:]] for key in slots],
-                     complex).reshape(-1, d * d)
-        scales = np.array([[s.get(k, 0) for k in range(n)]
-                           for s in slots.values()], complex).reshape(-1, n)
-        residual, shift, worst = np.zeros(n), [None] * n, [None] * n
-        cut = np.flatnonzero(np.diff(start // max(1, GROUP_CHUNK // d ** 2)))
-        for k0, k1 in zip([0, *(cut + 1)], [*(cut + 1), n]):
-            seg = np.repeat(np.arange(k0, k1), size[k0:k1])
-            iz, iq = np.divmod(np.arange(len(seg)) - start[seg] + start[k0],
-                               side[seg, 1])
+        scales = np.array([[sum(s for s, kind, c, _ in rhs
+                                if (kind, c) == key) for rhs in rhss]
+                           for key in keys], complex).reshape(-1, n)
+        for seg, at in _chunks(side[:, 0] * side[:, 1], cfg.d ** 2):
+            iz, iq = np.divmod(at, side[seg, 1])
             z2, q2 = lo[seg, 0] + 2 * iz, lo[seg, 1] + 2 * iq
             tz, tq, ta = T[seg, 0], T[seg, 1], tA[seg]
-            C = np.empty((len(B), len(seg)), complex)
+            C = np.empty((len(keys) + 2, len(seg)), complex)
             for row, sign, z in zip(C, (2, -2), (z2, tz - z2)):
                 row[:] = sign * _z_weight(kind_a, z, ta) * _z_weight(
                     kind_b, z - ta, tz - ta)
-            for row, (_, kind, _), scale in zip(C[2:], slots, scales):
+            for row, (kind, _), scale in zip(C[2:], keys, scales):
                 row[:] = -scale[seg] * _z_weight(kind, z2, tz)
-            D = np.einsum("kn,kf->nf", C, B)
-            field = field_of[seg]
-            if not (D.any() or field.any()):    # a true TT or LL chunk
-                continue
-            # the flat mode indices of x and of T - x at flavour 1; a
-            # lattice row holds p2_cut + 1 points
-            x0, y0 = ((u + cfg.m2_cut) // 2 * (cfg.p2_cut + 1)
-                      + (v + cfg.p2_cut) // 2
-                      for u, v in ((z2, q2), (tz - z2, tq - q2)))
-            if D.any():     # a true group's D is exactly 0
-                absD = np.abs(D)
-                top = absD.max(axis=1)
-                np.maximum.at(residual, seg, top)
-                # the first largest coefficient of each bracket
-                hit = np.flatnonzero((top == residual[seg]) & (top > 0))
-                at = hit[np.diff(seg[hit], prepend=-1) > 0]
-                i, j = np.divmod(absD[at].argmax(axis=1), d)
-                for k, x, y in zip(seg[at], x0[at] + i * points,
-                                   y0[at] + j * points):
-                    worst[k] = x, y
-            if not field.any():
-                continue
-            R = -np.einsum("kn,kf->nf", C[2:], B[2:])
-            p, f = np.nonzero((R != 0) & (field != 0)[:, None])
-            has = self.refit_has_probe(
-                x0[p] + f // d * points, y0[p] + f % d * points,
-                R[p, f] / field[p], seg[p] - k0, k1 - k0)
-            for k in np.flatnonzero(has) + k0:
-                shift[k] = 0.0          # a zero D adds 0
-            # least squares of D + field W on W = R / field, summed exactly
-            for k in np.flatnonzero(has & (residual[k0:k1] > 0)) + k0:
-                R_k, D_k = R[seg == k], D[seg == k]
-                shift[k] = float(fields[k] * np.vdot(R_k, D_k).real
-                                 / np.vdot(R_k, R_k).real)
-        return zip(residual.tolist(), shift, worst)
+            # the flat mode indices of x and of T - x at the first flavour;
+            # a lattice row holds p2_cut + 1 points
+            yield (seg, C, *((u + cfg.m2_cut) // 2 * (cfg.p2_cut + 1)
+                             + (v + cfg.p2_cut) // 2
+                             for u, v in ((z2, q2), (tz - z2, tq - q2))))
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         # 0.0 for [L, T], as the trace of M^a vanishes
@@ -919,7 +944,8 @@ class SphereEngine(_Engine):
     Its coefficient D_{xy} of x != y is the amplitude of b_x b_y, compared
     where x and y lie inside compare_bounds, the torus engine's box rule:
     a mode inside the margins pairs only with modes inside the cutoffs, so
-    truncation cuts no contraction route there.  The table carries
+    truncation cuts no contraction route there: the compared points are the
+    pairs (u, v) of mode functions in that leading block.  The table carries
     quadrature round-off: a true bracket's residual is of order 1e-14.  At
     zero total the raw central is the oscillator vacuum trace
 
@@ -928,6 +954,9 @@ class SphereEngine(_Engine):
     N = (F_A F_B (x) G_A K G_B - F_B F_A (x) G_B K G_A) / 2, over every
     mode inside the cutoffs; the torus's ``_vacuum_trace`` is the same sum.
     """
+
+    # F_B F_A, einsum subscripts of (F_A, F_B); a pair's amplitude is half
+    SWAPPED, AMPLITUDE = "ij,ki->kj", 0.5
 
     def __init__(self, alg: SphereAlgebra, probes):
         super().__init__(alg, probes)
@@ -957,74 +986,43 @@ class SphereEngine(_Engine):
             self._G[kind, mode] = C + C.T if kind == "T" else C - C.T
         return self._G[kind, mode]
 
-    def _products(self, family, a, b, mode1, mode2):
-        """F_A F_B, F_B F_A, G_A, G_B, K G_A and K G_B of a bracket."""
-        (kind_a, ia), (kind_b, ib) = _generators(family, a, b)
-        FA, FB = self.F[kind_a, ia], self.F[kind_b, ib]
-        GA = self.mode_matrix(kind_a, mode1)
-        GB = self.mode_matrix(kind_b, mode2)
-        KGA, KGB = (self._twist[:, None] * G[self._conj] for G in (GA, GB))
-        # einsum, not BLAS: the round-off the report prints does not depend
-        # on the machine's BLAS kernel, and no BLAS buffer adds to peak memory
-        FAB, FBA = (np.einsum("ij,jk->ik", *F) for F in ((FA, FB), (FB, FA)))
-        return FAB, FBA, GA, GB, KGA, KGB
+    def _products(self, family, mode1, mode2):
+        """G_A, G_B, K G_A and K G_B of a bracket."""
+        (kind_a, _), (kind_b, _) = _generators(family, None, None)
+        G = self.mode_matrix(kind_a, mode1), self.mode_matrix(kind_b, mode2)
+        return (*G, *(self._twist[:, None] * g[self._conj] for g in G))
 
-    def _compared(self, family, a, b, mode1, mode2, rhs):
-        FAB, FBA, GA, GB, KGA, KGB = self._products(family, a, b, mode1,
-                                                    mode2)
-        n = int(np.count_nonzero(
-            self._k1 <= self.alg.compare_bounds(mode1, mode2)[0]))
-        by_flavour: dict = {}
-        for scale, kind, c, mode in rhs:
-            G = scale * self.mode_matrix(kind, mode)[:n, :n]
-            by_flavour[kind, c] = by_flavour.get((kind, c), 0) + G
-        R = sum(_kron(self.F[key], G) for key, G in by_flavour.items())
-        D = (_kron(FAB, np.einsum("uv,vw->uw", GA[:n], KGB[:, :n]))
-             - _kron(FBA, np.einsum("uv,vw->uw", GB[:n], KGA[:, :n])) - R)
-        # row k is flavour k // n and mode function k % n
-        flat = np.add.outer(len(self._index) * np.arange(len(D) // n),
-                            np.arange(n)).ravel()
-        return (D, R, *np.broadcast_arrays(flat[:, None], flat[None, :]))
-
-    def _group(self, family, a, b, pairs, rhss, fields):
-        """The brackets one at a time, each from its own products."""
-        for (mode1, mode2), rhs, field in zip(pairs, rhss, fields):
-            D, R, rows, cols = self._compared(family, a, b, mode1, mode2, rhs)
-            # the first largest coefficient
-            absD, shift = np.abs(D), None
-            at = divmod(int(absD.argmax()), len(D)) if D.any() else None
-            residual = 0.0 if at is None else float(absD[at])
-            worst = None if at is None else (rows[at], cols[at])
-            del absD                # before the refit's arrays
-            if field:
-                W = R / field
-                nz = np.nonzero(W)
-                # a sphere generator's pair amplitude is half its coefficient
-                if self.refit_has_probe(rows[nz], cols[nz], W[nz] / 2,
-                                        np.zeros_like(nz[0]), 1)[0]:
-                    # least squares of D + field W against W; a zero D adds 0
-                    shift = residual and float(np.sum(W.conj() * D).real
-                                               / np.sum(np.abs(W) ** 2))
-            yield residual, shift, worst
+    def _points(self, family, a, b, pairs, rhss, keys):
+        # the number of mode functions inside the margins of each bracket
+        n = np.array([np.count_nonzero(
+            self._k1 <= self.alg.compare_bounds(*pair)[0]) for pair in pairs])
+        for seg, at in _chunks(n * n, self.alg.cfg.d ** 2):
+            C, hi = np.zeros((len(keys) + 2, len(seg)), complex), 0
+            for k in range(seg[0], seg[-1] + 1):
+                GA, GB, KGA, KGB = self._products(family, *pairs[k])
+                m, lo, hi = n[k], hi, hi + n[k] ** 2
+                # C: G_A K G_B, -G_B K G_A and -sum s G of each flavour key
+                block = C[:, lo:hi]
+                block[0] = np.einsum("uv,vw->uw", GA[:m], KGB[:, :m]).ravel()
+                block[1] = -np.einsum("uv,vw->uw", GB[:m], KGA[:, :m]).ravel()
+                for s, kind, c, mode in rhss[k]:
+                    block[2 + keys.index((kind, c))] -= (
+                        s * self.mode_matrix(kind, mode)[:m, :m]).ravel()
+            yield seg, C, *np.divmod(at, n[seg])
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
-        FAB, _, GA, GB, KGA, KGB = self._products(family, a, b, mode1, mode2)
+        FA, FB = (self.F[key] for key in _generators(family, a, b))
+        GA, GB, KGA, KGB = self._products(family, mode1, mode2)
         ann, twist = self._ann, self._twist[self._ann]
         bar = self._conj[ann]
         lhs = (np.einsum("u,uv,vu->", twist, GA[ann], KGB[:, bar])
                - np.einsum("u,uv,vu->", twist, GB[ann], KGA[:, bar]))
-        trace = np.trace(FAB) * lhs / 2
+        trace = np.trace(np.einsum("ij,jk->ik", FA, FB)) * lhs / 2
         identity = sum(scale for scale, kind, _, mode in rhs
                        if kind == "L" and mode == (0, 0))
         # + 0.0 turns the -0.0 an LT trace can read into 0.0
         return (float(trace.real) - identity * lam_constant(self.alg.cfg)
                 * self.alg.cfg.d) + 0.0
-
-
-def _kron(F, G) -> np.ndarray:
-    """F (x) G on the flat index (flavour, mode function)."""
-    return (F[:, None, :, None] * G[None, :, None, :]).reshape(
-        F.shape[0] * G.shape[0], -1)
 
 
 def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,

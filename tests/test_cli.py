@@ -544,6 +544,21 @@ def test_report_bytes_are_pinned(args, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_failing_sphere_report_is_pinned(tmp_path):
+    # at tol 0 every sphere bracket with quadrature round-off fails and
+    # names a state: the bytes pin each residual, refitted [L, T]
+    # coefficient and largest-coefficient tie-break of the engine
+    out = tmp_path / "r.json"
+    assert main(["verify-sphere", "--sectors", "R", "--cutoff-l", "6",
+                 "--max-l", "2", "--tol", "0", "--output", str(out)]) == 2
+    brackets = json.loads(out.read_text())["brackets"]
+    failed = [b for b in brackets if not b["pass"]]
+    assert (len(brackets), len(failed)) == (207, 195)
+    assert all(b["offending_state"] for b in failed)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "680a2c8e19121d63f46968b8c94507713be1528ccf598cea296915742592a965"
+
+
 # sha256 of the pinned sphere reports, as sorted-key JSON, without the fields
 # that changed when the sphere brackets moved from probe states to
 # one-particle matrices: each bracket's residual (now the largest compared

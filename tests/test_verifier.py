@@ -563,17 +563,27 @@ def test_engine_never_passes_a_wrong_algebra(so3, cfg, window, corruption):
 
 
 @st.composite
-def torus_groups(draw):
-    """A torus sector, a window, so(3) or so(4), a family with fixed a, b,
-    guarded mode pairs with at least one of zero total, a right-hand side
-    corruption and a chunk size of the group evaluation."""
+def engine_groups(draw):
+    """An adapter of a torus or sphere R sector with so(3) or so(4), true or
+    with corrupted right-hand sides; a window; a family with fixed a, b;
+    guarded mode pairs with at least one of zero total; and a chunk size of
+    the group evaluation."""
     rep = draw(st.sampled_from([SO3, SO4]))
-    cfg, window, family, a, b, _, _ = draw(torus_brackets(rep))
+    if draw(st.sampled_from(["torus", "sphere"])) == "torus":
+        cfg, window, family, a, b, _, _ = draw(torus_brackets(rep))
+        alg = _WrongAlgebra(cfg, rep, draw(st.sampled_from(
+            ["none", "double f_abc", "shift LT"])))
+        grid = [(m, p) for m in (-1, 0, 1) for p in (-1, 0, 1)]
+    else:
+        cfg, window, family, a, b, _, _ = draw(sphere_brackets(rep))
+        corruption = draw(st.sampled_from(["none", "drop", "double"]))
+        adapter = SphereAlgebra if corruption == "none" else \
+            _corrupted(SphereAlgebra, corruption)
+        alg = adapter(cfg, rep, structure_table(8))
+        grid = [(l, m) for l in range(3) for m in range(-l, l + 1)]
     probes = probe_states(cfg, window)
     assume(probes)
-    alg = TorusAlgebra(cfg, rep)
     reach = _probe_reach(probes)
-    grid = [(m, p) for m in (-1, 0, 1) for p in (-1, 0, 1)]
     pairs = []
     for mode1 in grid:
         for mode2 in grid:
@@ -586,24 +596,23 @@ def torus_groups(draw):
     assume(zero)
     group = draw(st.lists(st.sampled_from(pairs), max_size=12))
     group.insert(draw(st.integers(0, len(group))), draw(st.sampled_from(zero)))
-    corruption = draw(st.sampled_from(["none", "double f_abc", "shift LT"]))
     chunk = draw(st.sampled_from([1, 50, 1 << 14]))
-    return rep, cfg, window, family, a, b, group, corruption, chunk
+    return alg, window, family, a, b, group, chunk
 
 
-@settings(max_examples=60, deadline=None)
-@given(torus_groups())
+@settings(max_examples=120, deadline=None)
+@given(engine_groups())
 def test_group_evaluation_matches_each_bracket_alone(group):
-    # the torus engine decides a group on its concatenated boxes; each
-    # bracket's report entry is the one it gets as a group of one, also on
-    # corrupted right-hand sides and with chunks of one box point
+    # an engine decides a group on its brackets' compared points laid end
+    # to end; each bracket's report entry is the one it gets as a group of
+    # one, on both geometries, also on corrupted right-hand sides and with
+    # chunks of one compared point
     from unittest import mock
 
     import km2d.verifier as verifier
 
-    rep, cfg, window, family, a, b, pairs, corruption, chunk = group
-    engine = _WrongAlgebra(cfg, rep, corruption).engine(
-        probe_states(cfg, window))
+    alg, window, family, a, b, pairs, chunk = group
+    engine = alg.engine(probe_states(alg.cfg, window))
     lookup = (lambda *args: 0.0, 1e9)
     with mock.patch.object(verifier, "GROUP_CHUNK", chunk):
         together = list(engine.jobs(family, a, b, pairs, 1e-9, *lookup))
@@ -812,13 +821,13 @@ def test_sphere_engine_matches_fock_sweep(so3, l_cut, max_l):
 
 
 @st.composite
-def sphere_brackets(draw):
+def sphere_brackets(draw, rep=SO3):
     """A sphere R sector with degree cutoff 2 to 6, a window, one bracket."""
-    cfg = sphere_sector("R", 3, draw(st.integers(2, 6)))
+    cfg = sphere_sector("R", rep.d, draw(st.integers(2, 6)))
     window = Window(draw(st.integers(0, 4)), draw(st.sampled_from([0, 2, 4])),
                     draw(st.integers(0, 2)))
     family = draw(st.sampled_from(["TT", "LL", "LT"]))
-    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = draw(st.integers(1, rep.dim_g)), draw(st.integers(1, rep.dim_g))
     if family == "LL":
         a = b = None
 
@@ -977,29 +986,6 @@ def swept_brackets(draw):
     return cfg, window, family, a, b, mode1, mode2
 
 
-def _torus_rhs_on_box(engine, family, a, b, mode1, mode2):
-    """sum_c s_c F_c (x) g_c(x) of the right-hand side, over the points x
-    with x and T - x inside compare_bounds, as (point, flavour, flavour)."""
-    from km2d.verifier import _z_weight
-
-    cfg = engine.alg.cfg
-    z2, q2 = (np.array(lattice)[:, None] for lattice in
-              (cfg.z_lattice(), cfg.angular_lattice()))
-    t2 = [2 * (u + v) for u, v in zip(mode1, mode2)]
-    bz, ba = engine.alg.compare_bounds(mode1, mode2)
-    z2 = z2[(np.abs(z2) <= bz) & (np.abs(t2[0] - z2) <= bz)]
-    q2 = q2[(np.abs(q2) <= ba) & (np.abs(t2[1] - q2) <= ba)]
-    z2, q2 = (u.ravel() for u in np.meshgrid(z2, q2, indexing="ij"))
-    out = 0
-    for scale, kind, c, (m, p) in engine.alg.rhs_terms(family, a, b, mode1,
-                                                       mode2):
-        # g: the mask of a partner inside the cutoffs times the z weight
-        g = ((np.abs(2 * m - z2) <= cfg.m2_cut)
-             & (np.abs(2 * p - q2) <= cfg.p2_cut)) * _z_weight(kind, z2, 2 * m)
-        out = out + scale * g[:, None, None] * engine.F[kind, c]
-    return out
-
-
 @settings(max_examples=60, deadline=None)
 @given(swept_brackets(), st.sampled_from(["drop", "double"]))
 def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
@@ -1021,13 +1007,17 @@ def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
     args = (family, a, b, mode1, mode2)
     lookup = (lambda *args: 0.0, 1e9)
     engine = true.engine(probes)
-    if cfg.geometry == "torus":
-        R = _torus_rhs_on_box(engine, *args)
-    else:
-        R = engine._compared(*args, true.rhs_terms(*args))[1]
+    # the largest compared coefficient of the right-hand side: the engine's
+    # weights of each flavour key times its flavour matrix
+    rhss = [true.rhs_terms(*args)]
+    keys = list(dict.fromkeys((kind, c) for _, kind, c, _ in rhss[0]))
+    F = np.array([engine.F[key] for key in keys]).reshape(-1, cfg.d ** 2)
+    R = max((np.abs(C[2:].T @ F).max(initial=0.0) for _, C, _, _ in
+             engine._points(family, a, b, [(mode1, mode2)], rhss, keys)),
+            default=0.0)
     truth = engine.job(*args, 1e-9, *lookup)
     assert truth.passed
-    assume(np.abs(R).max(initial=0.0) > 1e-9 + truth.residual)
+    assume(R > 1e-9 + truth.residual)
     got = wrong.engine(probes).job(*args, 1e-9, *lookup)
     assert not got.passed and got.residual > 1e-9
     assert got.offending_state
