@@ -294,9 +294,6 @@ class StructureTable:
         hi = min(l1 + l2, self.L_max)
         return [l3 for l3 in range(lo, hi + 1) if (l1 + l2 + l3) % 2 == 0]
 
-    def covers(self, l: int) -> bool:
-        return l <= self.L_max
-
     def to_csv(self, fh) -> None:
         L, index = self.L_max, self.index
         ls, ms = index.ls, index.ms

@@ -38,11 +38,14 @@ m = 1, in the charges block.
 The three bracket families' relations live in one place, the adapters' base
 ``_Algebra``: each adapter supplies ``_targets``, the target modes and
 coefficients of a product of two mode functions, and ``_overlap``, the
-central factor.
+central factor.  ``check_sphere_abstract`` checks the Jacobi identity on
+those same relations: its brackets are ``SphereAlgebra``'s ``rhs_terms``
+plus its ``central_unit``, the central term in units of c or k.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -130,10 +133,12 @@ class _Algebra:
     """The bracket relations of both geometries, written once.
 
     Current-current closes with i f^{abc}, Virasoro-Virasoro with (m - n)
-    and the mixed bracket with -n, in the z modes.  An adapter supplies the
-    z mode of its mode labels and two geometry hooks: ``_targets``, the
+    and the mixed bracket with -n, in the z modes; the central terms are
+    k m and c m (m^2 - 1)/12 times an overlap.  An adapter supplies the z
+    mode of its mode labels and two geometry hooks: ``_targets``, the
     (target mode, coefficient) pairs of the product of two mode functions,
     and ``_overlap``, the factor of a central term of zero total z mode.
+    The sweep and the abstract Jacobi check both read these relations.
     """
 
     def __init__(self, cfg: SectorConfig, rep: LieAlgebraRep):
@@ -163,18 +168,21 @@ class _Algebra:
             return []
         return [(scale * coeff, kind, c, target) for target, coeff in targets]
 
-    def central_expected(self, family: str, a, b, mode1, mode2) -> float:
+    def central_unit(self, family: str, a, b, mode1, mode2) -> float:
+        """The central term in units of k (TT) or c (LL)."""
         m = self.z_mode(mode1)
         overlap = (self._overlap(mode1, mode2) if m + self.z_mode(mode2) == 0
                    else 0)
-        if not overlap:
+        if not overlap or family == "LT" or (family == "TT" and a != b):
             return 0.0          # the product 0 * ... * m is -0.0 for m < 0
         if family == "TT":
-            return overlap * 0.5 * self.rep.C_M * m if a == b else 0.0
-        if family == "LL":
-            c = self.cfg.d / 2.0
-            return overlap * (c / 12.0) * m * (m * m - 1)
-        return 0.0
+            return float(overlap) * m
+        # in float: m = -1 and m = 0 give the -0.0 that the reports print
+        return float(overlap) * m * (m * m - 1) / 12.0
+
+    def central_expected(self, family: str, a, b, mode1, mode2) -> float:
+        charge = self.rep.C_M / 2.0 if family == "TT" else self.cfg.d / 2.0
+        return self.central_unit(family, a, b, mode1, mode2) * charge
 
 
 class TorusAlgebra(_Algebra):
@@ -1195,11 +1203,11 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
 
 def check_torus_algebra(cfg: SectorConfig, rep: LieAlgebraRep, window: Window,
                         tol: float = 1e-9, max_mode: int = 2,
-                        central_method: str = "analytic",
-                        central_tol: Optional[float] = None) -> CommutatorReport:
-    """Certify the torus bracket relations for all |m|, |p| <= max_mode."""
+                        central_method: str = "analytic") -> CommutatorReport:
+    """Certify the torus bracket relations for all |m|, |p| <= max_mode;
+    the central charges are checked at tol too."""
     return _certify(TorusAlgebra(cfg, rep), window, max_mode, tol,
-                    central_method, tol if central_tol is None else central_tol)
+                    central_method, tol)
 
 
 def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
@@ -1215,87 +1223,69 @@ def check_sphere_realization(cfg: SectorConfig, rep: LieAlgebraRep,
 # Abstract sphere algebra (free module over generator symbols)
 # ---------------------------------------------------------------------------
 
-def _abstract_bracket(table: StructureTable, rep: LieAlgebraRep, x, y) -> dict:
+def _abstract_bracket(alg: SphereAlgebra, x, y) -> dict:
     """Bracket of two generator symbols in the abstract sphere algebra.
 
     Symbols: ("L", l, m), ("T", a, l, m), ("C",), ("K",).  Central symbols
-    commute with everything; central charges appear in units of c and k.
+    commute with everything.  The operator part is the adapter's
+    ``rhs_terms`` and the central part its ``central_unit``, in units of c
+    (``("C",)``) or k (``("K",)``).
     """
     if x[0] in ("C", "K") or y[0] in ("C", "K"):
         return {}
-    out: dict = {}
     if x[0] == "T" and y[0] == "L":
-        return {s: -c for s, c in _abstract_bracket(table, rep, y, x).items()}
-
-    if x[0] == "L" and y[0] == "L":
-        _, l1, m1 = x
-        _, l2, m2 = y
-        for l3 in table.target_degrees(l1, l2, m1 + m2):
-            cval = table.get(l1, m1, l2, m2, l3)
-            if cval and m1 != m2:
-                accumulate(out, ("L", l3, m1 + m2), (m1 - m2) * cval)
-        if m1 + m2 == 0 and l1 == l2:
-            sign = -1 if m1 % 2 else 1
-            accumulate(out, ("C",), sign * m1 * (m1 * m1 - 1) / 12.0)
-        return out
-
-    if x[0] == "L" and y[0] == "T":
-        _, l1, m1 = x
-        _, a2, l2, m2 = y
-        if m2:
-            for l3 in table.target_degrees(l1, l2, m1 + m2):
-                cval = table.get(l1, m1, l2, m2, l3)
-                if cval:
-                    accumulate(out, ("T", a2, l3, m1 + m2), -m2 * cval)
-        return out
-
-    _, a1, l1, m1 = x
-    _, a2, l2, m2 = y
-    for l3 in table.target_degrees(l1, l2, m1 + m2):
-        cval = table.get(l1, m1, l2, m2, l3)
-        if not cval:
-            continue
-        for c in range(1, rep.dim_g + 1):
-            fabc = int(rep.f[a1 - 1, a2 - 1, c - 1])
-            if fabc:
-                accumulate(out, ("T", c, l3, m1 + m2), 1j * fabc * cval)
-    if m1 + m2 == 0 and l1 == l2 and a1 == a2:
-        sign = -1 if m1 % 2 else 1
-        accumulate(out, ("K",), sign * m1)
+        return {s: -c for s, c in _abstract_bracket(alg, y, x).items()}
+    family = x[0] + y[0]
+    a, b = (s[1] if s[0] == "T" else None for s in (x, y))
+    mode1, mode2 = x[-2:], y[-2:]
+    out = {(kind, c, *target) if c else (kind, *target): scale
+           for scale, kind, c, target
+           in alg.rhs_terms(family, a, b, mode1, mode2)}
+    unit = alg.central_unit(family, a, b, mode1, mode2)
+    if unit:
+        out[("K",) if family == "TT" else ("C",)] = unit
     return out
 
 
-def _bracket_elements(table, rep, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for sx, cx in u.items():
-        for sy, cy in v.items():
-            for sz, cz in _abstract_bracket(table, rep, sx, sy).items():
-                accumulate(out, sz, cx * cy * cz)
-    return out
+def _jacobi(bracket, x, y, z) -> dict:
+    """[[x, y], z] + [[y, z], x] + [[z, x], y], each term summed apart."""
+    total: dict = {}
+    for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+        term: dict = {}
+        for s, c in bracket(u, v).items():
+            for sz, cz in bracket(s, w).items():
+                accumulate(term, sz, c * cz)
+        for sz, c in term.items():
+            accumulate(total, sz, c)
+    return total
 
 
 def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
                           l_probe: int = 2, tol: float = 1e-10) -> dict:
-    """Max Jacobi residual over generator triples with degree <= l_probe."""
+    """Max Jacobi residual over generator triples with degree <= l_probe.
+
+    The brackets are those the sweep certifies, ``SphereAlgebra``'s
+    relations on ``table``; the abstract algebra reads no Fock sector.
+    """
     if table.L_max < 3 * l_probe:
         raise ValueError(f"need table degree >= {3 * l_probe}, "
                          f"have {table.L_max}")
-    gens = [("L", l, m) for l in range(l_probe + 1) for m in range(-l, l + 1)]
-    gens += [("T", a, l, m) for a in range(1, rep.dim_g + 1)
-             for l in range(l_probe + 1) for m in range(-l, l + 1)]
+    alg = SphereAlgebra(None, rep, table)
+    # a run asks for each pair many times: 51,756 brackets of 3,600 pairs
+    # for so(3) at l_probe 2
+    bracket = functools.cache(functools.partial(_abstract_bracket, alg))
+    modes = alg.modes(l_probe)
+    gens = [("L", *mode) for mode in modes]
+    gens += [("T", a, *mode) for a in range(1, rep.dim_g + 1)
+             for mode in modes]
     worst = 0.0
     worst_triple = None
     n_checked = 0
-    for x, y, z in itertools.combinations_with_replacement(gens, 3):
-        j = {}
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            inner = _abstract_bracket(table, rep, u, v)
-            for sym, coeff in _bracket_elements(table, rep, inner, {w: 1}).items():
-                accumulate(j, sym, coeff)
+    for triple in itertools.combinations_with_replacement(gens, 3):
         n_checked += 1
-        res = max((abs(c) for c in j.values()), default=0.0)
+        res = max(map(abs, _jacobi(bracket, *triple).values()), default=0.0)
         if res > worst:
-            worst, worst_triple = res, (x, y, z)
+            worst, worst_triple = res, triple
     return {
         "task": "sphere-abstract",
         "l_probe": l_probe,
@@ -1307,4 +1297,3 @@ def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
         "tol": tol,
         "pass": worst <= tol,
     }
-

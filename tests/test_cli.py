@@ -479,8 +479,10 @@ def test_output_probe_keeps_existing_report(tmp_path):
 # mixed sector, of the raw-divergence scan, of the default torus run
 # (1575 brackets, 63 of them zero-total), and of three more torus runs
 # whose zero-total brackets the engine decides: the mixed NS,R sector, the
-# eps-extrapolated centrals, and so(4) on R,R (six zero modes), and of a
-# sphere R run with so(4) (d = 6 flavour matrices)
+# eps-extrapolated centrals, and so(4) on R,R (six zero modes), of a
+# sphere R run with so(4) (d = 6 flavour matrices), and of the abstract
+# sphere Jacobi check with so(4), whose six currents include commuting
+# pairs
 PINNED_REPORTS = [
     (["verify-torus", "--max-mode", "1"],
      "7c04c9dc775176786011a02b155e1b6ca24f3b10d7376863385ac3093af44b37"),
@@ -529,12 +531,15 @@ PINNED_REPORTS = [
     (["verify-torus", "--sectors", "R,R", "--cutoff-m", "5", "--cutoff-p", "5",
       "--max-mode", "2", "--rep", "so4-adjoint"],
      "7baf975a92a860b09a05067a4e00f038bb5859b31954ff2defe5347dddeaaab5"),
+    (["sphere-abstract", "--rep", "so4-adjoint", "--lmax", "6", "--l-probe",
+      "2"],
+     "5c4ec9d7c28f67096af2afa016a9a409a7429486096c48f4c73d977610012203"),
 ]
 PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
               "table-json", "sphere-r-l6", "sphere-r-l5", "torus-so4",
               "torus-rns", "raw-scan", "torus-default", "torus-nsr",
               "torus-eps", "torus-rr-so4", "sphere-r-l8", "sphere-r-so4",
-              "torus-rr-2", "torus-rr-so4-2"]
+              "torus-rr-2", "torus-rr-so4-2", "sphere-abstract-so4"]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)

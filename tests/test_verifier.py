@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from km2d.lie_core import build_so_adjoint
 from km2d.regulator import UnresolvedPrescriptionError
 from km2d.verifier import (
     SphereAlgebra,
+    _Algebra,
     TorusAlgebra,
     Window,
     WindowViolationError,
@@ -321,17 +324,39 @@ def test_sphere_abstract_requires_headroom(so3, table4):
 
 def test_sphere_central_jacobi_cancellation(so3, table8):
     # triple with m1+m2+m3 = 0 and equal degrees: the central parts cancel
-    from km2d.verifier import _abstract_bracket, _bracket_elements
+    from km2d.verifier import _abstract_bracket, _jacobi
 
-    gens = [("L", 2, 1), ("L", 2, 1), ("L", 2, -2)]
-    total = {}
-    for x, y, z in ((gens[0], gens[1], gens[2]),
-                    (gens[1], gens[2], gens[0]),
-                    (gens[2], gens[0], gens[1])):
-        inner = _abstract_bracket(table8, so3, x, y)
-        for sym, coeff in _bracket_elements(table8, so3, inner, {z: 1}).items():
-            total[sym] = total.get(sym, 0) + coeff
+    bracket = functools.partial(_abstract_bracket,
+                                SphereAlgebra(None, so3, table8))
+    total = _jacobi(bracket, ("L", 2, 1), ("L", 2, 1), ("L", 2, -2))
     assert max((abs(v) for v in total.values()), default=0.0) <= 1e-12
+
+
+def _shifted_lt(alg, family, a, b, mode1, mode2):
+    # [L_m, T_n] = -(n + 1) T_{m+n}: a density module on its own, but not a
+    # derivation of the current bracket
+    if family != "LT":
+        return _Algebra.rhs_terms(alg, family, a, b, mode1, mode2)
+    scale = -(alg.z_mode(mode2) + 1)
+    return [(scale * coeff, "T", b, target)
+            for target, coeff in alg._targets(mode1, mode2)]
+
+
+def _no_ll(alg, family, a, b, mode1, mode2):
+    if family == "LL":
+        return []
+    return _Algebra.rhs_terms(alg, family, a, b, mode1, mode2)
+
+
+@pytest.mark.parametrize("rhs_terms", [_shifted_lt, _no_ll],
+                         ids=["shifted-lt", "no-ll"])
+def test_sphere_abstract_reads_the_adapter_relations(so3, table4, rhs_terms):
+    # the Jacobi check sees the relations the sweep certifies, so a wrong
+    # one in SphereAlgebra fails it
+    with mock.patch.object(SphereAlgebra, "rhs_terms", rhs_terms):
+        report = check_sphere_abstract(table4, so3, l_probe=1)
+    assert not report["pass"]
+    assert report["max_jacobi_residual"] > 1.0
 
 
 @pytest.mark.parametrize("z,ang,mc,pc", [
@@ -607,8 +632,6 @@ def test_group_evaluation_matches_each_bracket_alone(group):
     # to end; each bracket's report entry is the one it gets as a group of
     # one, on both geometries, also on corrupted right-hand sides and with
     # chunks of one compared point
-    from unittest import mock
-
     import km2d.verifier as verifier
 
     alg, window, family, a, b, pairs, chunk = group
