@@ -7,20 +7,22 @@ the adapters' ``compare_bounds`` margins: the ``guard`` keeps every probe
 mode inside them, and a term is compared when the modes it touches lie
 inside them, the only terms a probe can see.  The engine of the geometry
 decides every bracket from one-particle coefficients, on the pairs of modes
-inside the margins: its residual is the largest compared coefficient of
-[Q(A), Q(B)] - rhs, exactly 0.0 for a true torus bracket and quadrature
-round-off on the sphere.  The engine decides a group at a time, a family
-with fixed flavour indices, in one reduction for both geometries over its
-brackets' compared points laid end to end; on the torus it is exact, as
-every torus coefficient is a dyadic rational times a Gaussian integer.  A
-failing bracket names a state on which its largest term of smallest flat
-mode pair acts, whether or not a probe holds it.  At zero total the raw
-central is the oscillator vacuum trace of the bracket.  The Fock path,
-``_bracket_job``, applies the bilinears to the probe states, filters with
-``_exact_terms`` and reports the largest probe amplitude; it certifies
-nothing and is the engines' oracle in the tests.  Central terms are never
-read from raw truncated commutators (their coincident-point multiplicity
-grows with the angular cutoff); they come from the regulated pipeline:
+inside the margins (on the sphere, those with a nonzero weight: the others
+have a zero coefficient on every flavour): its residual is the largest
+compared coefficient of [Q(A), Q(B)] - rhs, exactly 0.0 for a true torus
+bracket and quadrature round-off on the sphere.  The engine decides a group
+at a time, a family with fixed flavour indices, in one reduction for both
+geometries over its brackets' compared points laid end to end; on the torus
+it is exact, as every torus coefficient is a dyadic rational times a
+Gaussian integer.  A failing bracket names a state on which its largest
+term of smallest flat mode pair acts, whether or not a probe holds it.  At
+zero total the raw central is the oscillator vacuum trace of the bracket.
+The Fock path, ``_bracket_job``, applies the bilinears to the probe states,
+filters with ``_exact_terms`` and reports the largest probe amplitude; it
+certifies nothing and is the engines' oracle in the tests.  Central terms
+are never read from raw truncated commutators (their coincident-point
+multiplicity grows with the angular cutoff); they come from the regulated
+pipeline:
 
     central = (one-dimensional mode anomaly, an exact one-particle vacuum
                trace on a degenerate single-angular-mode sector)
@@ -207,9 +209,11 @@ class TorusAlgebra(_Algebra):
     def z_mode(self, mode) -> int:
         return mode[0]
 
-    def central(self, family, a, b, mode1, mode2, method) -> float:
-        return measure_central(family, mode1[0], rep=self.rep, cfg=self.cfg,
-                               a=a, b=b, p=mode1[1], method=method)
+    def central_key(self, family, a, b, mode1, mode2, method) -> tuple:
+        """(family, m, a, b, p, degrees) of ``measure_central`` for the
+        bracket's central; the analytic method reads no angular mode."""
+        p = 0 if method == "analytic" else mode1[1]
+        return family, mode1[0], a, b, p, None
 
     def charges(self, method):
         """Report block of c and k, and the (measured, expected) pairs."""
@@ -224,8 +228,10 @@ class TorusAlgebra(_Algebra):
     def lt_variant(self, kappas, tol) -> dict:
         """Whether the printed rule -(angular mode of L) fits the refit."""
         return {"printed_variant": "-(angular mode of L)",
+                # no claim when no pair was measured
                 "printed_variant_matches": all(abs(k - (-m1[1])) <= tol
-                                               for m1, _, k in kappas)}
+                                               for m1, _, k in kappas)
+                if kappas else None}
 
     def op(self, kind: str, a, mode) -> ModeOperator:
         key = (kind, a, mode)
@@ -304,10 +310,8 @@ class SphereAlgebra(_Algebra):
     def z_mode(self, mode) -> int:
         return mode[1]
 
-    def central(self, family, a, b, mode1, mode2, method) -> float:
-        return measure_central(family, mode1[1], rep=self.rep, cfg=self.cfg,
-                               a=a or 1, b=b or 1,
-                               degrees=(mode1[0], mode2[0]), method=method)
+    def central_key(self, family, a, b, mode1, mode2, method) -> tuple:
+        return family, mode1[1], a or 1, b or 1, 0, (mode1[0], mode2[0])
 
     def charges(self, method):
         """Report block of c, k and the Virasoro centrals at m = 1, 2.
@@ -699,7 +703,9 @@ class _Engine:
     with fixed flavour indices.  A generator is a flavour matrix times a
     mode weight, so the compared coefficients of [Q(A), Q(B)] - rhs are
     D = C B: B the flavour basis F_A F_B, SWAPPED and each rhs F_c, C the
-    weights of each compared point from the geometry's ``_points``.
+    weights of each compared point from the geometry's ``_points``.  A
+    point whose weights are all 0.0 has D = 0 exactly, so ``_points`` may
+    leave it out: no residual, tie-break or refit reads it.
     ``_group``, the one reduction, gives per bracket the residual, the
     largest |D|; the [L, T] refit's shift field Re<R, D> / |R|^2, R the rhs
     part of D, or None where ``refit_has_probe`` finds no probe; and the
@@ -848,8 +854,9 @@ class _Engine:
         return zip(residual.tolist(), shift, worst)
 
 
-# The coefficients an engine forms at once, d^2 per compared point: of 2^12
-# to 2^14, 2^13 gave sphere R its least peak RSS, torus within 0.4 MB of it.
+# The coefficients an engine forms at once, d^2 per compared point.  Of 2^12
+# to 2^14, on the sphere's nonzero points, 2^13 gave sphere R l=8 its least
+# peak RSS and l=6 0.2 MB above its least (2^12); the torus is flat.
 GROUP_CHUNK = 1 << 13
 
 
@@ -952,10 +959,14 @@ class SphereEngine(_Engine):
     Its coefficient D_{xy} of x != y is the amplitude of b_x b_y, compared
     where x and y lie inside compare_bounds, the torus engine's box rule:
     a mode inside the margins pairs only with modes inside the cutoffs, so
-    truncation cuts no contraction route there: the compared points are the
-    pairs (u, v) of mode functions in that leading block.  The table carries
-    quadrature round-off: a true bracket's residual is of order 1e-14.  At
-    zero total the raw central is the oscillator vacuum trace
+    truncation cuts no contraction route there.  Mode functions multiply as
+    Q_{l1 m1} Q_{l2 m2} = sum c Q_{l3, m1+m2}, so every weight of a true
+    bracket vanishes off m_u + m_v = m_A + m_B, about 95 % of the block: the
+    compared points are the pairs (u, v) of mode functions in that leading
+    block where some weight is nonzero.  They are read from the weights, not
+    from the rule, so a right-hand side off the line still shows.  The table
+    carries quadrature round-off: a true bracket's residual is of order
+    1e-14.  At zero total the raw central is the oscillator vacuum trace
 
         sum_{x ann} N_{x, conj x} K_x - (identity of the rhs),
 
@@ -1001,22 +1012,26 @@ class SphereEngine(_Engine):
         return (*G, *(self._twist[:, None] * g[self._conj] for g in G))
 
     def _points(self, family, a, b, pairs, rhss, keys):
-        # the number of mode functions inside the margins of each bracket
-        n = np.array([np.count_nonzero(
-            self._k1 <= self.alg.compare_bounds(*pair)[0]) for pair in pairs])
-        for seg, at in _chunks(n * n, self.alg.cfg.d ** 2):
-            C, hi = np.zeros((len(keys) + 2, len(seg)), complex), 0
-            for k in range(seg[0], seg[-1] + 1):
-                GA, GB, KGA, KGB = self._products(family, *pairs[k])
-                m, lo, hi = n[k], hi, hi + n[k] ** 2
-                # C: G_A K G_B, -G_B K G_A and -sum s G of each flavour key
-                block = C[:, lo:hi]
-                block[0] = np.einsum("uv,vw->uw", GA[:m], KGB[:, :m]).ravel()
-                block[1] = -np.einsum("uv,vw->uw", GB[:m], KGA[:, :m]).ravel()
-                for s, kind, c, mode in rhss[k]:
-                    block[2 + keys.index((kind, c))] -= (
-                        s * self.mode_matrix(kind, mode)[:m, :m]).ravel()
-            yield seg, C, *np.divmod(at, n[seg])
+        kept = []
+        for pair, rhs in zip(pairs, rhss):
+            # m mode functions inside the margins; of their m^2 pairs, the
+            # points with a nonzero weight
+            m = np.count_nonzero(self._k1 <= self.alg.compare_bounds(*pair)[0])
+            GA, GB, KGA, KGB = self._products(family, *pair)
+            # C: G_A K G_B, -G_B K G_A and -sum s G of each flavour key
+            block = np.zeros((len(keys) + 2, m * m), complex)
+            block[0] = np.einsum("uv,vw->uw", GA[:m], KGB[:, :m]).ravel()
+            block[1] = -np.einsum("uv,vw->uw", GB[:m], KGA[:, :m]).ravel()
+            for s, kind, c, mode in rhs:
+                block[2 + keys.index((kind, c))] -= (
+                    s * self.mode_matrix(kind, mode)[:m, :m]).ravel()
+            at = np.flatnonzero(block.any(axis=0))
+            kept.append((block[:, at], *np.divmod(at, m)))
+        size = np.array([len(u) for _, u, _ in kept])
+        for seg, _ in _chunks(size, self.alg.cfg.d ** 2):
+            if len(seg):        # brackets with no weight anywhere are skipped
+                yield seg, *(np.concatenate(part, axis=-1) for part in
+                             zip(*kept[seg[0]:seg[-1] + 1]))
 
     def _vacuum_value(self, family, a, b, mode1, mode2, rhs) -> float:
         FA, FB = (self.F[key] for key in _generators(family, a, b))
@@ -1174,10 +1189,16 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
                               tol=tol, charges=charges, **alg.header())
 
+    @functools.cache
+    def central(family, m, a, b, p, degrees):
+        return measure_central(family, m, rep=rep, cfg=cfg, a=a, b=b, p=p,
+                               degrees=degrees, method=central_method)
+
     def central_lookup(family, a, b, mode1, mode2):
         if family == "LT":
             return 0.0
-        return alg.central(family, a, b, mode1, mode2, central_method)
+        return central(*alg.central_key(family, a, b, mode1, mode2,
+                                        central_method))
 
     engine = alg.engine(probes)
     report.brackets = [res for family, a, b, group in groups for res in

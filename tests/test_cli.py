@@ -534,12 +534,17 @@ PINNED_REPORTS = [
     (["sphere-abstract", "--rep", "so4-adjoint", "--lmax", "6", "--l-probe",
       "2"],
      "5c4ec9d7c28f67096af2afa016a9a409a7429486096c48f4c73d977610012203"),
+    # d = 10 flavour matrices on the sphere
+    (["verify-sphere", "--sectors", "R", "--rep", "so5-adjoint", "--cutoff-l",
+      "6", "--max-l", "2"],
+     "7e358ee28cdc2aab6fa37a1ced60270c0a2e5cf966152314c56157e23e81abc1"),
 ]
 PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
               "table-json", "sphere-r-l6", "sphere-r-l5", "torus-so4",
               "torus-rns", "raw-scan", "torus-default", "torus-nsr",
               "torus-eps", "torus-rr-so4", "sphere-r-l8", "sphere-r-so4",
-              "torus-rr-2", "torus-rr-so4-2", "sphere-abstract-so4"]
+              "torus-rr-2", "torus-rr-so4-2", "sphere-abstract-so4",
+              "sphere-r-so5"]
 
 
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)

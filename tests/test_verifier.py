@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from unittest import mock
@@ -202,6 +203,15 @@ def test_torus_algebra_small_grid(so3, nsns):
     assert report.charges["k_measured"] == 1.0
     assert report.lt_summary["max_deviation_from_rule"] <= 1e-12
     assert report.lt_summary["printed_variant_matches"] is False
+
+
+def test_printed_variant_unclaimed_without_kappa_pairs(so3, nsns):
+    # at max-mode 0 the one [L, T] bracket has no refit: no κ pair is
+    # measured, so the report makes no claim about the printed variant
+    report = check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=0)
+    assert report.passed
+    assert report.lt_summary["pairs_measured"] == 0
+    assert report.lt_summary["printed_variant_matches"] is None
 
 
 def test_torus_specific_bracket(so3, nsns):
@@ -528,12 +538,13 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
                 (w_op.apply_state(probe).norm2() > 1e-12)
 
 
-class _WrongAlgebra(TorusAlgebra):
-    """The torus adapter with one corrupted right-hand side."""
+class _Wrong:
+    """Mixed in before an adapter: one corrupted right-hand side, the
+    adapter's arguments followed by the corruption."""
 
-    def __init__(self, cfg, rep, corruption):
-        super().__init__(cfg, rep)
-        self.corruption = corruption
+    def __init__(self, *args):
+        *args, self.corruption = args
+        super().__init__(*args)
 
     def rhs_terms(self, family, a, b, mode1, mode2):
         terms = super().rhs_terms(family, a, b, mode1, mode2)
@@ -541,8 +552,21 @@ class _WrongAlgebra(TorusAlgebra):
             return [(2 * scale, *rest) for scale, *rest in terms]
         if family == "LT" and self.corruption == "shift LT":
             msum = (mode1[0] + mode2[0], mode1[1] + mode2[1])
-            return [(1 - mode2[0], "T", b, msum)]
+            return [(1 - self.z_mode(mode2), "T", b, msum)]
+        if self.corruption == "off line":
+            # sphere only: every target off the line m = m_A + m_B, where
+            # the torus engine reads no target
+            return [(s, kind, c, (l + 1, m + 1)) for s, kind, c, (l, m)
+                    in terms]
         return terms
+
+
+class _WrongAlgebra(_Wrong, TorusAlgebra):
+    """The torus adapter with one corrupted right-hand side."""
+
+
+class _WrongSphere(_Wrong, SphereAlgebra):
+    """The sphere adapter with one corrupted right-hand side."""
 
 
 # sha256 of json.dumps of each wrong algebra's failing report
@@ -642,6 +666,97 @@ def test_group_evaluation_matches_each_bracket_alone(group):
     alone = [engine.job(family, a, b, *pair, 1e-9, *lookup) for pair in pairs]
     assert [json.dumps(r.to_dict()) for r in together] == \
         [json.dumps(r.to_dict()) for r in alone]
+
+
+@st.composite
+def sphere_groups(draw):
+    """A sphere R adapter with so(3) or so(4), true or with a corrupted
+    right-hand side; a window; a family with fixed a, b; guarded pairs."""
+    rep = draw(st.sampled_from([SO3, SO4]))
+    cfg, window, family, a, b, _, _ = draw(sphere_brackets(rep))
+    corruption = draw(st.sampled_from(
+        ["none", "double f_abc", "shift LT", "off line", "drop", "double"]))
+    if corruption in ("drop", "double"):
+        alg = _corrupted(SphereAlgebra, corruption)(cfg, rep,
+                                                    structure_table(8))
+    else:
+        alg = _WrongSphere(cfg, rep, structure_table(8), corruption)
+    probes = probe_states(cfg, window)
+    assume(probes)
+    reach = _probe_reach(probes)
+    grid = [(l, m) for l in range(3) for m in range(-l, l + 1)]
+    pairs = []
+    for pair in itertools.product(grid, grid):
+        try:
+            alg.guard(reach, *pair)
+        except WindowViolationError:
+            continue
+        pairs.append(pair)
+    assume(pairs)
+    group = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8))
+    return alg, window, family, a, b, group
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_groups())
+def test_sphere_engine_skips_only_zero_points(group):
+    # the sphere engine compares the pairs (u, v) of each bracket's leading
+    # block that carry a nonzero weight; built here in full, every pair it
+    # skips has D = 0 on every flavour, also where a corrupted right-hand
+    # side puts weight off the line m_u + m_v = m_A + m_B
+    from km2d.verifier import _generators
+
+    alg, window, family, a, b, pairs = group
+    engine = alg.engine(probe_states(alg.cfg, window))
+    rhss = [alg.rhs_terms(family, a, b, *pair) for pair in pairs]
+    keys = list(dict.fromkeys((kind, c) for rhs in rhss
+                              for _, kind, c, _ in rhs))
+    compared = {}
+    for seg, C, u, v in engine._points(family, a, b, pairs, rhss, keys):
+        for k, x, y, weights in zip(seg, u, v, C.T):
+            compared[k, x, y] = weights
+    FA, FB = (engine.F[key] for key in _generators(family, a, b))
+    B = np.array([FA @ FB, FB @ FA] + [engine.F[key] for key in keys])
+    B = B.reshape(len(keys) + 2, -1)
+    for k, (pair, rhs) in enumerate(zip(pairs, rhss)):
+        m = np.count_nonzero(engine._k1 <= alg.compare_bounds(*pair)[0])
+        GA, GB, KGA, KGB = engine._products(family, *pair)
+        full = np.zeros((len(keys) + 2, m, m), complex)
+        full[0] = np.einsum("uv,vw->uw", GA[:m], KGB[:, :m])
+        full[1] = -np.einsum("uv,vw->uw", GB[:m], KGA[:, :m])
+        for s, kind, c, mode in rhs:
+            full[2 + keys.index((kind, c))] -= (
+                s * engine.mode_matrix(kind, mode)[:m, :m])
+        D = np.einsum("rf,rxy->fxy", B, full)
+        for x, y in itertools.product(range(m), range(m)):
+            if (k, x, y) in compared:
+                weights = compared.pop((k, x, y))
+                assert weights.any()
+                assert np.array_equal(weights, full[:, x, y])
+            else:
+                assert not D[:, x, y].any()
+    assert not compared         # no point outside a leading block
+
+
+def test_sphere_group_without_weight(so3, table8):
+    # on sphere R l=2 the leading block of [T1(l=0,m=0), T1(l=2,m=-2)] is
+    # one mode function, and its one pair has no weight: with a chunk of one
+    # point, the group's second chunk holds no point.  The bracket reads
+    # residual 0.0 and no refit, in the group as alone
+    import km2d.verifier as verifier
+
+    cfg = sphere_sector("R", 3, 2)
+    engine = SphereAlgebra(cfg, so3, table8).engine(
+        probe_states(cfg, Window(0, 0, 0)))
+    pairs = [((0, 0), (0, 0)), ((0, 0), (2, -2))]
+    assert not list(engine._points("TT", 1, 1, pairs[1:], [[]], []))
+    lookup = (lambda *args: 0.0, 1e9)
+    with mock.patch.object(verifier, "GROUP_CHUNK", 1):
+        together = list(engine.jobs("TT", 1, 1, pairs, 1e-9, *lookup))
+    alone = [engine.job("TT", 1, 1, *pair, 1e-9, *lookup) for pair in pairs]
+    assert [json.dumps(r.to_dict()) for r in together] == \
+        [json.dumps(r.to_dict()) for r in alone]
+    assert (together[1].residual, together[1].kappa) == (0.0, None)
 
 
 def test_torus_check_memory_is_bounded():
