@@ -50,54 +50,48 @@ def quadrature(n: int):
     return x, w
 
 
-def _nodes_for_degree(deg: int):
-    return quadrature(deg // 2 + 1)
-
-
 # ---------------------------------------------------------------------------
 # Normalized associated Legendre functions
 # ---------------------------------------------------------------------------
 
+def _legendre_rows(m: int, L: int, u: np.ndarray) -> np.ndarray:
+    """Q_{l,m} at the points u for l = m..L, one row each, at one m >= 0:
+    the diagonal start Q_mm, then the stable three-term recurrence in l."""
+    rows = np.zeros((L - m + 2, len(u)))            # row 0 is Q_{m-1,m} = 0
+    ratio = math.prod((2 * k - 1) / (2 * k) for k in range(1, m + 1))
+    rows[1] = ((-1) ** m) * math.sqrt((2 * m + 1) * ratio) * (1 - u * u) ** (m / 2)
+    for i, ll in enumerate(range(m, L), 1):
+        a = math.sqrt((2 * ll + 1) * (2 * ll + 3)
+                      / ((ll + 1 - m) * (ll + 1 + m)))
+        b = math.sqrt((2 * ll + 3) / (2 * ll - 1) * (ll - m) * (ll + m)
+                      / ((ll + 1 - m) * (ll + 1 + m))) if ll > m else 0.0
+        rows[i + 1] = a * u * rows[i] - b * rows[i - 1]
+    return rows[1:]
+
+
 def legendre_Q(l: int, m: int, u):
     """Normalized associated Legendre function, (1/2)int Q_{lm}Q_{l'm} = d_{ll'}.
 
-    Evaluated by the stable three-term recurrence in l; supports scalar or
+    The last row of ``_legendre_rows(|m|, l, u)``; supports scalar or
     ndarray u.  Negative m via Q_{l,-m} = (-1)^m Q_{lm}.
     """
     l, m = int(l), int(m)
     if l < abs(m):
         raise ValueError(f"need l >= |m|, got l={l}, m={m}")
-    sign = 1
-    if m < 0:
-        m = -m
-        sign = -1 if m % 2 else 1
+    sign = -1 if m < 0 and m % 2 else 1
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
+    out = sign * _legendre_rows(abs(m), l, np.atleast_1d(u))[-1]
+    return float(out[0]) if u.ndim == 0 else out
 
-    # diagonal start Q_mm, then upward recurrence
-    qmm = np.ones_like(u)
-    if m > 0:
-        ratio = 1.0
-        for k in range(1, m + 1):
-            ratio *= (2 * k - 1) / (2 * k)
-        qmm = ((-1) ** m) * math.sqrt((2 * m + 1) * ratio) * (1 - u * u) ** (m / 2)
-    if l == m:
-        out = qmm
-    else:
-        prev, cur = np.zeros_like(u), qmm
-        for ll in range(m, l):
-            a = math.sqrt((2 * ll + 1) * (2 * ll + 3)
-                          / ((ll + 1 - m) * (ll + 1 + m)))
-            b = 0.0
-            if ll > m:
-                b = math.sqrt((2 * ll + 3) / (2 * ll - 1)
-                              * (ll - m) * (ll + m)
-                              / ((ll + 1 - m) * (ll + 1 + m)))
-            prev, cur = cur, a * u * cur - b * prev
-        out = cur
-    out = sign * out
-    return float(out[0]) if scalar else out
+
+def _legendre_table(L: int, u: np.ndarray) -> np.ndarray:
+    """Q_{lm} at the points u in row r = l^2 + l + m, for all l <= L."""
+    q = np.empty(((L + 1) ** 2, len(u)))
+    for m in range(L + 1):
+        rows, l = _legendre_rows(m, L, u), np.arange(m, L + 1)
+        q[l * l + l + m] = rows
+        q[l * l + l - m] = -rows if m % 2 else rows
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +155,7 @@ class _OrbitIndex:
     value bit for bit, so an entry's orbit is the same slot k of its block's
     images.  Its first member, the head, is slot k of the earliest image,
     which starts at ``first[a, b]``; heads are numbered in CSV order from
-    ``orbit[a, b]`` + k.
+    ``orbit[a, b]`` + k.  All four are views of one int32 array ``table``.
     """
 
     def __init__(self, L: int):
@@ -173,7 +167,11 @@ class _OrbitIndex:
         lo = np.maximum(abs(ls[:, None] - ls), abs(ms[:, None] + ms))
         lo += (lo + lsum) % 2                        # l1 + l2 + l3 even
         count = np.maximum((np.minimum(lsum, L) - lo) // 2 + 1, 0)
-        start = np.cumsum(count, dtype=np.int32).reshape(count.shape) - count
+        self.table = np.empty((4, len(ls), len(ls)), np.int32)
+        self.start, self.first, self.orbit, self.lo = self.table
+        self.lo[:] = lo
+        self.start[:] = np.cumsum(count, dtype=np.int32).reshape(
+            count.shape) - count
         neg = np.arange(len(ls)) - 2 * ms            # row of (l, -m)
 
         def earliest(x):
@@ -181,24 +179,24 @@ class _OrbitIndex:
             mirror = x[neg][:, neg]
             return np.minimum(np.minimum(x, x.T), np.minimum(mirror, mirror.T))
 
-        self.first = earliest(start)
-        heads = np.where(self.first == start, count, 0)
-        self.orbit = earliest(np.cumsum(heads, dtype=np.int32).reshape(
+        self.first[:] = earliest(self.start)
+        heads = np.where(self.first == self.start, count, 0)
+        self.orbit[:] = earliest(np.cumsum(heads, dtype=np.int32).reshape(
             count.shape) - heads)
-        self.ls, self.ms, self.lo, self.count, self.start = ls, ms, lo, count, start
+        self.ls, self.ms, self.count = ls, ms, count
         self.size = int(count.sum())
 
     def rows(self):
-        """Per row r1: the slice of its entries, their rows r2 and degrees
-        l3, whether each is a head, and its head's position and number."""
+        """Per row r1, one ``repeat`` of ``table[:, r1]``: its entries' slice,
+        rows r2, degrees l3, head flags and heads' positions and numbers."""
         for r1, n in enumerate(self.count):
+            start, first, orbit, lo = np.repeat(self.table[:, r1], n, axis=1)
             r2 = np.repeat(np.arange(len(n)), n)
-            start = self.start[r1, r2]
             own = np.arange(start[0], start[0] + len(r2))
             k = own - start
-            head = self.first[r1, r2] + k
-            yield (r1, slice(own[0], own[-1] + 1), r2, self.lo[r1, r2] + 2 * k,
-                   head == own, head, self.orbit[r1, r2] + k)
+            head = first + k
+            yield (r1, slice(own[0], own[-1] + 1), r2, lo + 2 * k,
+                   head == own, head, orbit + k)
 
 
 # 10^(16 - e) for the decimal exponents e = -4..-1 of the numpy path, exact
@@ -254,15 +252,16 @@ class StructureTable:
     The table is one float64 array ``values`` plus the orbit index
     (``_OrbitIndex``) that places its entries: only the
     triangle-and-parity-allowed entries are stored, in lexicographic key
-    order, and the target azimuthal index is always m1 + m2.  ``keys``
-    (int8, shape (K, 5), rows ``(l1, m1, l2, m2, l3)``) and the dict
-    ``entries`` are derived from the index on first use; the CSV writer
-    reads neither.  ``to_csv`` writes bytes to a binary file: it formats
-    each orbit's head once, as ``%.17g`` does (``_format_17g``), into a
-    fixed-width bytes array, then walks the rows of the index and writes
-    every member of the orbit from that string, each row as one array of
-    records with the ``l,m,`` fields from small string tables.  It raises
-    ``ValueError`` if any entry differs in any bit from its head.
+    order, and the target azimuthal index is always m1 + m2.  ``get`` reads
+    the index; ``keys`` (int8, shape (K, 5), rows ``(l1, m1, l2, m2, l3)``)
+    and the dict ``entries`` are views derived from it on first use; of
+    the commands, only the JSON export reads one.  ``to_csv`` writes bytes to a
+    binary file: it formats each orbit's head once, as ``%.17g`` does
+    (``_format_17g``), into a fixed-width bytes array, then walks the rows
+    of the index and writes every member of the orbit from that string,
+    each row as one array of records with the ``l,m,`` fields from small
+    string tables.  It raises ``ValueError`` if any entry differs in any
+    bit from its head.
     """
 
     L_max: int
@@ -286,13 +285,20 @@ class StructureTable:
     def entries(self) -> dict:
         return dict(zip(zip(*self.keys.T.tolist()), self.values.tolist()))
 
-    def get(self, l1: int, m1: int, l2: int, m2: int, l3: int) -> float:
-        return self.entries.get((l1, m1, l2, m2, l3), 0.0)
+    @cached_property
+    def _slots(self) -> tuple:
+        # plain lists, read per call: a sphere run calls get 10^4 times
+        index = self.index
+        return index.start.tolist(), index.lo.tolist(), index.count.tolist()
 
-    def target_degrees(self, l1: int, l2: int, m3: int):
-        lo = max(abs(l1 - l2), abs(m3))
-        hi = min(l1 + l2, self.L_max)
-        return [l3 for l3 in range(lo, hi + 1) if (l1 + l2 + l3) % 2 == 0]
+    def get(self, l1: int, m1: int, l2: int, m2: int, l3: int) -> float:
+        if -l1 <= m1 <= l1 <= self.L_max and -l2 <= m2 <= l2 <= self.L_max:
+            r1, r2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
+            start, lo, count = self._slots
+            d = l3 - lo[r1][r2]                 # twice the slot, if even
+            if 0 <= d < 2 * count[r1][r2] and not d & 1:
+                return self.values.item(start[r1][r2] + d // 2)
+        return 0.0
 
     def to_csv(self, fh) -> None:
         L, index = self.L_max, self.index
@@ -324,9 +330,8 @@ class StructureTable:
             fh.write(cells.tobytes().translate(None, b"\0"))
 
 
-# structure-constants --lmax 32 (8,958,473 entries, growing as L^5) writes
-# its CSV in 4.0-4.4 s at a 215 MB peak on a 2-vCPU machine; int8 keys
-# need |l|, |m| <= 127
+# structure-constants --lmax 32 has 8,958,473 entries (growing as L^5): its
+# CSV takes 2.5-3.0 s at a 202 MB peak on 2 vCPUs; int8 keys need l <= 127
 MAX_TABLE_DEGREE = 32
 
 
@@ -334,24 +339,21 @@ MAX_TABLE_DEGREE = 32
 def structure_table(L_max: int) -> StructureTable:
     """Triple-product table for all l1, l2, l3 <= L_max by exact quadrature.
 
-    Row r = l^2 + l + m of ``q`` holds Q_{lm} at the nodes.  Each row of the
-    orbit index lists its entries in lexicographic key order; the build fills
-    their values only, and the table keeps the index.  Its orbit heads take
-    their values in one ``vecdot``: one ``ddot`` per entry, bit-identical to
-    ``np.dot``.  Every other entry copies its head's value in one gather:
-    c(l1,m1,l2,m2,l3) = c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly,
-    since q1 * q2 commutes in IEEE arithmetic and Q_{l,-m} = (-1)^m Q_{lm}.
-    A degree outside 0..MAX_TABLE_DEGREE raises ValueError before anything
-    is allocated.
+    Each row of the orbit index lists its entries in lexicographic key
+    order; the build fills their values only, and the table keeps the index.
+    Its orbit heads take their values in one ``vecdot`` over the rows of
+    ``q``: one ``ddot`` per entry, bit-identical to ``np.dot``.  Every other
+    entry copies its head's value in one gather: c(l1,m1,l2,m2,l3) =
+    c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly, since q1 * q2 commutes
+    in IEEE arithmetic and Q_{l,-m} = (-1)^m Q_{lm}.  A degree outside
+    0..MAX_TABLE_DEGREE raises ValueError before anything is allocated.
     """
     if not 0 <= L_max <= MAX_TABLE_DEGREE:
         raise ValueError(f"structure table degree {L_max} is not in "
                          f"0..{MAX_TABLE_DEGREE}")
-    nodes, weights = _nodes_for_degree(3 * L_max)
+    nodes, weights = quadrature(3 * L_max // 2 + 1)     # exact to degree 3L
     index = _OrbitIndex(L_max)
-    ls, ms = index.ls, index.ms
-    q = np.array([legendre_Q(l, m, nodes)
-                  for l, m in zip(ls.tolist(), ms.tolist())])
+    ms, q = index.ms, _legendre_table(L_max, nodes)
     values = np.empty(index.size)
     for r1, block, r2, l3, new, head, _ in index.rows():
         r2, l3 = r2[new], l3[new]
@@ -367,8 +369,7 @@ def structure_table(L_max: int) -> StructureTable:
 def _jacobi_rule(n: int, alpha: float, beta: float):
     from scipy.special import roots_jacobi
 
-    x, w = roots_jacobi(n, alpha, beta)
-    return x, w
+    return roots_jacobi(n, alpha, beta)
 
 
 @lru_cache(maxsize=None)

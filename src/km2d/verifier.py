@@ -355,15 +355,14 @@ class SphereAlgebra(_Algebra):
         return self._ops[key]
 
     def _targets(self, mode1, mode2) -> list:
-        (l1, m1), (l2, m2) = mode1, mode2
-        out = []
-        for l3 in self.table.target_degrees(l1, l2, m1 + m2):
-            c = self.table.get(l1, m1, l2, m2, l3)
-            # smaller entries are quadrature noise: 78 of the L = 6 table's
-            # stored entries lie in (0, 1e-15)
-            if abs(c) >= 1e-15:
-                out.append(((l3, m1 + m2), c))
-        return out
+        # the modes' block in the table's index, l3 = lo + 2k; entries below
+        # 1e-15 are quadrature noise (78 of the L = 6 table's stored ones)
+        (l1, m1), (l2, m2), index = mode1, mode2, self.table.index
+        r1, r2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
+        at, lo = index.start[r1, r2], int(index.lo[r1, r2])
+        values = self.table.values[at:at + index.count[r1, r2]].tolist()
+        return [((lo + 2 * k, m1 + m2), c)
+                for k, c in enumerate(values) if abs(c) >= 1e-15]
 
     def _overlap(self, mode1, mode2) -> float:
         """(-1)^m delta_{l1 l2}, the overlap of the two degree labels."""

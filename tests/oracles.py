@@ -19,7 +19,7 @@ import numpy as np
 
 from km2d.currents import torus_L, torus_T
 from km2d.fock import ModeOperator, StateVector, vacuum_states
-from km2d.harmonics import _nodes_for_degree, legendre_Q
+from km2d.harmonics import legendre_Q, quadrature
 from km2d.regulator import HeatSum, solve_a_m
 from km2d.scalars import SqrtTwoScalar
 from km2d.verifier import _bracket_job, _certify, measure_central
@@ -153,7 +153,7 @@ def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:
         raise ValueError(f"test degree {lp} exceeds kernel cutoff {L_max}")
     if lp < abs(m):
         raise ValueError(f"need test degree >= |m| = {abs(m)}")
-    nodes, weights = _nodes_for_degree(2 * L_max + lp)
+    nodes, weights = quadrature((2 * L_max + lp) // 2 + 1)
     target = legendre_Q(lp, m, nodes)
     acc = np.zeros_like(nodes)
     for l in range(abs(m), L_max + 1):

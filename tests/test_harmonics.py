@@ -1,5 +1,4 @@
 import io
-import itertools
 import math
 from fractions import Fraction
 
@@ -272,6 +271,26 @@ def test_structure_csv_reads_no_keys(monkeypatch):
     assert same
 
 
+def test_verify_sphere_reads_no_keys(monkeypatch, tmp_path):
+    # get and the sphere targets read the orbit index, so a sphere run at a
+    # large table degree derives neither keys nor entries
+    from km2d import cli
+
+    tables = []
+
+    def fresh_table(L):
+        tables.append(structure_table.__wrapped__(L))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "structure_table", fresh_table)
+    code = cli.main(["verify-sphere", "--sectors", "R", "--cutoff-l", "4",
+                     "--max-l", "1", "--lmax", "16",
+                     "--output", str(tmp_path / "r.json")])
+    assert code == 0
+    assert [t.L_max for t in tables] == [16]
+    assert "keys" not in vars(tables[0]) and "entries" not in vars(tables[0])
+
+
 def test_structure_mirror_rows_match_per_entry_oracle():
     # entries of rows m1 < 0 and of rows after their swap image's row are
     # copies of an earlier entry; check a sample of each past L = 8
@@ -337,15 +356,34 @@ def test_structure_table_matches_per_entry_oracle(L):
     for (l1, m1, l2, m2, l3), value in zip(keys, values):
         prod = q[(l1, m1)] * q[(l2, m2)] * weights
         assert value == 0.5 * float(np.dot(prod, q[(l3, m1 + m2)]))
-    # target_degrees lists exactly the stored l3 of every (l1, m1, l2, m2)
-    stored = {}
-    for l1, m1, l2, m2, l3 in keys:
-        stored.setdefault((l1, m1, l2, m2), []).append(l3)
-    for l1, m1, l2, m2 in itertools.product(range(L + 1), range(-L, L + 1),
-                                            range(L + 1), range(-L, L + 1)):
-        if abs(m1) <= l1 and abs(m2) <= l2:
-            assert (table.target_degrees(l1, l2, m1 + m2)
-                    == stored.get((l1, m1, l2, m2), []))
+    # get reads each stored value from the index
+    assert all(table.get(*key) == value for key, value in zip(keys, values))
+
+
+def test_structure_get_is_zero_outside_the_selection_rules(table4):
+    # r = l^2 + l + m aliases (1, 2) onto (2, -2), so |m| > l is caught
+    # before the index is read; so are degrees outside 0..L_max
+    assert table4.get(2, -2, 0, 0, 2) != 0.0
+    assert table4.get(1, 2, 0, 0, 2) == 0.0
+    assert table4.get(0, 0, 1, 2, 2) == 0.0
+    assert table4.get(1, 1, 4, 0, 5) == table4.get(1, 1, 5, 0, 4) == 0.0
+    assert table4.get(-1, 0, 1, 0, 0) == table4.get(1, 0, -1, 0, 0) == 0.0
+    assert table4.get(1, 0, 1, 0, 1) == 0.0          # l1 + l2 + l3 odd
+    assert table4.get(2, 0, 2, 0, -2) == 0.0         # below the triangle
+    assert table4.get(3, 0, 3, 0, 6) == 0.0          # above L_max
+    assert table4.get(2, 2, 2, 0, 0) == 0.0          # below |m1 + m2|
+
+
+def test_structure_build_rows_equal_legendre_Q():
+    # the build's q and legendre_Q share one recurrence: bit for bit at the
+    # largest table's nodes, both signs of m
+    L = harmonics.MAX_TABLE_DEGREE
+    nodes, _ = quadrature(3 * L // 2 + 1)
+    q = harmonics._legendre_table(L, nodes).view(np.int64)
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            assert np.array_equal(q[l * l + l + m],
+                                  legendre_Q(l, m, nodes).view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,28 @@ def test_sphere_lt_constant_coefficient(so3, table4):
     # [L_00, T^a_{l,m}] = -m T^a_{l,m}: the l3 expansion collapses since
     # c_{0,0,l,m}^{l',m} = delta_{l l'}
     for l, m in [(1, 1), (1, -1)]:
-        for l3 in table4.target_degrees(0, l, m):
+        for l3 in range(table4.L_max + 1):
             expected = 1.0 if l3 == l else 0.0
             assert table4.get(0, 0, l, m, l3) == pytest.approx(
                 expected, abs=1e-12)
+
+
+def test_sphere_targets_read_the_table_blocks(so3):
+    # _targets reads the block of (l1, m1, l2, m2) from the table's index:
+    # every stored l3 of the pair with a value of at least 1e-15, in order,
+    # as Python ints that the report can print
+    L = 6
+    table = structure_table(L)
+    alg = SphereAlgebra(None, so3, table)
+    modes = alg.modes(L)
+    for mode1, mode2 in itertools.product(modes, modes):
+        if mode1[0] + mode2[0] > L:
+            continue
+        m3 = mode1[1] + mode2[1]
+        want = [((l3, m3), c) for l3 in range(L + 1)
+                if abs(c := table.get(*mode1, *mode2, l3)) >= 1e-15]
+        got = alg._targets(mode1, mode2)
+        assert got == want and all(type(l3) is int for (l3, _), _ in got)
 
 
 def test_sphere_abstract_jacobi(so3, table8):
