@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -103,10 +104,22 @@ def _probe_output(path: str | None) -> None:
         os.remove(path)
 
 
+# encoder chunks per write: the default torus report goes out in 45 writes
+# of at most 7,000 characters in 5.0 ms (json.dumps: 5.5 ms, and 1.6 MB more
+# peak RSS; json.dump, one write per chunk, is slower than either)
+REPORT_BATCH = 1024
+
+
 def _write_report(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write json.dumps(payload, indent=2) and a newline in REPORT_BATCH
+    chunks.  The output is open before encoding starts, so the payload must
+    hold only dict, list, str, int, float, bool and None: any other type, as
+    a numpy scalar, raises TypeError mid-stream and truncates the file."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
     with _output(path) as fh:
-        fh.write(text)
+        while batch := list(itertools.islice(chunks, REPORT_BATCH)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _half(value: str) -> Fraction:

@@ -121,14 +121,19 @@ def torus_L(m: int, p: int, cfg: SectorConfig,
 # Sphere
 # ---------------------------------------------------------------------------
 
-def _sphere_pairs(cfg: SectorConfig, table: StructureTable, l: int, m: int):
-    """(x, y, z, c) of the bilinear at target (l, m); z is the m of x."""
+def _check_coverage(cfg: SectorConfig, table: StructureTable, l: int, m: int):
+    """Raise unless the table reaches target (l, m) and the sector's modes."""
     if l < abs(m):
         raise ValueError(f"target needs l >= |m|, got ({l}, {m})")
     need = max(l, cfg.l2_cut // 2 if cfg.z_sector == "R" else
                (cfg.l2_cut + 1) // 2)
     if table.L_max < need:
         raise TableCoverageError(need, table.L_max)
+
+
+def _sphere_pairs(cfg: SectorConfig, table: StructureTable, l: int, m: int):
+    """(x, y, z, c) of the bilinear at target (l, m); z is the m of x."""
+    _check_coverage(cfg, table, l, m)
     l2cut = cfg.l2_cut
     if cfg.z_sector == "R":
         for l1 in range(l2cut // 2 + 1):

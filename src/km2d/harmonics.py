@@ -285,19 +285,12 @@ class StructureTable:
     def entries(self) -> dict:
         return dict(zip(zip(*self.keys.T.tolist()), self.values.tolist()))
 
-    @cached_property
-    def _slots(self) -> tuple:
-        # plain lists, read per call: a sphere run calls get 10^4 times
-        index = self.index
-        return index.start.tolist(), index.lo.tolist(), index.count.tolist()
-
     def get(self, l1: int, m1: int, l2: int, m2: int, l3: int) -> float:
         if -l1 <= m1 <= l1 <= self.L_max and -l2 <= m2 <= l2 <= self.L_max:
             r1, r2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
-            start, lo, count = self._slots
-            d = l3 - lo[r1][r2]                 # twice the slot, if even
-            if 0 <= d < 2 * count[r1][r2] and not d & 1:
-                return self.values.item(start[r1][r2] + d // 2)
+            k, odd = divmod(l3 - int(self.index.lo[r1, r2]), 2)   # the slot
+            if not odd and 0 <= k < self.index.count[r1, r2]:
+                return self.values.item(self.index.start[r1, r2] + k)
         return 0.0
 
     def to_csv(self, fh) -> None:

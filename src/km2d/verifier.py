@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .currents import (_sphere_pairs, lam_constant, sphere_L, sphere_T,
+from .currents import (_check_coverage, lam_constant, sphere_L, sphere_T,
                        torus_L, torus_T)
 from .fock import (FockState, ModeOperator, SectorConfig, _apply_b,
                    accumulate, enumerate_states, render_state, torus_sector,
@@ -979,26 +979,31 @@ class SphereEngine(_Engine):
     def __init__(self, alg: SphereAlgebra, probes):
         super().__init__(alg, probes)
         cfg = alg.cfg
-        # the mode functions, ordered by degree: those inside a margin are
-        # a leading block
+        # the mode functions (l, m), R sector, in the table index's row
+        # order r = l^2 + l + m: those inside a margin are a leading block
         funcs = [m for m in self.modes if m.i == 1]
-        self._index = {m[1:]: u for u, m in enumerate(funcs)}
         self._k1 = np.array([m.k1 for m in funcs])
         self._m = np.array([m.k2 / 2 for m in funcs])
-        # K maps row conj(x) to row x, with the twist of x
-        self._conj = np.array([self._index[cfg.conj(m)[1:]] for m in funcs])
+        # K maps row conj(x) = (l, -m) to row x, with the twist of x
+        self._conj = np.arange(len(funcs)) - 2 * self._m.astype(int)
         self._twist = np.array([cfg.car_pairing(m, cfg.conj(m))
                                 for m in funcs])
         self._ann = np.nonzero(self._m > 0)[0]
+        # each pair's block in the table index; mode_matrix checks its reach
+        n, ix = len(funcs), alg.table.index
+        self._blocks = [a[:n, :n] for a in (ix.start, ix.lo, ix.count)]
         self._G: dict = {}
 
     def mode_matrix(self, kind, mode) -> np.ndarray:
-        """G of a generator."""
+        """G of a generator; C is one masked gather of the table values."""
         if (kind, mode) not in self._G:
-            C = np.zeros((len(self._index),) * 2)
-            for x, y, _, c in _sphere_pairs(self.alg.cfg, self.alg.table,
-                                            *mode):
-                C[self._index[x], self._index[y]] = c
+            _check_coverage(self.alg.cfg, self.alg.table, *mode)
+            start, lo, count = self._blocks
+            d = mode[0] - lo                    # twice the slot, if even
+            hit = ((d >= 0) & (d < 2 * count) & (d % 2 == 0)
+                   & (self._m[:, None] + self._m == mode[1]))
+            at = np.where(hit, start + d // 2, 0)
+            C = np.where(hit, self.alg.table.values[at], 0.0)
             if kind == "L":
                 C = -(self._m[:, None] / 2) * C
             self._G[kind, mode] = C + C.T if kind == "T" else C - C.T

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -47,6 +48,51 @@ def test_structure_constants_csv(tmp_path, capsysbinary):
     assert golden, "expected the 2/sqrt(5) row"
     # stdout is the other write path: the same bytes through its buffer
     assert main(["structure-constants", "--lmax", "4"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+# JSON values of every kind the encoder special-cases, and one payload of
+# more than REPORT_BATCH chunks
+STREAMED_PAYLOADS = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+     "none": None, "true": True, "false": False, "int": -7, "float": 0.1},
+    {"list": [], "dict": {}, "nested": [[], {}, [[1, [2.5, None]],
+                                                 {"a": {"b": [{}]}}]]},
+    [], {}, [{}], {"": []},
+    {"\u00e9t\u00e9": "\u2603 \U0001d11e",
+     "esc": "\" \\ / \b\f\n\r\t \x00\x1f"},
+    {"rows": [{"i": i, "x": i / 7, "ok": i % 2 == 0} for i in range(2000)]},
+]
+
+
+@pytest.mark.parametrize("payload", STREAMED_PAYLOADS)
+def test_streamed_report_is_json_dumps(payload, tmp_path):
+    out = tmp_path / "r.json"
+    cli._write_report(payload, str(out))
+    assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def test_report_is_written_in_bounded_batches(monkeypatch):
+    # the default torus report arrives in many writes, none longer than
+    # the 7,000 characters that REPORT_BATCH's comment states
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    monkeypatch.setattr(cli, "_output",
+                        lambda path: contextlib.nullcontext(Sink()))
+    assert main(["verify-torus"]) == 0
+    assert len(writes) > 1
+    assert max(map(len, writes)) <= 7000
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == \
+        PINNED_REPORTS[PINNED_IDS.index("torus-default")][1]
+
+
+def test_verify_torus_stdout_is_its_output_file(tmp_path, capsysbinary):
+    out = tmp_path / "r.json"
+    assert main(["verify-torus", "--output", str(out)]) == 0
+    assert main(["verify-torus"]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
 
 
@@ -547,8 +593,28 @@ PINNED_IDS = ["torus", "sphere", "torus-rr", "sphere-abstract", "table-csv",
               "sphere-r-so5"]
 
 
+def _builtin_json(value) -> bool:
+    """Whether value is built only of dict, list, str, int, float, bool and
+    None, by exact type, as a report streamed from an open file must be."""
+    if type(value) is dict:
+        return all(type(k) is str and _builtin_json(v)
+                   for k, v in value.items())
+    if type(value) is list:
+        return all(map(_builtin_json, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
 @pytest.mark.parametrize("args,digest", PINNED_REPORTS, ids=PINNED_IDS)
-def test_report_bytes_are_pinned(args, digest, tmp_path):
+def test_report_bytes_are_pinned(args, digest, tmp_path, monkeypatch):
+    # every payload handed to _write_report holds built-in types only: the
+    # file is open before encoding, so a numpy scalar would truncate it
+    write_report = cli._write_report
+
+    def checked(payload, path):
+        assert _builtin_json(payload)
+        write_report(payload, path)
+
+    monkeypatch.setattr(cli, "_write_report", checked)
     out = tmp_path / "r.json"
     assert main(args + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

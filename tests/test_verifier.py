@@ -777,6 +777,29 @@ def test_sphere_group_without_weight(so3, table8):
     assert (together[1].residual, together[1].kappa) == (0.0, None)
 
 
+@pytest.mark.parametrize("cutoff", [4, 6, 8])
+def test_sphere_mode_matrix_is_the_pairs_matrix(so3, cutoff):
+    # G gathered from the table's index, bit for bit the matrix filled pair
+    # by pair from _sphere_pairs, for every target of the verify-sphere
+    # table at this cutoff
+    from km2d.currents import _sphere_pairs
+
+    cfg, table = sphere_sector("R", 3, cutoff), structure_table(cutoff)
+    engine = SphereAlgebra(cfg, so3, table).engine(
+        probe_states(cfg, Window(0, 0, 0)))
+    funcs = [m[1:] for m in engine.modes if m.i == 1]
+    for l in range(cutoff + 1):
+        for m in range(-l, l + 1):
+            C = np.zeros((len(funcs),) * 2)
+            for x, y, _, c in _sphere_pairs(cfg, table, l, m):
+                C[funcs.index(x), funcs.index(y)] = c
+            A = -(engine._m[:, None] / 2) * C
+            for kind, G in (("T", C + C.T), ("L", A - A.T)):
+                assert np.array_equal(
+                    engine.mode_matrix(kind, (l, m)).view(np.int64),
+                    G.view(np.int64)), (kind, l, m)
+
+
 def test_torus_check_memory_is_bounded():
     # so5-adjoint, d = 10: a box point carries 100 flavour entries.  The
     # per-bracket torus engine peaked at 4.65 MB of traced memory here; the
