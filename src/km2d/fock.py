@@ -596,13 +596,13 @@ def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
 def enumerate_states(cfg: SectorConfig, max_z2: int, max_particles: int,
                      sigmas: Optional[Iterable[int]] = None) -> list:
     """All states with doubled z-level <= max_z2 and <= max_particles."""
-    zkey = (lambda m: m.k1) if cfg.geometry == "torus" else (lambda m: m.k2)
-    osc = sorted(m for m in cfg.oscillator_modes() if zkey(m) <= max_z2)
+    osc = sorted(m for m in cfg.oscillator_modes()
+                 if cfg.z_index2(m) <= max_z2)
     sig = list(sigmas) if sigmas is not None else list(range(cfg.spinor_dim()))
     out = []
     for n in range(max_particles + 1):
         for combo in itertools.combinations(osc, n):
-            if sum(zkey(m) for m in combo) > max_z2:
+            if sum(map(cfg.z_index2, combo)) > max_z2:
                 continue
             for s in sig:
                 out.append(FockState(s, combo))

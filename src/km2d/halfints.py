@@ -33,10 +33,4 @@ def lattice_range(cut2: int, parity_odd: bool):
     parity_odd=True gives the NS lattice (odd doubled values, i.e. Z+1/2),
     False the R lattice (even doubled values).
     """
-    out = []
-    for k in range(1 if parity_odd else 0, cut2 + 1, 2):
-        if k == 0:
-            out.append(0)
-        else:
-            out.extend((-k, k))
-    return sorted(out)
+    return list(range(-cut2 + (cut2 - parity_odd) % 2, cut2 + 1, 2))

@@ -35,7 +35,7 @@ The raw divergence remains available as a documented diagnostic.
 What the sweep covers, on both geometries: the current family TT only as
 ``[T^1, T^2]``, the mixed family LT only with ``a = b = 1``, and LL.  No
 swept bracket carries a level term; the level ``k`` is certified once, at
-m = 1, in the charges block.
+m = 1, in the charges block, which reads its centrals from the sweep's memo.
 
 The three bracket families' relations live in one place, the adapters' base
 ``_Algebra``: each adapter supplies ``_targets``, the target modes and
@@ -215,12 +215,12 @@ class TorusAlgebra(_Algebra):
         p = 0 if method == "analytic" else mode1[1]
         return family, mode1[0], a, b, p, None
 
-    def charges(self, method):
-        """Report block of c and k, and the (measured, expected) pairs."""
+    def charges(self, central):
+        """Report block of c and k, and the (measured, expected) pairs, from
+        ``central``, the sweep's lookup of a bracket's central."""
         cfg, rep = self.cfg, self.rep
-        k_val = measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
-                                method=method)
-        c_val = 2.0 * measure_central("LL", 2, rep=rep, cfg=cfg, method=method)
+        k_val = central("TT", 1, 1, (1, 0), (-1, 0))
+        c_val = 2.0 * central("LL", None, None, (2, 0), (-2, 0))
         charges = {"c_measured": c_val, "k_measured": k_val,
                    "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0}
         return charges, [(c_val, cfg.d / 2.0), (k_val, rep.C_M / 2.0)]
@@ -313,33 +313,28 @@ class SphereAlgebra(_Algebra):
     def central_key(self, family, a, b, mode1, mode2, method) -> tuple:
         return family, mode1[1], a or 1, b or 1, 0, (mode1[0], mode2[0])
 
-    def charges(self, method):
-        """Report block of c, k and the Virasoro centrals at m = 1, 2.
+    def charges(self, central):
+        """Report block of c, k and the Virasoro centrals at m = 1, 2, from
+        ``central``, the sweep's lookup of a bracket's central.
 
-        The diagonal current bracket at m = 1 carries (-1)^1 k; c is read
-        at m = 2, so a degree cutoff below 2 is rejected with ValueError.
+        The diagonal current bracket at l = m = 1 carries (-1)^1 k; both
+        Virasoro centrals are read at degree 2, so a degree cutoff below 2
+        is rejected with ValueError, after k.
         """
         cfg, rep = self.cfg, self.rep
-        k_val = -measure_central("TT", 1, rep=rep, cfg=cfg, a=1, b=1,
-                                 degrees=(1, 1), method=method)
-        c_col = {}
-        for m in (1, 2):
-            l = max(abs(m), 2)
-            if l > cfg.l2_cut // 2:
-                continue
-            val = measure_central("LL", m, rep=rep, cfg=cfg, degrees=(l, l),
-                                  method=method)
-            c_col[m] = (val, self.central_expected("LL", None, None, (l, m),
-                                                   (l, -m)))
-        if 2 not in c_col:
+        k_val = -central("TT", 1, 1, (1, 1), (1, -1))
+        if cfg.l2_cut < 4:
             raise ValueError("c is read from the m = 2 Virasoro central, "
                              "which needs a degree cutoff of at least 2")
+        c_col = {m: (central("LL", None, None, (2, m), (2, -m)),
+                     self.central_expected("LL", None, None, (2, m), (2, -m)))
+                 for m in (1, 2)}
         c_val = 2.0 * c_col[2][0]
         charges = {
             "c_measured": c_val, "k_measured": k_val,
             "c_expected": cfg.d / 2.0, "k_expected": rep.C_M / 2.0,
             "virasoro_centrals": {str(m): {"measured": v[0], "expected": v[1]}
-                                  for m, v in sorted(c_col.items())},
+                                  for m, v in c_col.items()},
         }
         return charges, [(k_val, rep.C_M / 2.0)] + list(c_col.values())
 
@@ -766,11 +761,6 @@ class _Engine:
             norm2[k] += sum(spinor[s] for s in self.sigmas)
         return norm2 > 1e-12
 
-    def job(self, family, a, b, mode1, mode2, tol, central_lookup,
-            central_tol) -> BracketResult:
-        return next(self.jobs(family, a, b, [(mode1, mode2)], tol,
-                              central_lookup, central_tol))
-
     def jobs(self, family, a, b, pairs, tol, central_lookup, central_tol):
         alg, cfg = self.alg, self.alg.cfg
         rhss = [alg.rhs_terms(family, a, b, *pair) for pair in pairs]
@@ -1187,11 +1177,6 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     groups = [("TT", 1, 2, pairs), ("LL", None, None, [
         (m1, m2) for i1, m1 in enumerate(modes) for m2 in modes[i1:]]),
         ("LT", 1, 1, pairs)]
-    # a configuration that cannot measure its charges fails here, before
-    # any bracket is checked
-    charges, charge_pairs = alg.charges(central_method)
-    report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
-                              tol=tol, charges=charges, **alg.header())
 
     @functools.cache
     def central(family, m, a, b, p, degrees):
@@ -1204,6 +1189,11 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
         return central(*alg.central_key(family, a, b, mode1, mode2,
                                         central_method))
 
+    # a configuration that cannot measure its charges fails here, before
+    # any bracket is checked; the charges read the sweep's memo
+    charges, charge_pairs = alg.charges(central_lookup)
+    report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
+                              tol=tol, charges=charges, **alg.header())
     engine = alg.engine(probes)
     report.brackets = [res for family, a, b, group in groups for res in
                        engine.jobs(family, a, b, group, tol, central_lookup,

@@ -3,7 +3,8 @@
 Each one checks a km2d result by an independent route: numeric heat sums,
 the closed-form torus delta function, sphere degree sums against their
 large-degree model, the Rodrigues formula for the Legendre family, the
-reproducing kernel of a truncated basis, the structure-table CSV formatted
+reproducing kernel of a truncated basis, the so(n) adjoint built by explicit
+loops over the defining basis, the structure-table CSV formatted
 row by row, the Fock-space vacuum sandwich of a pair of generators
 behind a central value, and a sweep whose every bracket is decided on the
 probe states by the Fock path.
@@ -31,6 +32,8 @@ __all__ = [
     "sphere_degree_sum",
     "sphere_degree_sum_model",
     "legendre_Q_reference",
+    "levi_civita3_reference",
+    "so_adjoint_reference",
     "delta_partial_residual",
     "structure_csv",
     "measure_virasoro_shape",
@@ -140,6 +143,43 @@ def legendre_Q_reference(l: int, m: int, u: float) -> float:
             * math.sqrt(math.factorial(l - m) / math.factorial(l + m))
             / (2 ** l * math.factorial(l)))
     return sign * ((-1) ** (l + m)) * norm * (1 - u * u) ** (m / 2) * poly
+
+
+def levi_civita3_reference() -> np.ndarray:
+    """eps_{abc} from its six nonzero entries."""
+    eps = np.zeros((3, 3, 3), dtype=np.int64)
+    for (a, b, c), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                         ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        eps[a, b, c] = s
+    return eps
+
+
+def so_adjoint_reference(n: int) -> tuple:
+    """(f, M, C_M) of the so(n) adjoint, n >= 3, by loops over matrices.
+
+    n = 3 takes f = eps and M = -eps; otherwise f^{ab}_c = -Tr([A_a, A_b]
+    A_c) / 2 over the basis E_ab - E_ba, a < b, and (M_a)_{cb} = f^{ab}_c.
+    """
+    if n == 3:
+        eps = levi_civita3_reference()
+        return eps, -eps, 2.0
+    basis = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = np.zeros((n, n), dtype=np.int64)
+            m[a, b], m[b, a] = 1, -1
+            basis.append(m)
+    g = len(basis)
+    f = np.zeros((g, g, g), dtype=np.int64)
+    for a in range(g):
+        for b in range(g):
+            comm = basis[a] @ basis[b] - basis[b] @ basis[a]
+            for c in range(g):
+                f[a, b, c] = -np.trace(comm @ basis[c]) // 2
+    M = np.zeros((g, g, g), dtype=np.int64)
+    for a in range(g):
+        M[a] = f[a].T
+    return f, M, float(np.sum(M[0] * M[0]))
 
 
 def delta_partial_residual(m: int, test_fn_degree: int, L_max: int) -> float:

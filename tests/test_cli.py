@@ -10,6 +10,7 @@ import pytest
 
 from km2d import cli
 from km2d.cli import main
+from km2d.lie_core import MAX_SO_N
 
 TORUS_ARGS = ["verify-torus", "--rep", "so3-adjoint", "--sectors", "NS,NS",
               "--cutoff-m", "9/2", "--cutoff-p", "9/2", "--window", "1,1,2",
@@ -289,6 +290,23 @@ def _exit_code(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.mark.parametrize("name", [
+    "so03-adjoint", "so+3-adjoint", "so 3-adjoint", "so\u0663-adjoint",
+    "so3 -adjoint", "so-3-adjoint", "so3-adjoint ", "so0-adjoint",
+    f"so{MAX_SO_N + 1}-adjoint", "so40-adjoint"])
+def test_malformed_or_huge_rep_is_refused_unbuilt(name, capsys, monkeypatch):
+    # a strict ASCII decimal n, at most lie_core.MAX_SO_N
+    import km2d.lie_core as lie_core
+
+    def built(n):
+        raise AssertionError(f"so({n}) was built")
+
+    monkeypatch.setattr(lie_core, "build_so_adjoint", built)
+    assert _exit_code(["verify-torus", "--rep", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --rep {name}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

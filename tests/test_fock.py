@@ -19,6 +19,7 @@ from km2d.fock import (
     torus_sector,
     vacuum_states,
 )
+from km2d.halfints import lattice_range
 from km2d.scalars import INV_SQRT2, SqrtTwoScalar
 
 H = Fraction(1, 2)
@@ -305,6 +306,13 @@ def test_mode_validation():
     cfgS = sphere_sector("R", 1, 2)
     with pytest.raises(ValueError):
         cfgS.mode(1, 1, 2)         # l < |m|
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["R", "NS"])
+def test_lattice_range_is_the_sublattice(odd):
+    for cut2 in range(41):
+        assert lattice_range(cut2, odd) == [
+            k for k in range(-cut2, cut2 + 1) if k % 2 == odd]
 
 
 # ---------------------------------------------------------------------------

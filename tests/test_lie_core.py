@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from km2d.lie_core import LieAlgebraRep, build_so_adjoint, get_rep, validate_rep
+from km2d.lie_core import (LieAlgebraRep, _levi_civita3, build_so_adjoint,
+                            get_rep, validate_rep)
+from oracles import levi_civita3_reference, so_adjoint_reference
 
 
 def test_so3_golden_values(so3):
@@ -66,3 +68,21 @@ def test_registry():
     assert get_rep("so4-adjoint").d == 6
     with pytest.raises(KeyError):
         get_rep("su2-fundamental")
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_so_adjoint_matches_loop_reference(n):
+    rep = build_so_adjoint(n)
+    f, M, C_M = so_adjoint_reference(n)
+    for got, want in ((rep.f, f), (rep.M, M)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert rep.C_M == C_M and isinstance(rep.C_M, float)
+    assert rep.dim_g == rep.d == n * (n - 1) // 2
+
+
+def test_levi_civita3_is_the_permutation_table():
+    got = _levi_civita3()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, levi_civita3_reference())
+

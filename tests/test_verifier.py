@@ -38,6 +38,11 @@ H = Fraction(1, 2)
 SO3, SO4 = build_so_adjoint(3), build_so_adjoint(4)
 
 
+def _job(engine, family, a, b, mode1, mode2, *rest):
+    """The BracketResult of one bracket, decided as a group of one."""
+    return next(engine.jobs(family, a, b, [(mode1, mode2)], *rest))
+
+
 @pytest.fixture(scope="module")
 def nsns():
     return torus_sector("NS", "NS", 3, Fraction(9, 2), Fraction(9, 2))
@@ -105,6 +110,41 @@ def test_central_traces_apply_no_fock_operator(so3, nsns, monkeypatch):
     assert k == pytest.approx(1.0, abs=1e-10)
     # k per angular mode, 10 of them at 9/2
     assert measure_central("TT", 1, rep=so3, cfg=nsns, method="raw") == 10.0
+
+
+def test_charges_read_only_the_central_lookup(so3, nsns, table4,
+                                             monkeypatch):
+    # the charges block reads the sweep's memoized lookup, which maps each
+    # bracket to measure_central's arguments; it calls measure_central never
+    import km2d.verifier as verifier
+
+    def measured(*args, **kwargs):
+        raise RuntimeError("measure_central was called")
+
+    monkeypatch.setattr(verifier, "measure_central", measured)
+    asked = []
+
+    def lookup(family, a, b, mode1, mode2):
+        asked.append((family, a, b, mode1, mode2))
+        return {"TT": 0.25, "LL": 0.5 + mode1[-1]}[family]
+
+    charges, pairs = TorusAlgebra(nsns, so3).charges(lookup)
+    assert asked == [("TT", 1, 1, (1, 0), (-1, 0)),
+                     ("LL", None, None, (2, 0), (-2, 0))]
+    assert (charges["k_measured"], charges["c_measured"]) == (0.25, 1.0)
+    assert pairs == [(1.0, 1.5), (0.25, 1.0)]
+
+    asked.clear()
+    charges, pairs = SphereAlgebra(sphere_sector("R", 3, 2), so3,
+                                   table4).charges(lookup)
+    assert asked == [("TT", 1, 1, (1, 1), (1, -1)),
+                     ("LL", None, None, (2, 1), (2, -1)),
+                     ("LL", None, None, (2, 2), (2, -2))]
+    assert (charges["k_measured"], charges["c_measured"]) == (-0.25, 5.0)
+    assert charges["virasoro_centrals"] == {
+        "1": {"measured": 1.5, "expected": -0.0},
+        "2": {"measured": 2.5, "expected": 0.75}}
+    assert pairs == [(-0.25, 1.0), (1.5, -0.0), (2.5, 0.75)]
 
 
 @pytest.mark.parametrize("cfg,method", [
@@ -533,7 +573,7 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
     lookup = (lambda *args: 0.0, 1e9)
     fock = _bracket_job(alg, *args, probes, 1e-12, *lookup)
     # on the true algebra every compared coefficient is exactly 0
-    got = alg.engine(probes).job(*args, 1e-12, *lookup)
+    got = _job(alg.engine(probes), *args, 1e-12, *lookup)
     assert got.residual == 0.0
     assert (got.kappa is None) == (fock.kappa is None)
     if alg.zero_total(mode1, mode2):
@@ -551,7 +591,7 @@ def test_normal_ordered_residual_matches_fock_path(bracket):
         w_op = _exact_terms(_assemble_rhs(alg, *args).scaled(1.0 / -mode2[0]),
                             alg.compare_bounds(mode1, mode2))
         for probe in probes:
-            one = alg.engine([probe]).job(*args, 1e-12, *lookup)
+            one = _job(alg.engine([probe]), *args, 1e-12, *lookup)
             assert (one.kappa is not None) == \
                 (w_op.apply_state(probe).norm2() > 1e-12)
 
@@ -681,7 +721,8 @@ def test_group_evaluation_matches_each_bracket_alone(group):
     lookup = (lambda *args: 0.0, 1e9)
     with mock.patch.object(verifier, "GROUP_CHUNK", chunk):
         together = list(engine.jobs(family, a, b, pairs, 1e-9, *lookup))
-    alone = [engine.job(family, a, b, *pair, 1e-9, *lookup) for pair in pairs]
+    alone = [_job(engine, family, a, b, *pair, 1e-9, *lookup)
+             for pair in pairs]
     assert [json.dumps(r.to_dict()) for r in together] == \
         [json.dumps(r.to_dict()) for r in alone]
 
@@ -771,7 +812,8 @@ def test_sphere_group_without_weight(so3, table8):
     lookup = (lambda *args: 0.0, 1e9)
     with mock.patch.object(verifier, "GROUP_CHUNK", 1):
         together = list(engine.jobs("TT", 1, 1, pairs, 1e-9, *lookup))
-    alone = [engine.job("TT", 1, 1, *pair, 1e-9, *lookup) for pair in pairs]
+    alone = [_job(engine, "TT", 1, 1, *pair, 1e-9, *lookup)
+             for pair in pairs]
     assert [json.dumps(r.to_dict()) for r in together] == \
         [json.dumps(r.to_dict()) for r in alone]
     assert (together[1].residual, together[1].kappa) == (0.0, None)
@@ -859,7 +901,7 @@ def test_rr_zero_total_diagonal_is_exact(so3):
     alg = TorusAlgebra(cfg, so3)
     args = ("LL", None, None, (-1, 0), (1, 0))
     lookup = (lambda *args: 0.0, 1e9)
-    for res in (alg.engine(probes).job(*args, 0.0, *lookup),
+    for res in (_job(alg.engine(probes), *args, 0.0, *lookup),
                 _bracket_job(alg, *args, probes, 0.0, *lookup)):
         assert res.residual == 0.0
         assert res.raw_central == -0.75
@@ -1037,7 +1079,7 @@ def test_sphere_engine_matches_fock_bracket(so3, table8, bracket):
         assume(False)
     args = (family, a, b, mode1, mode2)
     lookup = (lambda *args: 0.0, 1e9)
-    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    got = _job(alg.engine(probes), *args, 1e-9, *lookup)
     fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
     assert got is not None
     _assert_engine_matches_fock(alg, [args], [got], [fock], 1e-9)
@@ -1046,7 +1088,7 @@ def test_sphere_engine_matches_fock_bracket(so3, table8, bracket):
         w_op = _exact_terms(_assemble_rhs(alg, *args).scaled(1.0 / -mode2[1]),
                             alg.compare_bounds(mode1, mode2))
         for probe in probes:
-            one = alg.engine([probe]).job(*args, 1e-9, *lookup)
+            one = _job(alg.engine([probe]), *args, 1e-9, *lookup)
             assert (one.kappa is not None) == \
                 (w_op.apply_state(probe).norm2() > 1e-12)
 
@@ -1070,7 +1112,7 @@ def test_sphere_engine_fails_a_wrong_bracket(so3):
     alg = _DroppedTerm(cfg, so3, table)
     alg.guard(_probe_reach(probes), (2, 1), (2, 0))
     assert len(SphereAlgebra(cfg, so3, table).rhs_terms(*args)) == 2
-    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    got = _job(alg.engine(probes), *args, 1e-9, *lookup)
     assert not got.passed and got.residual > 1e-9
     assert got.offending_state
     fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
@@ -1194,10 +1236,10 @@ def test_engine_fails_a_wrong_right_hand_side(so3, table8, bracket,
     R = max((np.abs(C[2:].T @ F).max(initial=0.0) for _, C, _, _ in
              engine._points(family, a, b, [(mode1, mode2)], rhss, keys)),
             default=0.0)
-    truth = engine.job(*args, 1e-9, *lookup)
+    truth = _job(engine, *args, 1e-9, *lookup)
     assert truth.passed
     assume(R > 1e-9 + truth.residual)
-    got = wrong.engine(probes).job(*args, 1e-9, *lookup)
+    got = _job(wrong.engine(probes), *args, 1e-9, *lookup)
     assert not got.passed and got.residual > 1e-9
     assert got.offending_state
 
@@ -1214,7 +1256,7 @@ def test_fock_raw_central_is_the_vacuum_value(so3, nsns):
     args = (bracket[0], None, None, *bracket[1:])
     lookup = (lambda *args: 0.0, 1e9)
     fock = _bracket_job(alg, *args, probes, 1e-9, *lookup)
-    got = alg.engine(probes).job(*args, 1e-9, *lookup)
+    got = _job(alg.engine(probes), *args, 1e-9, *lookup)
     assert not fock.passed and not got.passed
     assert fock.raw_central == got.raw_central == \
         _fock_vacuum_value(alg, *args) == 0.0
@@ -1242,7 +1284,7 @@ def test_raw_central_subtracts_the_adapters_right_hand_side(
     probes = probe_states(cfg, Window.of(1, 1, 2))
     args = (bracket[0], None, None, *bracket[1:])
     lookup = (lambda *args: 0.0, 1e9)
-    got = alg.engine(probes).job(*args, 1e-9, *lookup).raw_central
+    got = _job(alg.engine(probes), *args, 1e-9, *lookup).raw_central
     assert abs(got - _fock_vacuum_value(alg, *args)) <= 1e-12
-    assert abs(got - true.engine(probes).job(*args, 1e-9, *lookup)
+    assert abs(got - _job(true.engine(probes), *args, 1e-9, *lookup)
                .raw_central) >= 0.25
