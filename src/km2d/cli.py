@@ -22,13 +22,15 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 from fractions import Fraction
 
 from .fock import check_car, sphere_sector, torus_sector
 from .halfints import to_doubled
 from .harmonics import structure_table
-from .lie_core import get_rep, validate_rep
+from .lie_core import get_rep
 from .regulator import (HeatSum, UnresolvedPrescriptionError, delta_reg_zero,
                         heat_sum_finite_part, solve_a_m)
 from .verifier import (Window, WindowViolationError, central_raw_scan,
@@ -67,17 +69,33 @@ class _OutputError(Exception):
 def _output(path: str | None):
     """The --output file opened for writing, or stdout when no path is given.
 
-    An ``OSError`` from opening, writing, flushing or closing either becomes
-    an ``_OutputError`` that names the path.  A failed stdout points fd 1 at
-    the null device, so its unwritten buffer cannot fail again at exit.
+    A new or regular file is written to a temporary file beside it, with the
+    mode ``open(path, "w")`` would give, and renamed over the path on
+    success; a failure removes it and leaves an old report intact.  Devices
+    and symbolic links are written in place.  An ``OSError`` becomes an
+    ``_OutputError`` that names the path; a failed stdout points fd 1 at the
+    null device, so its unwritten buffer cannot fail again at exit.
     """
     try:
-        if path:
-            with open(path, "w") as fh:
-                yield fh
-        else:
+        if not path:
             yield sys.stdout
             sys.stdout.flush()
+            return
+        old = os.lstat(path) if os.path.lexists(path) else None
+        if old and not stat.S_ISREG(old.st_mode):
+            with open(path, "w") as fh:
+                yield fh
+            return
+        os.umask(umask := os.umask(0))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+        try:
+            with open(fd, "w") as fh:
+                os.fchmod(fd, old.st_mode & 0o7777 if old else 0o666 & ~umask)
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
     except OSError as exc:
         if not path:
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -114,7 +132,7 @@ def _write_report(payload: dict, path: str | None) -> None:
     """Write json.dumps(payload, indent=2) and a newline in REPORT_BATCH
     chunks.  The output is open before encoding starts, so the payload must
     hold only dict, list, str, int, float, bool and None: any other type, as
-    a numpy scalar, raises TypeError mid-stream and truncates the file."""
+    a numpy scalar, raises TypeError mid-stream; an --output file is kept."""
     chunks = json.JSONEncoder(indent=2).iterencode(payload)
     with _output(path) as fh:
         while batch := list(itertools.islice(chunks, REPORT_BATCH)):
@@ -278,14 +296,12 @@ def build_parser() -> _Parser:
 
 def _check_rep(args):
     try:
-        rep = get_rep(args.rep)
+        rep = get_rep(args.rep)     # validated when it is built
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"--rep {args.rep}: {exc.args[0]}") from None
+        raise ValueError(f"--rep {args.rep!r}: {exc.args[0]}") from None
     if args.d is not None and args.d != rep.d:
         raise ValueError(f"--d {args.d} does not match representation "
                          f"{args.rep} with d={rep.d}")
-    if not validate_rep(rep).passed:
-        raise ValueError(f"representation {args.rep} invalid")
     return rep
 
 

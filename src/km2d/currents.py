@@ -11,9 +11,8 @@ torus, m1 on the sphere), and only the pair coefficient c differs:
 torus, x = (n, q), y = (m-n, p-q):  c = w(q) w(p-q), w(q) = exp(-eps(|q| - 1/2))
 sphere R, x = (l1, m1), y = (l2, m2):  c = c_{l1,m1,l2,m2}^{l,m}, the
     triple-product table of the Legendre family
-sphere NS:  c = 1/2 (the field's 1/sqrt2 normalization, squared) times the
-    quadrature projection of the half-integer basis-function pair onto
-    Q_{lm}; the pairs run over both eta branches
+sphere NS:  not built (ValueError), as its degree sums have no finite-part
+    prescription and the certifier stops before them
 
 Bilinear sums run over lattice points with BOTH factors inside the cutoffs;
 out-of-range terms are dropped here (the verifier's window rule guarantees
@@ -25,11 +24,10 @@ without rounding.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .fock import (Mode, ModeOperator, SectorConfig, TableCoverageError,
                    add_normal_ordered)
-from .harmonics import StructureTable, triple_product_ns
+from .harmonics import StructureTable
 from .lie_core import LieAlgebraRep
 
 __all__ = [
@@ -125,37 +123,24 @@ def _check_coverage(cfg: SectorConfig, table: StructureTable, l: int, m: int):
     """Raise unless the table reaches target (l, m) and the sector's modes."""
     if l < abs(m):
         raise ValueError(f"target needs l >= |m|, got ({l}, {m})")
-    need = max(l, cfg.l2_cut // 2 if cfg.z_sector == "R" else
-               (cfg.l2_cut + 1) // 2)
+    need = max(l, cfg.l2_cut // 2)
     if table.L_max < need:
         raise TableCoverageError(need, table.L_max)
 
 
 def _sphere_pairs(cfg: SectorConfig, table: StructureTable, l: int, m: int):
     """(x, y, z, c) of the bilinear at target (l, m); z is the m of x."""
+    if cfg.z_sector != "R":
+        raise ValueError("the NS sphere has no finite-part prescription")
     _check_coverage(cfg, table, l, m)
     l2cut = cfg.l2_cut
-    if cfg.z_sector == "R":
-        for l1 in range(l2cut // 2 + 1):
-            for m1 in range(-l1, l1 + 1):
-                m2 = m - m1
-                for l2 in range(abs(m2), l2cut // 2 + 1):
-                    c = table.get(l1, m1, l2, m2, l)
-                    if c != 0.0:
-                        yield (2 * l1, 2 * m1, 0), (2 * l2, 2 * m2, 0), m1, c
-        return
-    for l1d in range(1, l2cut + 1, 2):
-        for m1d in range(-l1d, l1d + 1, 2):
-            m2d = 2 * m - m1d
-            for l2d in range(abs(m2d), l2cut + 1, 2):
-                for e1 in (1, -1):
-                    for e2 in (1, -1):
-                        c = triple_product_ns(
-                            Fraction(l1d, 2), Fraction(m1d, 2), e1,
-                            Fraction(l2d, 2), Fraction(m2d, 2), e2, l, m)
-                        if abs(c) > 1e-14:
-                            yield ((l1d, m1d, e1), (l2d, m2d, e2), m1d / 2,
-                                   0.5 * c)
+    for l1 in range(l2cut // 2 + 1):
+        for m1 in range(-l1, l1 + 1):
+            m2 = m - m1
+            for l2 in range(abs(m2), l2cut // 2 + 1):
+                c = table.get(l1, m1, l2, m2, l)
+                if c != 0.0:
+                    yield (2 * l1, 2 * m1, 0), (2 * l2, 2 * m2, 0), m1, c
 
 
 def sphere_T(rep: LieAlgebraRep, a: int, l: int, m: int, cfg: SectorConfig,

@@ -1,13 +1,10 @@
-"""Orthonormal function bases on [-1, 1] and their product structure.
+"""Orthonormal Legendre functions on [-1, 1] and their product structure.
 
 Everything here uses the inner product (f, g) = (1/2) * integral_{-1}^{1} f g du.
 
-Two families:
-
-* ``legendre_Q(l, m, u)``: normalized associated Legendre functions, integer
-  indices l >= |m|.  Orthonormal within fixed m; Q_{l,-m} = (-1)^m Q_{lm}.
-* ``jacobi_Q(l, m, eta, u)``: weighted Jacobi polynomials with half-integer
-  l, m and a branch label eta = +-1, orthonormal within each (m, eta) family.
+``legendre_Q(l, m, u)`` is the normalized associated Legendre function with
+integer indices l >= |m|: orthonormal within fixed m, and
+Q_{l,-m} = (-1)^m Q_{lm}.
 
 The product of two Legendre-family elements expands exactly in the family of
 the summed azimuthal index; the expansion coefficients form the
@@ -18,20 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .halfints import fmt_half, to_doubled
-
 __all__ = [
     "legendre_Q",
-    "jacobi_Q",
     "quadrature",
     "StructureTable",
     "structure_table",
-    "triple_product_ns",
 ]
 
 
@@ -92,52 +84,6 @@ def _legendre_table(L: int, u: np.ndarray) -> np.ndarray:
         q[l * l + l + m] = rows
         q[l * l + l - m] = -rows if m % 2 else rows
     return q
-
-
-# ---------------------------------------------------------------------------
-# Half-integer (NS) basis functions
-# ---------------------------------------------------------------------------
-
-def _ns_indices(l, m, eta):
-    l2, m2 = to_doubled(l), to_doubled(m)
-    if eta not in (1, -1):
-        raise ValueError(f"eta must be +-1, got {eta}")
-    if l2 % 2 == 0 or m2 % 2 == 0:
-        raise ValueError("NS indices must be half-odd-integers")
-    if l2 < abs(m2):
-        raise ValueError(f"need l >= |m|, got l={fmt_half(l2)}, m={fmt_half(m2)}")
-    n = (l2 - abs(m2)) // 2          # l - |m|, a nonnegative integer
-    a = abs(m2 - eta) // 2           # |m - eta/2|
-    b = abs(m2 + eta) // 2           # |m + eta/2|
-    return n, a, b
-
-
-@lru_cache(maxsize=None)
-def _jacobi_norm(n: int, a: int, b: int) -> float:
-    # (1/2)int (1-u)^a (1+u)^b P_n^{(a,b)}^2 du = h/2, orthonormal factor sqrt(2/h)
-    h = (Fraction(2 ** (a + b + 1), 2 * n + a + b + 1)
-         * Fraction(math.factorial(n + a) * math.factorial(n + b),
-                    math.factorial(n + a + b) * math.factorial(n)))
-    return math.sqrt(2 / h)
-
-
-def jacobi_Q(l, m, eta: int, u):
-    """Orthonormal NS basis function with half-integer indices l >= |m|.
-
-    Symmetric under (m, eta) -> (-m, -eta).  Evaluate on the open interval;
-    endpoint weights vanish or stay bounded but carry no lattice meaning.
-    """
-    # imported here so that only the NS basis loads scipy.special
-    from scipy.special import eval_jacobi
-
-    n, a, b = _ns_indices(l, m, eta)
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    val = (_jacobi_norm(n, a, b)
-           * (1 - u) ** (a / 2) * (1 + u) ** (b / 2)
-           * eval_jacobi(n, a, b, u))
-    return float(val[0]) if scalar else val
 
 
 # ---------------------------------------------------------------------------
@@ -356,33 +302,3 @@ def structure_table(L_max: int) -> StructureTable:
     table = StructureTable(L_max, values)
     table.index = index
     return table
-
-
-@lru_cache(maxsize=64)
-def _jacobi_rule(n: int, alpha: float, beta: float):
-    from scipy.special import roots_jacobi
-
-    return roots_jacobi(n, alpha, beta)
-
-
-@lru_cache(maxsize=None)
-def triple_product_ns(l1, m1, eta1, l2, m2, eta2, l: int, m: int) -> float:
-    """(1/2)int jacobi_Q(l1,m1,eta1) jacobi_Q(l2,m2,eta2) Q_{lm} du.
-
-    The integrand is a polynomial times (1-u)^E1 (1+u)^E2 with E1, E2
-    integer or half-odd; splitting off the fractional part as a Gauss-Jacobi
-    weight makes the rule exact.
-    """
-    n1, a1, b1 = _ns_indices(l1, m1, eta1)
-    n2, a2, b2 = _ns_indices(l2, m2, eta2)
-    # twice the total weight exponents on (1-u) and (1+u)
-    e1_2 = a1 + a2 + abs(m)
-    e2_2 = b1 + b2 + abs(m)
-    alpha = 0.5 * (e1_2 % 2)
-    beta = 0.5 * (e2_2 % 2)
-    deg = n1 + n2 + (l - abs(m)) + e1_2 // 2 + e2_2 // 2
-    nodes, weights = _jacobi_rule(deg // 2 + 2, alpha, beta)
-    f = (jacobi_Q(l1, m1, eta1, nodes) * jacobi_Q(l2, m2, eta2, nodes)
-         * legendre_Q(l, m, nodes))
-    f = f / ((1.0 - nodes) ** alpha * (1.0 + nodes) ** beta)
-    return 0.5 * float(np.dot(weights, f))

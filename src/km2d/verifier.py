@@ -1308,7 +1308,7 @@ def check_sphere_abstract(table: StructureTable, rep: LieAlgebraRep,
         "rep": rep.name,
         "triples_checked": n_checked,
         "max_jacobi_residual": worst,
-        "worst_triple": repr(worst_triple),
+        "worst_triple": None if worst_triple is None else repr(worst_triple),
         "tol": tol,
         "pass": worst <= tol,
     }

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from km2d import cli
 from km2d.cli import main
+from km2d.harmonics import StructureTable
 from km2d.lie_core import MAX_SO_N
 
 TORUS_ARGS = ["verify-torus", "--rep", "so3-adjoint", "--sectors", "NS,NS",
@@ -188,6 +190,16 @@ def test_sphere_abstract_command(tmp_path):
     assert payload["max_jacobi_residual"] <= 1e-10
 
 
+def test_sphere_abstract_without_a_residual_names_no_triple(tmp_path):
+    # every residual is 0.0, so no triple is the worst: JSON null
+    out = tmp_path / "j.json"
+    assert main(["sphere-abstract", "--lmax", "0", "--l-probe", "0",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["max_jacobi_residual"] == 0.0
+    assert payload["worst_triple"] is None
+
+
 def test_car_check_command(tmp_path):
     out = tmp_path / "c.json"
     code = main(["car-check", "--geometry", "sphere", "--sectors", "R",
@@ -294,7 +306,8 @@ def _exit_code(args):
 
 @pytest.mark.parametrize("name", [
     "so03-adjoint", "so+3-adjoint", "so 3-adjoint", "so\u0663-adjoint",
-    "so3 -adjoint", "so-3-adjoint", "so3-adjoint ", "so0-adjoint",
+    "so3 -adjoint", "so-3-adjoint", "so3-adjoint ", "so3-adjoint\n",
+    "so0-adjoint",
     f"so{MAX_SO_N + 1}-adjoint", "so40-adjoint"])
 def test_malformed_or_huge_rep_is_refused_unbuilt(name, capsys, monkeypatch):
     # a strict ASCII decimal n, at most lie_core.MAX_SO_N
@@ -306,7 +319,7 @@ def test_malformed_or_huge_rep_is_refused_unbuilt(name, capsys, monkeypatch):
     monkeypatch.setattr(lie_core, "build_so_adjoint", built)
     assert _exit_code(["verify-torus", "--rep", name]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --rep {name}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: --rep {name!r}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [
@@ -533,6 +546,46 @@ def test_output_probe_keeps_existing_report(tmp_path):
     assert main(["verify-torus", "--cutoff-m", "5/2", "--cutoff-p", "5/2",
                  "--output", str(fresh)]) == 1
     assert not fresh.exists()
+
+
+def test_failed_write_keeps_existing_report(tmp_path, monkeypatch, capsys):
+    # a write that fails mid-stream leaves the old bytes and no temporary
+    # file: an OSError exits 1 with one error line, a payload that cannot
+    # be encoded raises its TypeError
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"old report\n")
+
+    def full_disk(table, fh):
+        fh.write(b"l1,m1,l2,m2,l3,m3,value\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(StructureTable, "to_csv", full_disk)
+    assert main(["structure-constants", "--lmax", "4",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No space left on device\n"
+    assert out.read_bytes() == b"old report\n"
+    with pytest.raises(TypeError):
+        cli._write_report({"rows": list(range(3000)) + [np.int64(1)]},
+                          str(out))
+    assert out.read_bytes() == b"old report\n"
+    assert os.listdir(tmp_path) == ["r.csv"]
+
+
+def test_output_keeps_the_mode_open_would_give(tmp_path):
+    # an existing report keeps its mode; a new one takes 0o666 less the umask
+    out, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    out.write_text("old report\n")
+    out.chmod(0o640)
+    umask = os.umask(0o027)
+    try:
+        for path in (out, fresh):
+            cli._write_report({"ok": True}, str(path))
+    finally:
+        os.umask(umask)
+    assert out.read_text() == fresh.read_text() == '{\n  "ok": true\n}\n'
+    assert (out.stat().st_mode & 0o777, fresh.stat().st_mode & 0o777) == \
+        (0o640, 0o640)
 
 
 # sha256 of reports of the default configurations at two small sweep sizes,

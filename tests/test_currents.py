@@ -103,12 +103,13 @@ def test_sphere_current_charge_bookkeeping(so3, table4):
         assert cfg.grade2(s)[1] == base - 2     # charge shifts by -m = -1
 
 
-def test_sphere_vacuum_expectation(so3):
+def test_sphere_ns_generators_are_not_built(so3, table4):
+    # the NS sphere has no finite-part prescription
     cfg = sphere_sector("NS", 3, Fraction(3, 2))
-    table = structure_table(2)
-    vac = vacuum_states(cfg)[0]
-    out = sphere_T(so3, 1, 0, 0, cfg, table).apply_state(vac)
-    assert abs(complex(out.get(vac, 0))) < 1e-14
+    with pytest.raises(ValueError, match="NS sphere"):
+        sphere_T(so3, 1, 0, 0, cfg, table4)
+    with pytest.raises(ValueError, match="NS sphere"):
+        sphere_L(0, 0, cfg, table4)
 
 
 def test_sphere_ramond_ground_energy(so3, table4):
@@ -136,21 +137,16 @@ def test_sphere_target_validation(so3, table4):
 
 
 # sha256 of the eps = 0 generators' terms, one repr line per operator: every
-# key, its order and every coefficient bit.  Sphere NS generators reach no
-# pinned report (verify-sphere stops at the charges), so they are pinned here.
+# key, its order and every coefficient bit.
 GENERATOR_DIGESTS = {
     (3, "torus", "NS", "NS"): "4e7910e165006a56fccce2a388fbfadbbcde18711b7748628faff05ec9271cf6",
     (3, "torus", "R", "R"): "e286118536ba62032bc9597b92016e682c50362a010262384f01f124e9942a27",
     (3, "torus", "R", "NS"): "b2145540bb0c9ca33530a0f17893418662e26fb20a1986ac4811b6b8300675ff",
     (3, "sphere", "R", 3): "cbff7a422cf1d968a2c480a88e6570c449d02fda0b484b0ea1eb03ec601594fe",
-    (3, "sphere", "NS", H * 3): "1d62c080e00e52cd3b8176c25e3de440c4e8504275d00d814e38659c872f6106",
-    (3, "sphere", "NS", H * 5): "fb1d454bd2111dc2cc6369a508f8e605e8415bcfb375b988b573afc3ad468347",
     (4, "torus", "NS", "NS"): "d702560ba3d842aeb715d46f7aec17d0cf4adff157c5158380ff95fa7930fe10",
     (4, "torus", "R", "R"): "1ea772c58cd64d3b2b4748bb573bd5c573edd6a72344fd24ae4d5a22cadac1bf",
     (4, "torus", "R", "NS"): "f3fde51e101cdb20f1ec2e51ae08795348812568d718d4473917dae0e9143b17",
     (4, "sphere", "R", 3): "25707dd2620c71e2337755ba67afc47c855bbd0687538990d94377a5486670ae",
-    (4, "sphere", "NS", H * 3): "79d260b50410e9980cc72adebfcde8ea72ec0fc6a624ef1def259948d7e6a4ab",
-    (4, "sphere", "NS", H * 5): "5e1812840aa7fff68b226e36bb02741b8414799635949630a5f1bc8fff09939d",
 }
 TORUS_CUTS = {"NS": H * 5, "R": 2}
 

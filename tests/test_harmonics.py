@@ -1,6 +1,5 @@
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,16 +7,12 @@ import pytest
 from km2d import harmonics
 from km2d.harmonics import (
     StructureTable,
-    jacobi_Q,
     legendre_Q,
     quadrature,
     structure_table,
-    triple_product_ns,
 )
 from oracles import (delta_partial_residual, legendre_Q_reference,
                      structure_csv)
-
-H = Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -106,38 +101,6 @@ def test_legendre_stable_at_large_degree():
     x, w = quadrature(420)
     f = legendre_Q(400, 3, x)
     assert 0.5 * np.dot(w, f * f) == pytest.approx(1.0, abs=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# half-integer (NS) basis
-# ---------------------------------------------------------------------------
-
-def test_jacobi_branch_symmetry():
-    for u in (-0.5, 0.0, 0.5):
-        a = jacobi_Q(H, H, 1, u)
-        b = jacobi_Q(H, -H, -1, u)
-        assert a == b
-
-
-def test_jacobi_orthonormality():
-    x, w = quadrature(16)
-    f1 = jacobi_Q(H, H, 1, x)
-    f3 = jacobi_Q(Fraction(3, 2), H, 1, x)
-    assert 0.5 * np.dot(w, f1 * f1) == pytest.approx(1.0, abs=1e-12)
-    assert 0.5 * np.dot(w, f1 * f3) == pytest.approx(0.0, abs=1e-12)
-    f5 = jacobi_Q(Fraction(5, 2), Fraction(3, 2), -1, x)
-    f7 = jacobi_Q(Fraction(7, 2), Fraction(3, 2), -1, x)
-    assert 0.5 * np.dot(w, f5 * f5) == pytest.approx(1.0, abs=1e-12)
-    assert 0.5 * np.dot(w, f5 * f7) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_jacobi_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        jacobi_Q(H, Fraction(3, 2), 1, 0.0)       # l < |m|
-    with pytest.raises(ValueError):
-        jacobi_Q(1, 0, 1, 0.0)                    # integer indices
-    with pytest.raises(ValueError):
-        jacobi_Q(H, H, 0, 0.0)                    # missing branch
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +366,3 @@ def test_delta_partial_residual_rejects():
     with pytest.raises(ValueError):
         delta_partial_residual(0, 5, 3)
 
-
-# ---------------------------------------------------------------------------
-# NS projections used by the sphere currents
-# ---------------------------------------------------------------------------
-
-def test_ns_projection_same_branch_norm():
-    # same-branch square projected on the constant is the unit norm
-    assert triple_product_ns(H, H, 1, H, H, 1, 0, 0) == pytest.approx(
-        1.0, abs=1e-13)
-
-
-def test_ns_projection_mixed_branch_against_fine_rule():
-    # mixed branches leave a sqrt(1-u^2) factor; reference by a fine rule
-    val = triple_product_ns(H, H, 1, H, H, -1, 0, 0)
-    x, w = quadrature(1500)
-    ref = 0.5 * np.dot(w, jacobi_Q(H, H, 1, x) * jacobi_Q(H, H, -1, x))
-    assert val == pytest.approx(ref, abs=1e-8)
-
-
-def test_ns_projection_rule_is_converged():
-    # the weight-adapted rule is exact: a brute-force fine Legendre rule
-    # creeps towards the same value
-    f32 = Fraction(3, 2)
-    val = triple_product_ns(f32, H, 1, f32, -H, 1, 2, 0)
-    x, w = quadrature(1500)
-    ref = 0.5 * np.dot(w, jacobi_Q(f32, H, 1, x) * jacobi_Q(f32, -H, 1, x)
-                       * legendre_Q(2, 0, x))
-    assert val == pytest.approx(ref, abs=1e-8)
