@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .fock import check_car, sphere_sector, torus_sector
 from .halfints import to_doubled
-from .harmonics import structure_table
+from .harmonics import MAX_TABLE_DEGREE, structure_table
 from .lie_core import get_rep
 from .regulator import (HeatSum, UnresolvedPrescriptionError, delta_reg_zero,
                         heat_sum_finite_part, solve_a_m)
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
             fh.write(self.format_help())
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, as every refused input gets; --help prints the usage
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
 
@@ -368,6 +368,11 @@ def _cmd_structure_constants(args) -> int:
 
 def _cmd_regularization(args) -> int:
     rep = _check_rep(args)
+    for m in args.sphere_m:
+        # no sphere mode has a larger m, and delta_reg(0) drifts past 404
+        if abs(m) > MAX_TABLE_DEGREE:
+            raise ValueError(f"--sphere-m {m} lies outside "
+                             f"-{MAX_TABLE_DEGREE}..{MAX_TABLE_DEGREE}")
     rows = [{"descriptor": f"torus {sector}", "pole": 0.5,
              "finite_part": heat_sum_finite_part(HeatSum(1, shift))[1],
              "delta_reg0": delta_reg_zero("torus", sector)}

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .fock import (Mode, ModeOperator, SectorConfig, TableCoverageError,
-                   add_normal_ordered)
+from .fock import Mode, ModeOperator, SectorConfig, add_normal_ordered
 from .harmonics import StructureTable
 from .lie_core import LieAlgebraRep
 
@@ -38,6 +37,16 @@ __all__ = [
     "sphere_L",
     "TableCoverageError",
 ]
+
+
+class TableCoverageError(Exception):
+    """A structure table does not cover a required degree."""
+
+    def __init__(self, degree, l_max):
+        self.degree = degree
+        self.l_max = l_max
+        super().__init__(
+            f"structure table covers degrees <= {l_max}, need {degree}")
 
 
 def lam_constant(cfg: SectorConfig) -> float:

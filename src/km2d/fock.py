@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
@@ -44,10 +43,7 @@ __all__ = [
     "SectorConfig",
     "torus_sector",
     "sphere_sector",
-    "OutOfCutoffError",
     "ModeOperator",
-    "b_operator",
-    "creation",
     "vacuum_states",
     "check_car",
     "enumerate_states",
@@ -65,25 +61,6 @@ class Mode(NamedTuple):
 class FockState(NamedTuple):
     sigma: int
     occ: tuple  # sorted tuple of oscillator Modes
-
-
-class OutOfCutoffError(Exception):
-    """A mode index lies outside the configured truncation."""
-
-    def __init__(self, mode: Mode, cfg: "SectorConfig"):
-        self.mode = mode
-        self.cfg = cfg
-        super().__init__(f"mode {mode} outside cutoffs of {cfg.describe()}")
-
-
-class TableCoverageError(Exception):
-    """A structure table does not cover a required degree."""
-
-    def __init__(self, degree, l_max):
-        self.degree = degree
-        self.l_max = l_max
-        super().__init__(
-            f"structure table covers degrees <= {l_max}, need {degree}")
 
 
 # Every zero-mode generator maps a basis spinor to one spinor times one of
@@ -147,51 +124,6 @@ class SectorConfig:
         return (f"sphere({self.z_sector}) d={self.d} "
                 f"l<={fmt_half(self.l2_cut)}")
 
-    # -- mode constructors and validation ----------------------------------
-
-    def mode(self, i: int, *idx) -> Mode:
-        if self.geometry == "torus":
-            m, p = idx
-            md = Mode(i, to_doubled(m), to_doubled(p), 0)
-        elif self.z_sector == "R":
-            l, m = idx
-            md = Mode(i, 2 * int(l), 2 * int(m), 0)
-        else:
-            l, m, eta = idx
-            md = Mode(i, to_doubled(l), to_doubled(m), int(eta))
-        self.validate_mode(md)
-        return md
-
-    def validate_mode(self, mode: Mode) -> None:
-        if not 1 <= mode.i <= self.d:
-            raise ValueError(f"flavour {mode.i} outside 1..{self.d}")
-        if self.geometry == "torus":
-            zpar = 1 if self.z_sector == "NS" else 0
-            apar = 1 if self.angular_sector == "NS" else 0
-            if mode.k1 % 2 != zpar or mode.k2 % 2 != apar:
-                raise ValueError(f"mode {mode} off the "
-                                 f"({self.z_sector},{self.angular_sector}) lattice")
-            if mode.eta != 0:
-                raise ValueError("torus modes carry no eta label")
-        else:
-            par = 1 if self.z_sector == "NS" else 0
-            if mode.k1 % 2 != par or mode.k2 % 2 != par:
-                raise ValueError(f"mode {mode} off the sphere {self.z_sector} lattice")
-            if mode.k1 < abs(mode.k2):
-                raise ValueError(f"mode {mode} violates l >= |m|")
-            if self.z_sector == "NS" and mode.eta not in (1, -1):
-                raise ValueError("sphere NS modes need eta = +-1")
-            if self.z_sector == "R" and mode.eta != 0:
-                raise ValueError("sphere R modes carry no eta label")
-
-    def require_in_cutoff(self, mode: Mode) -> None:
-        if self.geometry == "torus":
-            inside = abs(mode.k1) <= self.m2_cut and abs(mode.k2) <= self.p2_cut
-        else:
-            inside = mode.k1 <= self.l2_cut
-        if not inside:
-            raise OutOfCutoffError(mode, self)
-
     # -- ordering, conjugation, pairing ------------------------------------
 
     def z_index2(self, mode: Mode) -> int:
@@ -229,8 +161,8 @@ class SectorConfig:
         """mode -> (conj(mode), {b_mode, b_conj(mode)}) for every mode.
 
         The pairing is also the reality twist t of (b_mode)^+ = t b_conj(mode).
-        Built on first use, by the first commutator, adjoint or creator
-        applied: a sector whose central terms are traces never builds it.
+        Built on first use, by the first commutator or creator applied: a
+        sector whose central terms are traces never builds it.
         """
         out = {}
         for mode in self.all_modes():
@@ -413,8 +345,8 @@ class ModeOperator:
 
     terms maps a tuple of modes (applied right to left) to a coefficient;
     the empty tuple is a multiple of the identity.  Supports addition,
-    scaling, adjoints, exact bilinear commutators via the canonical
-    anticommutation relations, and application to basis states.
+    scaling, exact bilinear commutators via the canonical anticommutation
+    relations, and application to basis states.
     """
 
     __slots__ = ("cfg", "terms", "_groups")
@@ -441,14 +373,6 @@ class ModeOperator:
     def scaled(self, c) -> "ModeOperator":
         return ModeOperator(self.cfg,
                             {k: v * c for k, v in self.terms.items()})
-
-    def adjoint(self) -> "ModeOperator":
-        # conjugating and reversing a key is injective, so no keys collide
-        pairing = self.cfg.conj_pairing
-        return ModeOperator(self.cfg, {
-            tuple(pairing[m][0] for m in reversed(key)):
-                c.conjugate() * math.prod(pairing[m][1] for m in key)
-            for key, c in self.terms.items()})
 
     def commutator(self, other: "ModeOperator") -> "ModeOperator":
         """[self, other] for bilinear operators, exact via the CAR.
@@ -554,18 +478,6 @@ class ModeOperator:
         return out
 
 
-def b_operator(mode: Mode, cfg: SectorConfig) -> ModeOperator:
-    """The physical mode operator b_mode as a lazy operator."""
-    cfg.validate_mode(mode)
-    cfg.require_in_cutoff(mode)
-    return ModeOperator(cfg, {(mode,): 1})
-
-
-def creation(mode: Mode, cfg: SectorConfig) -> ModeOperator:
-    """Adjoint of b_mode under the reality map of the sector."""
-    return b_operator(mode, cfg).adjoint()
-
-
 def add_normal_ordered(terms: dict, cfg: SectorConfig, mode_a: Mode,
                        mode_b: Mode, scale) -> None:
     """Accumulate scale * :b_a b_b: into a term dict.
@@ -600,7 +512,8 @@ def enumerate_states(cfg: SectorConfig, max_z2: int, max_particles: int,
                  if cfg.z_index2(m) <= max_z2)
     sig = list(sigmas) if sigmas is not None else list(range(cfg.spinor_dim()))
     out = []
-    for n in range(max_particles + 1):
+    # combinations(osc, n) allocates n indices even when osc is shorter
+    for n in range(min(max_particles, len(osc)) + 1):
         for combo in itertools.combinations(osc, n):
             if sum(map(cfg.z_index2, combo)) > max_z2:
                 continue

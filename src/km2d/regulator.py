@@ -107,7 +107,8 @@ def solve_a_m(m: int) -> float:
 
 
 def delta_reg_zero(geometry: str, sector: str, m: int = 0) -> float:
-    """Regularized coincident-point multiplicity; 1 for every supported case."""
+    """Regularized coincident-point multiplicity; 1 for every supported case
+    (on the sphere |m| <= MAX_TABLE_DEGREE: it drifts from 1 past m = 404)."""
     if geometry == "torus":
         if sector == "NS":
             return 2.0 * heat_sum_finite_part(HeatSum(1, 0.0))[1]

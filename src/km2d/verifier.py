@@ -1159,8 +1159,12 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     if not modes:
         raise ValueError(f"empty bracket sweep at size {size}")
     cfg, rep = alg.cfg, alg.rep
-    probes = probe_states(cfg, window)
-    if not probes:
+    # every mode of a probe is on its own a probe of the same window, so the
+    # window of at most one particle has the full window's reach, and is
+    # empty with it: the checks below run before the full window is built
+    single = probe_states(cfg, Window(window.w_z2, window.w_a2,
+                                      min(window.n_max, 1)))
+    if not single:
         raise ValueError(f"window {window.describe()} holds no probe state")
     n = len(modes)
     n_brackets = 2 * n * n + n * (n + 1) // 2       # TT, LT; LL for i <= j
@@ -1169,7 +1173,7 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
                          f"exceeds the limit of {MAX_SWEEP_BRACKETS}")
     # the groups' pairs are modes x modes: guard them before the groups
     # exist, so a window that fails does so at once
-    reach = _probe_reach(probes)
+    reach = _probe_reach(single)
     for mode1 in modes:
         for mode2 in modes:
             alg.guard(reach, mode1, mode2)
@@ -1194,7 +1198,7 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     charges, charge_pairs = alg.charges(central_lookup)
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
                               tol=tol, charges=charges, **alg.header())
-    engine = alg.engine(probes)
+    engine = alg.engine(probe_states(cfg, window))
     report.brackets = [res for family, a, b, group in groups for res in
                        engine.jobs(family, a, b, group, tol, central_lookup,
                                    central_tol)]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from km2d import cli
 from km2d.cli import main
@@ -141,6 +144,16 @@ def test_regularization_table(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("torus")]
     for ln in lines:
         assert ln.split()[-1] == "1"
+
+
+def test_regularization_sphere_m_reads_one_up_to_the_bound(capsys):
+    # --sphere-m is bounded by MAX_TABLE_DEGREE (33 is refused with the bad
+    # inputs below); past m = 404 delta_reg(0) drifts from 1
+    assert main(["regularization", "--sphere-m", "-32", "32"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("sphere R")]
+    assert [row[2] for row in rows] == ["m=-32", "m=32"]
+    assert all(row[-1] == "1" for row in rows)
 
 
 def test_regularization_raw_scan(capsys):
@@ -386,6 +399,8 @@ def test_malformed_or_huge_rep_is_refused_unbuilt(name, capsys, monkeypatch):
     # the rep is checked on every run, not only for the raw scan
     ["regularization", "--d", "5"],
     ["regularization", "--rep", "foo"],
+    ["regularization", "--sphere-m", "33"],
+    ["regularization", "--sphere-m", "0", "-1000000000"],
     pytest.param(["structure-constants", "--lmax", "1", "--output", "/dev/full"],
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                           reason="needs /dev/full")),
@@ -492,6 +507,19 @@ def test_window_guard_fails_before_the_sweep_is_built():
     assert proc.returncode == 1 and stdout == b""
     _assert_one_error_line(stderr)
     assert b"z reach 25/2 exceeds cutoff 9/2" in stderr
+
+
+def test_window_guard_fails_before_the_window_is_enumerated():
+    # the full window 9/2,9/2,6 holds millions of probe states; its reach is
+    # read from the one-particle window, so the guard refuses it at once
+    proc = _km2d(["verify-torus", "--window", "9/2,9/2,6"], subprocess.PIPE)
+    try:
+        stdout, stderr = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and stdout == b""
+    _assert_one_error_line(stderr)
+    assert b"z reach 17/2 exceeds cutoff 9/2" in stderr
 
 
 def test_oversized_sweep_is_refused_up_front():
@@ -745,3 +773,146 @@ def test_raw_scan_table_is_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == \
         "af806086411caa1265b00f0417f218dd4157a1bb178117a081ddf9d01f9e3938"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line in-process
+# ---------------------------------------------------------------------------
+
+def _halves(lo, hi):
+    """Half-integers from lo to hi of both parities, as '3/2' or '2'."""
+    return st.integers(2 * lo, 2 * hi).map(
+        lambda k: str(k // 2) if k % 2 == 0 else f"{k}/2")
+
+
+# valid flag values stay cheap: n <= 5, N <= 2, car-check d <= 3 at its
+# smallest cutoffs; the malformed ones are refused before any work
+_LATTICE = {"NS": ["1/2", "3/2", "5/2", "7/2", "9/2"],
+            "R": ["1", "2", "3", "4"]}
+_REPS = st.sampled_from(["so3-adjoint", "so4-adjoint", "so5-adjoint"])
+_BAD_REPS = st.sampled_from(["so2-adjoint", "so40-adjoint", "so03-adjoint",
+                             "so3-adjoint\n", "su2-fund", ""])
+_TOLS = st.sampled_from(["0", "1e-12", "1e-9", "1e-3"])
+_BAD_TOLS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1e-9", "x"]),
+                      st.floats().map(repr))
+_BAD_SECTORS = st.sampled_from(["R", "NS", "R,NS", "R,R,R", "garbage,NS", ""])
+_BAD_WINDOWS = st.sampled_from(["1,1", "a,b,c", "1,1,1.5", "-1/2,1,1",
+                                "nan,1,1", "1,1,-1"])
+_WINDOWS = st.tuples(_halves(0, 2), _halves(0, 2),
+                     st.integers(0, 2)).map(lambda w: "%s,%s,%d" % w)
+_BAD_HALVES = st.sampled_from(["-1/2", "0", "3/4", "x"])
+
+
+@st.composite
+def _argv(draw):
+    """One command line whose flags are valid but for one draw in six."""
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 5)) == 0 else good)
+
+    def flag(name, good, bad):
+        return [name, pick(good, bad)] if draw(st.booleans()) else []
+
+    def lattice(sector, values):
+        return pick(st.sampled_from(values[sector]), _BAD_HALVES)
+
+    command = draw(st.sampled_from(["verify-torus", "verify-sphere",
+                                    "sphere-abstract", "structure-constants",
+                                    "regularization", "car-check"]))
+    sectors = st.sampled_from(["R", "NS"])
+    z, ang = draw(sectors), draw(sectors)
+    argv = [command]
+    if command not in ("structure-constants", "car-check"):
+        argv += flag("--rep", _REPS, _BAD_REPS)
+    if command in ("verify-torus", "verify-sphere", "sphere-abstract"):
+        argv += flag("--tol", _TOLS, _BAD_TOLS)
+    if command == "verify-torus":
+        argv += ["--sectors", pick(st.just(f"{z},{ang}"), _BAD_SECTORS),
+                 "--cutoff-m", lattice(z, _LATTICE),
+                 "--cutoff-p", lattice(ang, _LATTICE),
+                 "--max-mode",
+                 pick(st.sampled_from(["0", "1"]), st.just("-1"))]
+        argv += flag("--window", _WINDOWS, _BAD_WINDOWS)
+        argv += flag("--method", st.sampled_from(["analytic", "eps"]),
+                     st.just("raw"))
+    elif command == "verify-sphere":
+        argv += ["--sectors", pick(st.just(z), _BAD_SECTORS), "--cutoff-l",
+                 lattice(z, {"R": ["2", "3"], "NS": ["3/2", "5/2"]}),
+                 "--max-l", pick(st.sampled_from(["0", "1"]), st.just("-1"))]
+        argv += flag("--lmax", st.sampled_from(["3", "4"]),
+                     st.sampled_from(["1", "-1", "33"]))
+        argv += flag("--window", _WINDOWS, _BAD_WINDOWS)
+        argv += flag("--central-tol", _TOLS, _BAD_TOLS)
+    elif command == "sphere-abstract":
+        argv += ["--lmax", pick(st.sampled_from(["3", "4"]),
+                                st.sampled_from(["0", "-1", "x"])),
+                 "--l-probe", pick(st.sampled_from(["0", "1"]),
+                                   st.sampled_from(["2", "-1"]))]
+    elif command == "structure-constants":
+        argv += ["--lmax", pick(st.sampled_from(["0", "1", "3"]),
+                                st.sampled_from(["-1", "33", "x"]))]
+        argv += flag("--format", st.sampled_from(["json", "csv"]),
+                     st.just("xml"))
+    elif command == "regularization":
+        argv += ["--sphere-m", *map(str, draw(st.lists(
+            st.integers(-40, 40), max_size=3)))]
+        argv += draw(st.sampled_from([[], ["--include-sphere-ns"]]))
+        argv += draw(st.sampled_from([[], ["--raw-scan"]]))
+    else:
+        argv += ["--d", pick(st.sampled_from(["1", "2", "3"]),
+                             st.sampled_from(["0", "-1"]))]
+        if pick(st.just(True), st.just(False)):
+            geometry = draw(st.sampled_from(["torus", "sphere"]))
+            argv += ["--geometry", geometry]
+        else:
+            geometry = "torus"
+            argv += ["--geometry", "disk"]
+        if geometry == "torus":
+            argv += ["--sectors", pick(st.just(f"{z},{ang}"), _BAD_SECTORS),
+                     "--cutoff-m", lattice(z, {"R": ["1"], "NS": ["1/2"]}),
+                     "--cutoff-p", lattice(ang, {"R": ["0"], "NS": ["1/2"]})]
+            argv += pick(st.just([]), st.just(["--cutoff-l", "1"]))
+        else:
+            argv += ["--sectors", pick(st.just(z), _BAD_SECTORS),
+                     "--cutoff-l", lattice(z, {"R": ["0"], "NS": ["1/2"]})]
+            argv += pick(st.just([]), st.just(["--cutoff-m", "1/2"]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), output=st.sampled_from([None, "new", "old"]))
+def test_fuzzed_command_lines_end_cleanly(argv, output, tmp_path_factory):
+    # every run exits 0-3 with no traceback, a failure with one stderr line;
+    # an --output file is a whole report or the earlier file, unchanged
+    path = None
+    if output:
+        path = tmp_path_factory.mktemp("out") / "report"
+        argv = argv + ["--output", str(path)]
+        if output == "old":
+            path.write_bytes(b"earlier report\n")
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= (1 if code else 0), (argv, err)
+    if not output:
+        return
+    before = b"earlier report\n" if output == "old" else None
+    after = path.read_bytes() if path.exists() else None
+    if after == before:
+        # only a refused run, or one stopped unresolved, writes nothing
+        assert code in (1, 3), argv
+        return
+    assert code != 1, argv
+    if argv[0] == "structure-constants" and "json" not in argv:
+        lines = after.decode().splitlines()
+        assert after.endswith(b"\n") and len(
+            {line.count(",") for line in lines}) == 1, argv
+    else:
+        json.loads(after)

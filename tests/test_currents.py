@@ -11,7 +11,7 @@ from km2d.currents import (
     torus_L,
     torus_T,
 )
-from km2d.fock import sphere_sector, torus_sector, vacuum_states
+from km2d.fock import Mode, sphere_sector, torus_sector, vacuum_states
 from km2d.harmonics import structure_table
 from km2d.lie_core import build_so_adjoint
 from km2d.verifier import Window, probe_states
@@ -42,11 +42,11 @@ def test_virasoro_level_eigenvalue(so3, nsns):
     # one-particle states are level eigenstates with eigenvalue -m
     vac = vacuum_states(nsns)[0]
     L00 = torus_L(0, 0, nsns)
-    for m, p in [(-H, -H), (-Fraction(3, 2), H)]:
-        state = vac._replace(occ=(nsns.mode(1, -m, -p),))
+    for k1, k2 in [(1, 1), (3, -1)]:
+        state = vac._replace(occ=(Mode(1, k1, k2, 0),))
         out = L00.apply_state(state)
         assert dict((s, complex(c)) for s, c in out.items()) == {
-            state: pytest.approx(float(-m))}
+            state: pytest.approx(k1 / 2)}
 
 
 def test_ramond_ground_energy(so3):
@@ -60,7 +60,7 @@ def test_ramond_ground_energy(so3):
 
 def test_current_grading_shift(so3, nsns):
     vac = vacuum_states(nsns)[0]
-    state = vac._replace(occ=(nsns.mode(1, H, H),))
+    state = vac._replace(occ=(Mode(1, 1, 1, 0),))
     op = torus_T(so3, 1, 1, 0, nsns)
     base = nsns.grade2(state)
     for s, _ in op.apply_state(state).items():
@@ -96,7 +96,7 @@ def test_eps_weights_monotone(so3):
 def test_sphere_current_charge_bookkeeping(so3, table4):
     cfg = sphere_sector("R", 3, 4)
     vac = vacuum_states(cfg)[0]
-    state = vac._replace(occ=(cfg.mode(1, 1, 1),))
+    state = vac._replace(occ=(Mode(1, 2, 2, 0),))
     op = sphere_T(so3, 1, 1, 1, cfg, table4)
     base = cfg.grade2(state)[1]
     for s, _ in op.apply_state(state).items():

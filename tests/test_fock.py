@@ -7,12 +7,9 @@ from km2d.fock import (
     FockState,
     Mode,
     ModeOperator,
-    OutOfCutoffError,
     accumulate,
     add_normal_ordered,
-    b_operator,
     check_car,
-    creation,
     enumerate_states,
     render_state,
     sphere_sector,
@@ -50,7 +47,7 @@ def test_vacuum_annihilated_by_positive_modes():
     for vac in vacuum_states(cfg):
         for mode in cfg.all_modes():
             if cfg.classify(mode) == "ann":
-                out = b_operator(mode, cfg).apply_state(vac)
+                out = ModeOperator(cfg, {(mode,): 1}).apply_state(vac)
                 assert not out
 
 
@@ -75,18 +72,18 @@ def test_car_sphere_exact():
 def test_car_torus_values():
     cfg = torus_sector("NS", "NS", 2, Fraction(3, 2), Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    x = cfg.mode(1, H, H)
-    y = cfg.mode(1, -H, -H)
+    x = Mode(1, 1, 1, 0)
+    y = Mode(1, -1, -1, 0)
     out = anticommutator(cfg, x, y).apply_state(vac)
     assert dict(out) == {vac: 1}
-    y2 = cfg.mode(2, -H, -H)
+    y2 = Mode(2, -1, -1, 0)
     assert not anticommutator(cfg, x, y2).apply_state(vac)
 
 
 def test_car_zero_modes():
     cfg = torus_sector("R", "R", 2, 1, 1)
-    z1 = cfg.mode(1, 0, 0)
-    z2 = cfg.mode(2, 0, 0)
+    z1 = Mode(1, 0, 0, 0)
+    z2 = Mode(2, 0, 0, 0)
     basis = enumerate_states(cfg, max_z2=2, max_particles=2)
     for s in basis:
         same = anticommutator(cfg, z1, z1).apply_state(s)
@@ -101,7 +98,7 @@ def test_zero_mode_square_is_exactly_half():
     cfg = torus_sector("R", "R", 3, 1, 1)
     for s in enumerate_states(cfg, max_z2=2, max_particles=2):
         for i in (1, 2, 3):
-            z = cfg.mode(i, 0, 0)
+            z = Mode(i, 0, 0, 0)
             out = ModeOperator(cfg, {(z, z): 1.0}).apply_state(s)
             assert dict(out) == {s: 0.5}
 
@@ -109,12 +106,12 @@ def test_zero_mode_square_is_exactly_half():
 def test_car_sphere_twist():
     cfg = sphere_sector("R", 1, 2)
     vac = vacuum_states(cfg)[0]
-    a = cfg.mode(1, 1, 1)
-    b = cfg.mode(1, 1, -1)
+    a = Mode(1, 2, 2, 0)
+    b = Mode(1, 2, -2, 0)
     out = anticommutator(cfg, a, b).apply_state(vac)
     assert dict(out) == {vac: -1}
-    a2 = cfg.mode(1, 2, 2)
-    b2 = cfg.mode(1, 2, -2)
+    a2 = Mode(1, 4, 4, 0)
+    b2 = Mode(1, 4, -4, 0)
     out2 = anticommutator(cfg, a2, b2).apply_state(vac)
     assert dict(out2) == {vac: 1}
 
@@ -122,10 +119,10 @@ def test_car_sphere_twist():
 def test_car_sphere_ns_eta_pairing():
     cfg = sphere_sector("NS", 1, Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    a = cfg.mode(1, H, H, 1)
-    b = cfg.mode(1, H, -H, -1)
+    a = Mode(1, 1, 1, 1)
+    b = Mode(1, 1, -1, -1)
     assert dict(anticommutator(cfg, a, b).apply_state(vac)) == {vac: 1}
-    b_same = cfg.mode(1, H, -H, 1)
+    b_same = Mode(1, 1, -1, 1)
     assert not anticommutator(cfg, a, b_same).apply_state(vac)
 
 
@@ -179,7 +176,8 @@ def test_clifford_odd_occupancy_negates_exactly(cfg):
             coeff, target = cfg.clifford_action(gen, sigma)
             assert cfg.clifford_action(gen, sigma, 1) == (-coeff, target)
             # b_mode anticommutes past the one occupied oscillator
-            out = b_operator(mode, cfg).apply_state(FockState(sigma, (osc,)))
+            b = ModeOperator(cfg, {(mode,): 1})
+            out = b.apply_state(FockState(sigma, (osc,)))
             assert dict(out) == {FockState(target, (osc,)): -coeff}
 
 
@@ -212,34 +210,42 @@ def test_clifford_units_complex_forms():
 # adjoints and grading
 # ---------------------------------------------------------------------------
 
+def _adjoint_by_reality_map(cfg, mode, basis, matrix):
+    """(matrix of b_mode, matrix of t b_conj(mode)) with t = {b_mode, b_conj}.
+
+    The reality map says (b_mode)^+ = t b_conj(mode); applying b at the
+    conjugate mode runs ``_apply_b``'s creator branch and ``conj_pairing``.
+    """
+    conj = cfg.conj(mode)
+    twist = cfg.car_pairing(mode, conj)
+    return (matrix(ModeOperator(cfg, {(mode,): 1}), basis),
+            matrix(ModeOperator(cfg, {(conj,): twist}), basis))
+
+
 def test_creation_is_adjoint_of_b_operator(matrix):
     cfg = torus_sector("NS", "NS", 2, Fraction(3, 2), Fraction(3, 2))
     basis = enumerate_states(cfg, max_z2=3, max_particles=3)
-    mode = cfg.mode(1, H, -H)
-    mb = matrix(b_operator(mode, cfg), basis)
-    mc = matrix(creation(mode, cfg), basis)
+    mode = Mode(1, 1, -1, 0)
+    assert cfg.car_pairing(mode, cfg.conj(mode)) == 1
+    mb, mc = _adjoint_by_reality_map(cfg, mode, basis, matrix)
     assert mc and mc == {(s, t): v.conjugate() for (t, s), v in mb.items()}
-    # reality map: creation(m) == b at the conjugate mode on the torus
-    assert mc == matrix(b_operator(cfg.conj(mode), cfg), basis)
 
 
 def test_creation_adjoint_sphere_twist(matrix):
+    # (b_{l,m})^+ = (-1)^m b_{l,-m}
     cfg = sphere_sector("R", 1, 2)
     basis = enumerate_states(cfg, max_z2=4, max_particles=2)
-    mode = cfg.mode(1, 1, 1)
-    mb = matrix(b_operator(mode, cfg), basis)
-    mc = matrix(creation(mode, cfg), basis)
+    mode = Mode(1, 2, 2, 0)
+    assert cfg.car_pairing(mode, cfg.conj(mode)) == -1
+    mb, mc = _adjoint_by_reality_map(cfg, mode, basis, matrix)
     assert mc and mc == {(s, t): v.conjugate() for (t, s), v in mb.items()}
-    # (b_{l,m})^+ = (-1)^m b_{l,-m}
-    mref = matrix(b_operator(cfg.mode(1, 1, -1), cfg), basis)
-    assert mc == {k: -v for k, v in mref.items()}
 
 
 def test_grading_shift():
     cfg = torus_sector("NS", "NS", 1, Fraction(3, 2), Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    mode = cfg.mode(1, -H, Fraction(3, 2))
-    (state, amp), = b_operator(mode, cfg).apply_state(vac).items()
+    mode = Mode(1, -1, 3, 0)
+    (state, amp), = ModeOperator(cfg, {(mode,): 1}).apply_state(vac).items()
     z2, c2 = cfg.grade2(state)
     assert z2 == 1            # z-level rises by -m = 1/2
     assert c2 == -3           # charge shifts by -p = -3/2 (doubled)
@@ -258,8 +264,8 @@ def normal_ordered(cfg, a, b):
 def test_normal_ordering_positive_z():
     cfg = torus_sector("NS", "NS", 1, Fraction(3, 2), Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    a = cfg.mode(1, H, H)
-    b = cfg.mode(1, -H, -H)
+    a = Mode(1, 1, 1, 0)
+    b = Mode(1, -1, -1, 0)
     terms = normal_ordered(cfg, a, b)
     assert terms == {(b, a): -1}
     assert not ModeOperator(cfg, terms).apply_state(vac)
@@ -267,8 +273,8 @@ def test_normal_ordering_positive_z():
 
 def test_normal_ordering_negative_z_untouched():
     cfg = torus_sector("NS", "NS", 1, Fraction(3, 2), Fraction(3, 2))
-    a = cfg.mode(1, -H, H)
-    b = cfg.mode(1, H, -H)
+    a = Mode(1, -1, 1, 0)
+    b = Mode(1, 1, -1, 0)
     assert normal_ordered(cfg, a, b) == {(a, b): 1}
 
 
@@ -277,35 +283,26 @@ def test_normal_ordering_zero_z_symmetrized():
     # angular signs this leaves the pair a vacuum expectation of -(1/2)
     cfg = torus_sector("R", "NS", 1, 2, Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    a = cfg.mode(1, 0, -H)
-    b = cfg.mode(1, 0, H)
+    a = Mode(1, 0, -1, 0)
+    b = Mode(1, 0, 1, 0)
     terms = normal_ordered(cfg, a, b)
     assert terms == {(a, b): Fraction(1, 2), (b, a): Fraction(-1, 2)}
     assert dict(ModeOperator(cfg, terms).apply_state(vac))[vac] == Fraction(-1, 2)
     # vacuum expectations of nonzero-z pairs vanish
-    for m1 in (1, -1):
-        for m2 in (1, -1):
-            x, y = cfg.mode(1, m1, H), cfg.mode(1, m2, -H)
+    for k1 in (2, -2):
+        for k2 in (2, -2):
+            x, y = Mode(1, k1, 1, 0), Mode(1, k2, -1, 0)
             out = ModeOperator(cfg, normal_ordered(cfg, x, y)).apply_state(vac)
             assert out.get(vac, 0) == 0
 
 
-def test_out_of_cutoff_is_structured_error():
-    cfg = torus_sector("NS", "NS", 1, Fraction(3, 2), Fraction(3, 2))
-    bad = cfg.mode(1, Fraction(5, 2), H)
-    with pytest.raises(OutOfCutoffError):
-        b_operator(bad, cfg)
-
-
-def test_mode_validation():
-    cfg = torus_sector("NS", "NS", 1, Fraction(3, 2), Fraction(3, 2))
-    with pytest.raises(ValueError):
-        cfg.mode(1, 1, H)          # integer z index off the NS lattice
-    with pytest.raises(ValueError):
-        cfg.mode(2, H, H)          # flavour out of range
-    cfgS = sphere_sector("R", 1, 2)
-    with pytest.raises(ValueError):
-        cfgS.mode(1, 1, 2)         # l < |m|
+def test_particle_bound_past_the_oscillators_enumerates_them_all():
+    # combinations(osc, n) allocates n indices, so the particle loop must
+    # stop at the oscillator count, not run to a bound of 10^9
+    cfg = torus_sector("NS", "NS", 2, Fraction(3, 2), Fraction(3, 2))
+    assert enumerate_states(cfg, 0, 10**9) == vacuum_states(cfg)
+    n_osc = len([m for m in cfg.oscillator_modes() if m.k1 <= 3])
+    assert enumerate_states(cfg, 3, 10**9) == enumerate_states(cfg, 3, n_osc)
 
 
 @pytest.mark.parametrize("odd", [False, True], ids=["R", "NS"])
@@ -322,6 +319,6 @@ def test_lattice_range_is_the_sublattice(odd):
 def test_render_state():
     cfg = torus_sector("NS", "NS", 2, Fraction(3, 2), Fraction(3, 2))
     vac = vacuum_states(cfg)[0]
-    s = FockState(0, (cfg.mode(1, H, H), cfg.mode(2, H, -H)))
+    s = FockState(0, (Mode(1, 1, 1, 0), Mode(2, 1, -1, 0)))
     assert render_state(vac, cfg) == "|sigma=0>"
     assert render_state(s, cfg) == "|sigma=0; (1,-1/2,-1/2),(2,-1/2,1/2)>"

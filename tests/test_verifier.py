@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from km2d.currents import torus_L, torus_T
-from km2d.fock import (FockState, ModeOperator, sphere_sector, torus_sector,
-                       vacuum_states)
+from km2d.fock import (FockState, Mode, ModeOperator, sphere_sector,
+                       torus_sector, vacuum_states)
 from km2d.harmonics import structure_table
 from km2d.lie_core import build_so_adjoint
 from km2d.regulator import UnresolvedPrescriptionError
@@ -284,7 +284,7 @@ def test_antisymmetry_of_commutator(so3, nsns):
     ba = B.commutator(A)
     total = ab + ba
     vac = vacuum_states(nsns)[0]
-    probe = vac._replace(occ=(nsns.mode(1, -H, H), nsns.mode(2, -H, -H)))
+    probe = vac._replace(occ=(Mode(1, -1, 1, 0), Mode(2, -1, -1, 0)))
     assert not total.apply_state(probe)
 
 
@@ -491,6 +491,27 @@ def torus_brackets(draw, rep=SO3):
         a = b = None
     mode = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
     return cfg, window, family, a, b, draw(mode), draw(mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("R", "R"), ("R", "NS"), ("NS", "R"), ("NS", "NS"),
+                        ("R", None)]),
+       st.integers(1, 7), st.integers(1, 7),
+       st.integers(-1, 8), st.integers(-1, 8), st.integers(0, 3))
+def test_one_particle_window_has_the_full_reach(sectors, cut1, cut2, w_z2,
+                                                w_a2, n_max):
+    # _certify guards on the one-particle window before it enumerates the
+    # full one: both must be empty together and reach equally far
+    z, ang = sectors
+    if ang is None:
+        cfg = sphere_sector(z, 2, cut1)
+    else:
+        cfg = torus_sector(z, ang, 2, Fraction(2 * cut1 - (z == "NS"), 2),
+                           Fraction(2 * cut2 - (ang == "NS"), 2))
+    full = probe_states(cfg, Window(w_z2, w_a2, n_max))
+    single = probe_states(cfg, Window(w_z2, w_a2, min(n_max, 1)))
+    assert bool(full) == bool(single)
+    assert _probe_reach(full) == _probe_reach(single)
 
 
 @settings(max_examples=40, deadline=None)
