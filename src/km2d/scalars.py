@@ -8,7 +8,6 @@ anticommutator checks return residual 0 rather than 1e-16.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Union
 
@@ -43,15 +42,6 @@ class SqrtTwoScalar:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return SqrtTwoScalar(-self.ra, -self.rb, -self.ia, -self.ib)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, SqrtTwoScalar) else -1 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -79,19 +69,6 @@ class SqrtTwoScalar:
                     and self.ia == other.imag)
         return NotImplemented
 
-    def __hash__(self):
-        if self.rb or self.ib:
-            return hash((self.ra, self.rb, self.ia, self.ib))
-        # the hash of the equal int, Fraction, float or complex, combined as
-        # hash(complex) combines its parts
-        width = sys.hash_info.width
-        h = (hash(self.ra) + sys.hash_info.imag * hash(self.ia)) % (1 << width)
-        h -= (h >> (width - 1)) << width
-        return -2 if h == -1 else h
-
-    def conjugate(self):
-        return SqrtTwoScalar(self.ra, self.rb, -self.ia, -self.ib)
-
     def __complex__(self):
         s = 2 ** 0.5
         return complex(float(self.ra) + float(self.rb) * s,
@@ -99,30 +76,6 @@ class SqrtTwoScalar:
 
     def __repr__(self):
         return (f"SqrtTwoScalar({self.ra}, {self.rb}, {self.ia}, {self.ib})")
-
-
-class SqrtTwoConstant(SqrtTwoScalar):
-    """An exact constant that also carries its ``complex()`` form.
-
-    ``x * const`` with a float or complex ``x`` is ``complex(const) * x``
-    from the form stored at construction, so the fractions are converted
-    once; any other ``x`` meets the exact value.  Products are plain
-    ``complex`` or ``SqrtTwoScalar`` values.
-    """
-
-    __slots__ = ("cplx",)
-
-    def __init__(self, ra=0, rb=0, ia=0, ib=0):
-        super().__init__(ra, rb, ia, ib)
-        self.cplx = SqrtTwoScalar.__complex__(self)
-
-    def __rmul__(self, other):
-        if isinstance(other, (float, complex)):
-            return self.cplx * other
-        return SqrtTwoScalar.__mul__(self, other)
-
-
-INV_SQRT2 = SqrtTwoScalar(rb=Fraction(1, 2))  # sqrt2/2 == 1/sqrt2
 
 
 def scalar_mul(x: Number, y: Number) -> Number:

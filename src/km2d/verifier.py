@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -1145,6 +1146,11 @@ def _rhs_label(alg, rhs) -> str:
 # machine, most of it the report.
 MAX_SWEEP_BRACKETS = 100_000
 
+# The most oscillator combinations times spinor labels one window may list:
+# so4-adjoint --max-mode 0 --window 5/2,9/2,3 at cutoffs 9/2 (972,151) takes
+# 1.9 s at a 221 MB peak on the same machine.
+MAX_PROBE_SCAN = 1_000_000
+
 
 def _certify(alg, window: Window, size: int, tol: float, central_method: str,
              central_tol: float) -> CommutatorReport:
@@ -1153,7 +1159,8 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     Sweeps all pairs of the adapter's mode grid of the given size for the
     three bracket families, measures the regulated central charges, and
     refits the [L, T] coefficient independently.  A sweep of more than
-    MAX_SWEEP_BRACKETS brackets raises ValueError.
+    MAX_SWEEP_BRACKETS brackets, or a window whose listing scans more than
+    MAX_PROBE_SCAN combinations, raises ValueError.
     """
     modes = alg.modes(size)
     if not modes:
@@ -1177,6 +1184,14 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     for mode1 in modes:
         for mode2 in modes:
             alg.guard(reach, mode1, mode2)
+    # enumerate_states tries every set of at most n_max oscillators within
+    # the window's z bound, for each sampled spinor label
+    n_osc = sum(cfg.z_index2(m) <= window.w_z2 for m in cfg.oscillator_modes())
+    scan = len(_window_sigmas(cfg)) * sum(
+        math.comb(n_osc, k) for k in range(min(window.n_max, n_osc) + 1))
+    if scan > MAX_PROBE_SCAN:
+        raise ValueError(f"window {window.describe()} scans {scan} "
+                         f"combinations, above the limit of {MAX_PROBE_SCAN}")
     pairs = [(m1, m2) for m1 in modes for m2 in modes]
     groups = [("TT", 1, 2, pairs), ("LL", None, None, [
         (m1, m2) for i1, m1 in enumerate(modes) for m2 in modes[i1:]]),

@@ -522,6 +522,25 @@ def test_window_guard_fails_before_the_window_is_enumerated():
     assert b"z reach 17/2 exceeds cutoff 9/2" in stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    (["car-check", "--sectors", "R,R", "--d", "3", "--cutoff-m", "2",
+      "--cutoff-p", "2"], b"1428750 mode pairs times states"),
+    (["verify-torus", "--max-mode", "0", "--window", "9/2,9/2,4"],
+     b"scans 20822901 combinations"),
+], ids=["car-check", "window"])
+def test_oversized_work_is_refused_before_it_is_listed(args, message):
+    # a car-check above fock.MAX_CAR_WORK and a window that passes the guard
+    # but scans above verifier.MAX_PROBE_SCAN exit at once
+    proc = _km2d(args, subprocess.PIPE)
+    try:
+        stdout, stderr = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1 and stdout == b""
+    _assert_one_error_line(stderr)
+    assert message in stderr
+
+
 def test_oversized_sweep_is_refused_up_front():
     # max-mode 30 at cutoffs 129/2 passes the window guard, and its
     # 34,616,463 brackets would not fit in the address-space limit; the

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import km2d.fock as fock
 from km2d.fock import (
-    CLIFFORD_UNITS,
     FockState,
     Mode,
     ModeOperator,
@@ -17,9 +17,10 @@ from km2d.fock import (
     vacuum_states,
 )
 from km2d.halfints import lattice_range
-from km2d.scalars import INV_SQRT2, SqrtTwoScalar
+from km2d.scalars import SqrtTwoScalar
 
 H = Fraction(1, 2)
+HALF_SQRT2 = SqrtTwoScalar(rb=H)     # sqrt2/2 == 1/sqrt2
 
 
 def anticommutator(cfg, x, y):
@@ -67,6 +68,46 @@ def test_car_torus_exact(z, ang, mc, pc):
 def test_car_sphere_exact():
     assert check_car(sphere_sector("R", 1, 2)) == 0.0
     assert check_car(sphere_sector("NS", 1, Fraction(3, 2))) == 0.0
+
+
+@pytest.mark.parametrize("cfg", [torus_sector("R", "R", 2, 1, 1),
+                                 sphere_sector("R", 1, 2)],
+                         ids=["torus-RR", "sphere-R"])
+def test_car_catches_wrongly_normalised_zero_modes(cfg, monkeypatch):
+    # units of modulus 1 square to 1, so {b_z, b_z} reads 2 against 1; the
+    # check applies each b in turn, so two zero modes meet as two units
+    monkeypatch.setattr(fock, "CLIFFORD_UNITS", (1, -1, 1j, -1j))
+    assert check_car(cfg) == 1.0
+
+
+def test_mode_count_is_the_number_of_modes():
+    for z, ang in (("R", "R"), ("R", "NS"), ("NS", "R"), ("NS", "NS")):
+        for m2, p2 in ((2, 0), (2, 2), (4, 1), (3, 3), (5, 4)):
+            m2 += (m2 % 2) != (z == "NS")
+            p2 += (p2 % 2) != (ang == "NS")
+            if p2 == 0 and ang == "NS":
+                continue
+            cfg = torus_sector(z, ang, 2, Fraction(m2, 2), Fraction(p2, 2))
+            assert cfg.mode_count() == len(cfg.all_modes())
+    for z, cuts in (("R", range(0, 5)), ("NS", (H, 3 * H, 5 * H, 7 * H))):
+        for l_cut in cuts:
+            cfg = sphere_sector(z, 3, l_cut)
+            assert cfg.mode_count() == len(cfg.all_modes())
+
+
+def test_car_work_is_refused_before_it_is_listed(monkeypatch):
+    # the README example is 27^2 pairs times 86 states; twice the flavours
+    # and cutoffs take 75^2 times 254.  A flavour count whose pairs, or
+    # pairs times spinor labels, pass the limit lists no mode or state.
+    assert fock.MAX_CAR_WORK >= 27 ** 2 * 86
+    with pytest.raises(ValueError, match="at least 1428750 mode pairs"):
+        check_car(torus_sector("R", "R", 3, 2, 2))
+    monkeypatch.setattr(fock, "enumerate_states", None)
+    monkeypatch.setattr(fock.SectorConfig, "all_modes", None)
+    with pytest.raises(ValueError, match=f"at least {40 ** 2 << 20} mode"):
+        check_car(sphere_sector("R", 40, 0))
+    with pytest.raises(ValueError, match=f"at least {(75 * 10 ** 9) ** 2} "):
+        check_car(torus_sector("R", "R", 3 * 10 ** 9, 2, 2))
 
 
 def test_car_torus_values():
@@ -174,11 +215,11 @@ def test_clifford_odd_occupancy_negates_exactly(cfg):
     for sigma in _spinor_sample(cfg):
         for gen, mode in enumerate(cfg.zero_modes):
             coeff, target = cfg.clifford_action(gen, sigma)
-            assert cfg.clifford_action(gen, sigma, 1) == (-coeff, target)
+            assert cfg.clifford_action(gen, sigma, 1) == (-1 * coeff, target)
             # b_mode anticommutes past the one occupied oscillator
             b = ModeOperator(cfg, {(mode,): 1})
             out = b.apply_state(FockState(sigma, (osc,)))
-            assert dict(out) == {FockState(target, (osc,)): -coeff}
+            assert dict(out) == {FockState(target, (osc,)): -1 * coeff}
 
 
 def test_clifford_action_convention():
@@ -188,22 +229,13 @@ def test_clifford_action_convention():
     cfg = CLIFFORD_SECTORS["sphere-R-d3-l6"]
     i_sqrt2 = SqrtTwoScalar(ib=H)
     for k in range(10):
-        assert cfg.clifford_action(2 * k, 0) == (INV_SQRT2, 1 << k)
+        assert cfg.clifford_action(2 * k, 0) == (HALF_SQRT2, 1 << k)
         assert cfg.clifford_action(2 * k + 1, 0) == (i_sqrt2, 1 << k)
         assert cfg.clifford_action(2 * k + 1, 1 << k) == (-1 * i_sqrt2, 0)
-    assert cfg.clifford_action(2, 1) == (-1 * INV_SQRT2, 3)
+    assert cfg.clifford_action(2, 1) == (-1 * HALF_SQRT2, 3)
     for sigma in (0, 1, 3, 7, 1023):
         sign = -1 if bin(sigma).count("1") % 2 else 1
-        assert cfg.clifford_action(20, sigma) == (sign * INV_SQRT2, sigma)
-
-
-def test_clifford_units_complex_forms():
-    exact = [SqrtTwoScalar(u.ra, u.rb, u.ia, u.ib) for u in CLIFFORD_UNITS]
-    assert exact == [INV_SQRT2, -1 * INV_SQRT2, SqrtTwoScalar(ib=H),
-                     SqrtTwoScalar(ib=-H)]
-    for unit, value in zip(CLIFFORD_UNITS, exact):
-        # repr tells -0.0 from 0.0, which == does not
-        assert repr(unit.cplx) == repr(complex(value))
+        assert cfg.clifford_action(20, sigma) == (sign * HALF_SQRT2, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -940,6 +940,22 @@ def test_sweep_limit_counts_the_brackets(so3, nsns, monkeypatch):
         check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=1)
 
 
+def test_probe_scan_limit_counts_the_combinations(so3, nsns, table8,
+                                                  monkeypatch):
+    # the default torus window tries the C(30, <=2) = 466 sets of its 30
+    # oscillators at z = 1/2; sphere R l=8 the C(24, <=2) = 301 sets of its
+    # oscillators at m = 1, for each of its two sampled spinor labels
+    import km2d.verifier as verifier
+
+    monkeypatch.setattr(verifier, "MAX_PROBE_SCAN", 465)
+    with pytest.raises(ValueError, match="scans 466 combinations"):
+        check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=2)
+    monkeypatch.setattr(verifier, "MAX_PROBE_SCAN", 601)
+    with pytest.raises(ValueError, match="scans 602 combinations"):
+        check_sphere_realization(sphere_sector("R", 3, 8), so3, table8,
+                                 Window.of(1, 1, 2), max_l=2)
+
+
 def test_window_without_probes_is_rejected(so3, nsns):
     # a negative bound admits no probe state, which would certify nothing
     assert probe_states(nsns, Window(-2, 2, 2)) == []
