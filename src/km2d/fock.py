@@ -22,7 +22,8 @@ creation/annihilation with the reality twists of each geometry:
 Self-conjugate modes (m = p = 0 on the torus R,R; m = 0 on the sphere R)
 generate a Clifford algebra realized on a 2^{floor(G/2)}-dimensional module
 by pairing consecutive generators into fermionic oscillators; an unpaired
-last generator acts diagonally as (+1/sqrt2) times the parity operator.
+last generator acts diagonally as the parity operator, +-1.  A zero mode is
+b_z = gamma_z / sqrt2, its 1/sqrt2 applied once per product (ZERO_MODE_SQUARE).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .halfints import fmt_half, lattice_range, to_doubled
-from .scalars import SqrtTwoScalar
 
 __all__ = [
     "Mode",
@@ -63,12 +63,14 @@ class FockState(NamedTuple):
     occ: tuple  # sorted tuple of oscillator Modes
 
 
-# Every zero-mode generator maps a basis spinor to one spinor times one of
-# these: index 2 * (imaginary) + (negative) gives +-1/sqrt2, +-i/sqrt2
-CLIFFORD_UNITS = (SqrtTwoScalar(rb=Fraction(1, 2)),
-                  SqrtTwoScalar(rb=Fraction(-1, 2)),
-                  SqrtTwoScalar(ib=Fraction(1, 2)),
-                  SqrtTwoScalar(ib=Fraction(-1, 2)))
+# gamma_z maps a basis spinor to one spinor times one of these units: index
+# 2 * (imaginary) + (negative) gives +-1, +-i
+CLIFFORD_UNITS = (1, -1, 1j, -1j)
+
+# b_z b_z = 1/2, so b_z = gamma_z / sqrt2 (Lawson & Michelsohn, Spin Geometry,
+# 1989, ch. I).  k zero modes in one product are scaled once, by this to the
+# k/2: two give 1/2 exactly, not the 0.5000000000000001 of two rounded 1/sqrt2.
+ZERO_MODE_SQUARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -195,11 +197,11 @@ class SectorConfig:
         return 1 << (len(self.zero_modes) // 2)
 
     def clifford_action(self, gen: int, sigma: int, odd: int = 0):
-        """Action of zero-mode generator #gen on the module: (coeff, sigma').
+        """Action of gamma for zero-mode generator #gen: (unit, sigma').
 
         ``odd`` is 1 when the generator first anticommutes past an odd
-        number of oscillators, which negates the coefficient.  The
-        coefficient is one of ``CLIFFORD_UNITS``, picked by bit parities.
+        number of oscillators, which negates the unit.  The unit is one of
+        ``CLIFFORD_UNITS``, picked by bit parities.
         """
         n_gen = len(self.zero_modes)
         if n_gen % 2 and gen == n_gen - 1:
@@ -207,7 +209,7 @@ class SectorConfig:
         k, r = divmod(gen, 2)
         neg = (sigma & ((1 << k) - 1)).bit_count() + odd
         if r:
-            # -i(a - a^+)/sqrt2: +i/sqrt2 on empty, -i/sqrt2 on occupied
+            # -i(a - a^+): +i on empty, -i on occupied
             neg += (sigma >> k) & 1
         return CLIFFORD_UNITS[2 * r + (neg & 1)], sigma ^ (1 << k)
 
@@ -293,7 +295,7 @@ def accumulate(terms: dict, key, coeff) -> None:
 
 
 class StateVector(dict):
-    """Sparse map FockState -> amplitude (exact scalar or complex)."""
+    """Sparse map FockState -> amplitude (a Python number)."""
 
     add_term = accumulate
 
@@ -305,11 +307,11 @@ class StateVector(dict):
         for s, a in self.items():
             b = other.get(s)
             if b is not None:
-                acc += complex(a).conjugate() * complex(b)
+                acc += a.conjugate() * b
         return acc
 
     def norm2(self) -> float:
-        return sum(abs(complex(a)) ** 2 for a in self.values())
+        return sum(abs(a) ** 2 for a in self.values())
 
 
 def vacuum_states(cfg: SectorConfig) -> list:
@@ -318,7 +320,8 @@ def vacuum_states(cfg: SectorConfig) -> list:
 
 
 def _apply_b(cfg: SectorConfig, mode: Mode, state: FockState):
-    """Apply physical b_mode to a basis state; (coeff, state') or None."""
+    """Apply physical b_mode to a basis state; (coeff, state') or None.
+    A zero mode's coeff is its unit gamma_z, without the 1/sqrt2."""
     kind = cfg.classify(mode)
     occ = state.occ
     if kind == "ann":
@@ -439,14 +442,10 @@ class ModeOperator:
     def _build_groups(self):
         groups: dict = {}
         depth = 0
-        torus = self.cfg.geometry == "torus"
         for key, c in self.terms.items():
-            if (torus and len(key) == 2 and key[0] == key[1]
-                    and self.cfg.classify(key[0]) == "zero"):
-                # b_z b_z = 1/2, exact on the torus's dyadic coefficients,
-                # where two rounded units 1/sqrt2 read 0.5000000000000001;
-                # sphere coefficients carry round-off and keep that product
-                key, c = (), c * Fraction(1, 2)
+            zeros = sum(self.cfg.classify(m) == "zero" for m in key)
+            if zeros:
+                c = c * ZERO_MODE_SQUARE ** (zeros / 2)
             req = self._term_requirement(key)
             depth = max(depth, len(req))
             groups.setdefault(req, []).append((key, c))
@@ -478,10 +477,7 @@ class ModeOperator:
             subsets.update(frozenset(c) for c in itertools.combinations(occ, n))
         for req in subsets:
             for key, coeff in groups.get(req, ()):
-                if key:
-                    self._apply_term(key, coeff, state, out)
-                else:
-                    out.add_term(state, coeff)
+                self._apply_term(key, coeff, state, out)
         return out
 
 
@@ -531,9 +527,9 @@ def enumerate_states(cfg: SectorConfig, max_z2: int, max_particles: int,
 
 
 # The most work one CAR check may take, in ordered mode pairs times basis
-# states.  In-process on a 2-vCPU Intel Xeon a unit costs 3 us without zero
-# modes and up to 110 us with only zero modes (sphere R d=16 l=0, 65,536
-# units, 7.2 s); the README's torus R,R d=3 example (62,694) takes 1.0 s.
+# states.  In-process on a 2-vCPU Intel Xeon a unit costs 2.8 us without
+# zero modes and up to 5 us with only zero modes (sphere R d=16 l=0, 65,536
+# units, 0.33 s); the README's torus R,R d=3 example (62,694) takes 0.2 s.
 MAX_CAR_WORK = 100_000
 
 
@@ -543,8 +539,8 @@ def check_car(cfg: SectorConfig) -> float:
     Every ordered mode pair of the sector is checked on the states of
     doubled z-level <= 2 max(1, d // 2) with at most two particles: b_y and
     then b_x, and b_x and then b_y, are applied to each state in turn, so
-    two zero modes meet as two Clifford units.  With exact integer cutoff
-    data the residual is exactly zero; any nonzero return signals a sign or
+    two zero modes meet as two Clifford units, scaled once as a pair.  The
+    residual is exactly zero; any nonzero return signals a sign or
     normalisation error in the fermionic bookkeeping.  A check of more than
     MAX_CAR_WORK pairs times states raises ValueError.
     """
@@ -561,18 +557,20 @@ def check_car(cfg: SectorConfig) -> float:
                          f"{work} mode pairs times states, above the limit of "
                          f"{MAX_CAR_WORK}")
     modes = cfg.all_modes()
+    zero = [cfg.classify(mode) == "zero" for mode in modes]
     worst = 0.0
     for state in basis:
         images = [_apply_b(cfg, mode, state) for mode in modes]
-        for x, bx in zip(modes, images):
-            for y, by in zip(modes, images):
+        for x, zx, bx in zip(modes, zero, images):
+            for y, zy, by in zip(modes, zero, images):
+                scale = ZERO_MODE_SQUARE ** ((zx + zy) / 2)
                 out = StateVector()
                 for mode, image in ((x, by), (y, bx)):
                     res = image and _apply_b(cfg, mode, image[1])
                     if res:
-                        out.add_term(res[1], image[0] * res[0])
+                        out.add_term(res[1], scale * image[0] * res[0])
                 out.add_term(state, -cfg.car_pairing(x, y))
-                worst = max([worst, *(abs(complex(a)) for a in out.values())])
+                worst = max([worst, *map(abs, out.values())])
     return worst
 
 

@@ -1,9 +1,11 @@
 """Exact scalar arithmetic over the ring Q(i, sqrt2).
 
-Fock-space matrix elements of the mode operators only ever involve rational
-numbers, factors of i from the paired zero-mode construction, and factors of
-1/sqrt(2) from self-conjugate modes.  Keeping these exact makes the canonical
-anticommutator checks return residual 0 rather than 1e-16.
+No km2d module imports this one.  The Fock layer applies each zero mode as
+a Clifford unit +-1, +-i and scales a product of zero modes once by its
+1/sqrt2 factors (``fock.ZERO_MODE_SQUARE``), so two zero modes give an exact
+1/2 in complex128 without an exact scalar type.  The module stays only because
+perfbench/tracer.py wraps ``SqrtTwoScalar.__mul__``, ``__rmul__`` and
+``scalar_mul`` by name; it goes when the benchmark stops naming them.
 """
 
 from __future__ import annotations

@@ -58,9 +58,9 @@ import numpy as np
 
 from .currents import (_check_coverage, lam_constant, sphere_L, sphere_T,
                        torus_L, torus_T)
-from .fock import (FockState, ModeOperator, SectorConfig, _apply_b,
-                   accumulate, enumerate_states, render_state, torus_sector,
-                   vacuum_states)
+from .fock import (ZERO_MODE_SQUARE, FockState, ModeOperator, SectorConfig,
+                   _apply_b, accumulate, enumerate_states, render_state,
+                   torus_sector, vacuum_states)
 from .halfints import fmt_half, to_doubled
 from .harmonics import StructureTable, legendre_Q, quadrature
 from .lie_core import LieAlgebraRep
@@ -724,9 +724,9 @@ class _Engine:
         acts = np.where(kind == "ann", held, (kind != "cre") | ~held[:, conj])
         self.zero = kind == "zero"
         # per mode: the probes it acts on, and the squared amplitude it
-        # leaves there, 1/2 for a zero mode (Clifford unit 1/sqrt2)
+        # leaves there, ZERO_MODE_SQUARE for a zero mode (b_z = gamma_z/sqrt2)
         self.acts = acts.T.copy()
-        self.weight = np.where(self.zero, 0.5, 1.0)
+        self.weight = np.where(self.zero, ZERO_MODE_SQUARE, 1.0)
         # a zero-mode bilinear acts on the spinor alone: the signs its two
         # modes take past the oscillators cancel
         self.sigmas = [p.sigma for p in probes]
@@ -1070,14 +1070,14 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         out = D.apply_state(probe)
         diag = out.pop(probe, 0)
         for s, amp in out.items():
-            mag = abs(complex(amp))
+            mag = abs(amp)
             if mag > residual:
                 residual = mag
                 worst_state = s
         if zero_tot:
-            diags.append(complex(diag))
+            diags.append(diag)
         else:
-            residual = max(residual, abs(complex(diag)))
+            residual = max(residual, abs(diag))
         if w_op is not None:
             wp = w_op.apply_state(probe)
             out.add_term(probe, diag)
@@ -1097,7 +1097,7 @@ def _bracket_job(alg, family, a, b, mode1, mode2, probes, tol,
         # the vacuum value of every term: on the spinors 0 and last the zero
         # modes' diagonal bilinears cancel, as in the multiplet's trace
         vacua = vacuum_states(alg.cfg)
-        raw_central = sum(complex(full.apply_state(v).get(v, 0)).real
+        raw_central = sum(full.apply_state(v).get(v, 0).real
                           for v in (vacua[0], vacua[-1])) / 2
     return _result(alg, family, a, b, mode1, mode2,
                    alg.rhs_terms(family, a, b, mode1, mode2), residual,
@@ -1146,6 +1146,11 @@ def _rhs_label(alg, rhs) -> str:
 # machine, most of it the report.
 MAX_SWEEP_BRACKETS = 100_000
 
+# The most modes one sector may hold: torus --max-mode 0 --window 0,0,0 at
+# cutoffs 3333/2, 9/2 (100,020 modes) takes 0.9 s at a 64 MB peak on the same
+# machine, 20001/2 (600,060) 3.9 s at 210 MB; each sector lists its modes.
+MAX_SECTOR_MODES = 100_000
+
 # The most oscillator combinations times spinor labels one window may list:
 # so4-adjoint --max-mode 0 --window 5/2,9/2,3 at cutoffs 9/2 (972,151) takes
 # 1.9 s at a 221 MB peak on the same machine.
@@ -1158,14 +1163,18 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
 
     Sweeps all pairs of the adapter's mode grid of the given size for the
     three bracket families, measures the regulated central charges, and
-    refits the [L, T] coefficient independently.  A sweep of more than
-    MAX_SWEEP_BRACKETS brackets, or a window whose listing scans more than
-    MAX_PROBE_SCAN combinations, raises ValueError.
+    refits the [L, T] coefficient independently.  A sector of more than
+    MAX_SECTOR_MODES modes, a sweep of more than MAX_SWEEP_BRACKETS
+    brackets, or a window whose listing scans more than MAX_PROBE_SCAN
+    combinations, raises ValueError.
     """
     modes = alg.modes(size)
     if not modes:
         raise ValueError(f"empty bracket sweep at size {size}")
     cfg, rep = alg.cfg, alg.rep
+    if cfg.mode_count() > MAX_SECTOR_MODES:
+        raise ValueError(f"sector {cfg.describe()} holds {cfg.mode_count()} "
+                         f"modes, above the limit of {MAX_SECTOR_MODES}")
     # every mode of a probe is on its own a probe of the same window, so the
     # window of at most one particle has the full window's reach, and is
     # empty with it: the checks below run before the full window is built

@@ -19,10 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from km2d.currents import torus_L, torus_T
-from km2d.fock import ModeOperator, StateVector, vacuum_states
+from km2d.fock import ZERO_MODE_SQUARE, ModeOperator, _apply_b, vacuum_states
 from km2d.harmonics import legendre_Q, quadrature
 from km2d.regulator import HeatSum, solve_a_m
-from km2d.scalars import SqrtTwoScalar
 from km2d.verifier import _bracket_job, _certify, measure_central
 
 __all__ = [
@@ -37,8 +36,6 @@ __all__ = [
     "delta_partial_residual",
     "structure_csv",
     "measure_virasoro_shape",
-    "exact_operator",
-    "apply_vector",
     "torus_pair",
     "vacuum_sandwich",
     "fock_sweep",
@@ -227,25 +224,28 @@ def measure_virasoro_shape(cfg, rep, ms=(1, 2, 3), method: str = "analytic",
     return out
 
 
-def exact_operator(op: ModeOperator) -> ModeOperator:
-    """The same operator with each dyadic float coefficient as an exact scalar.
+def _routes(op, state):
+    """(state', zero modes, amplitude) of each term of op that maps the basis
+    state to a basis state, with the Clifford units left unscaled."""
+    cfg = op.cfg
+    for key, amp in op.terms.items():
+        image = state
+        for mode in reversed(key):
+            res = _apply_b(cfg, mode, image)
+            if res is None:
+                break
+            amp, image = amp * res[0], res[1]
+        else:
+            yield image, sum(cfg.classify(m) == "zero" for m in key), amp
 
-    Every eps = 0 torus coefficient is a dyadic rational, so the conversion
-    is exact, and products with the Clifford units stay exact too.
-    """
-    return ModeOperator(op.cfg, {
-        key: SqrtTwoScalar(ra=Fraction(complex(c).real),
-                           ia=Fraction(complex(c).imag))
-        for key, c in op.terms.items()})
 
-
-def apply_vector(op: ModeOperator, sv: StateVector) -> StateVector:
-    """Image of a state vector, one basis state at a time."""
-    out = StateVector()
-    for state, amp in sv.items():
-        for s, c in op.apply_state(state).items():
-            out.add_term(s, c * amp)
-    return out
+def _expectation(ops, vac):
+    """<vac| X_1 ... X_n |vac>, each route's zero modes scaled once."""
+    routes = [(vac, 0, 1)]
+    for op in reversed(ops):
+        routes = [(s, k + j, a * b) for t, k, a in routes
+                  for s, j, b in _routes(op, t)]
+    return sum(a * ZERO_MODE_SQUARE ** (k / 2) for s, k, a in routes if s == vac)
 
 
 def vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs, cfg):
@@ -253,18 +253,17 @@ def vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs, cfg):
 
     The Fock-space oracle of ``verifier._vacuum_trace``: it applies the
     operators to the vacuum multiplet instead of tracing their one-particle
-    coefficients.
+    coefficients.  Each route through the terms of A B, B A or rhs is scaled
+    once by its zero modes' 1/sqrt2, so at eps = 0 every torus value is a
+    sum of exact dyadic products.
     """
     vals = []
     vacs = vacuum_states(cfg)
     sample = vacs if len(vacs) <= 4 else vacs[:1]
     for vac in sample:
-        xB = B.apply_state(vac)
-        xA = A.apply_state(vac)
-        t1 = apply_vector(A, xB).get(vac, 0)
-        t2 = apply_vector(B, xA).get(vac, 0)
-        r = rhs.apply_state(vac).get(vac, 0) if rhs is not None else 0
-        vals.append(complex(t1) - complex(t2) - complex(r))
+        r = _expectation([rhs], vac) if rhs is not None else 0
+        vals.append(complex(_expectation([A, B], vac)
+                            - _expectation([B, A], vac) - r))
     spread = max(abs(v - vals[0]) for v in vals)
     if spread > 1e-10:
         raise AssertionError(f"central value varies across the vacuum "
@@ -275,12 +274,8 @@ def vacuum_sandwich(A: ModeOperator, B: ModeOperator, rhs, cfg):
 
 
 def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
-               eps: float = 0.0, exact: bool = False):
-    """Fock operators X_{m,p}, X_{-m,-p} and the operator part of their bracket.
-
-    With exact=True (eps = 0 only) the coefficients are exact scalars, so a
-    vacuum sandwich of the three is exact.
-    """
+               eps: float = 0.0):
+    """Fock operators X_{m,p}, X_{-m,-p} and the operator part of their bracket."""
     if family == "TT":
         A = torus_T(rep, a, m, p, cfg, eps)
         B = torus_T(rep, b, -m, -p, cfg, eps)
@@ -297,9 +292,6 @@ def torus_pair(family: str, rep, a: int, b: int, m: int, p: int, cfg,
         rhs = torus_L(0, 0, cfg, eps).scaled(2 * m) if m else None
     else:
         raise ValueError("central terms exist for TT and LL only")
-    if exact:
-        A, B = exact_operator(A), exact_operator(B)
-        rhs = exact_operator(rhs) if rhs is not None else None
     return A, B, rhs
 
 

@@ -527,10 +527,13 @@ def test_window_guard_fails_before_the_window_is_enumerated():
       "--cutoff-p", "2"], b"1428750 mode pairs times states"),
     (["verify-torus", "--max-mode", "0", "--window", "9/2,9/2,4"],
      b"scans 20822901 combinations"),
-], ids=["car-check", "window"])
+    (["verify-torus", "--max-mode", "0", "--cutoff-m", "20001/2",
+      "--window", "0,0,0"], b"holds 600060 modes, above the limit of 100000"),
+], ids=["car-check", "window", "sector"])
 def test_oversized_work_is_refused_before_it_is_listed(args, message):
-    # a car-check above fock.MAX_CAR_WORK and a window that passes the guard
-    # but scans above verifier.MAX_PROBE_SCAN exit at once
+    # a car-check above fock.MAX_CAR_WORK, a window that passes the guard
+    # but scans above verifier.MAX_PROBE_SCAN, and a sector of more than
+    # verifier.MAX_SECTOR_MODES modes exit at once
     proc = _km2d(args, subprocess.PIPE)
     try:
         stdout, stderr = proc.communicate(timeout=20)

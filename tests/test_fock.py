@@ -17,10 +17,8 @@ from km2d.fock import (
     vacuum_states,
 )
 from km2d.halfints import lattice_range
-from km2d.scalars import SqrtTwoScalar
 
 H = Fraction(1, 2)
-HALF_SQRT2 = SqrtTwoScalar(rb=H)     # sqrt2/2 == 1/sqrt2
 
 
 def anticommutator(cfg, x, y):
@@ -74,9 +72,10 @@ def test_car_sphere_exact():
                                  sphere_sector("R", 1, 2)],
                          ids=["torus-RR", "sphere-R"])
 def test_car_catches_wrongly_normalised_zero_modes(cfg, monkeypatch):
-    # units of modulus 1 square to 1, so {b_z, b_z} reads 2 against 1; the
-    # check applies each b in turn, so two zero modes meet as two units
-    monkeypatch.setattr(fock, "CLIFFORD_UNITS", (1, -1, 1j, -1j))
+    # a zero mode left as gamma_z, without its 1/sqrt2, squares to 1, so
+    # {b_z, b_z} reads 2 against 1; the check applies each b in turn and
+    # scales the pair once, so it sees the normalisation, not a rule
+    monkeypatch.setattr(fock, "ZERO_MODE_SQUARE", 1)
     assert check_car(cfg) == 1.0
 
 
@@ -134,14 +133,14 @@ def test_car_zero_modes():
 
 
 def test_zero_mode_square_is_exactly_half():
-    # on the torus b_z b_z is applied as 1/2: a float coefficient halves
-    # exactly, where two rounded units 1/sqrt2 read 0.5000000000000001
-    cfg = torus_sector("R", "R", 3, 1, 1)
-    for s in enumerate_states(cfg, max_z2=2, max_particles=2):
-        for i in (1, 2, 3):
-            z = Mode(i, 0, 0, 0)
-            out = ModeOperator(cfg, {(z, z): 1.0}).apply_state(s)
-            assert dict(out) == {s: 0.5}
+    # b_z b_z is gamma_z^2 = 1 scaled once by 1/2: a float coefficient halves
+    # exactly on both geometries, where two rounded factors 1/sqrt2 read
+    # 0.5000000000000001; sphere R's three zero modes include the unpaired one
+    for cfg in (torus_sector("R", "R", 3, 1, 1), sphere_sector("R", 1, 2)):
+        for s in enumerate_states(cfg, max_z2=2, max_particles=2):
+            for z in cfg.zero_modes:
+                out = ModeOperator(cfg, {(z, z): 1.0}).apply_state(s)
+                assert dict(out) == {s: 0.5}
 
 
 def test_car_sphere_twist():
@@ -203,9 +202,10 @@ def test_clifford_generators_anticommute_exactly(cfg):
                     cy, mid = cfg.clifford_action(y, sigma)
                     cx, end = cfg.clifford_action(x, mid)
                     product = cx * cy
-                    assert type(product) is SqrtTwoScalar
+                    assert product in fock.CLIFFORD_UNITS
                     accumulate(out, end, product)
-                assert out == ({sigma: 1} if a == b else {})
+                # gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab
+                assert out == ({sigma: 2} if a == b else {})
 
 
 @pytest.mark.parametrize("cfg", CLIFFORD_SECTORS.values(),
@@ -214,28 +214,29 @@ def test_clifford_odd_occupancy_negates_exactly(cfg):
     osc = cfg.oscillator_modes()[0]
     for sigma in _spinor_sample(cfg):
         for gen, mode in enumerate(cfg.zero_modes):
-            coeff, target = cfg.clifford_action(gen, sigma)
-            assert cfg.clifford_action(gen, sigma, 1) == (-1 * coeff, target)
+            unit, target = cfg.clifford_action(gen, sigma)
+            assert cfg.clifford_action(gen, sigma, 1) == (-unit, target)
             # b_mode anticommutes past the one occupied oscillator
             b = ModeOperator(cfg, {(mode,): 1})
             out = b.apply_state(FockState(sigma, (osc,)))
-            assert dict(out) == {FockState(target, (osc,)): -1 * coeff}
+            assert dict(out) == {
+                FockState(target, (osc,)): fock.ZERO_MODE_SQUARE ** 0.5 * -unit}
 
 
 def test_clifford_action_convention():
-    # gamma_2k = (a_k + a_k^+)/sqrt2 and gamma_2k+1 = -i(a_k - a_k^+)/sqrt2
-    # behind the Jordan-Wigner string; the unpaired last generator is
-    # +1/sqrt2 times the parity of the spinor label
+    # gamma_2k = a_k + a_k^+ and gamma_2k+1 = -i(a_k - a_k^+) behind the
+    # Jordan-Wigner string; the unpaired last generator is the parity of
+    # the spinor label.  The units are exact: no 1/sqrt2 rides on them
     cfg = CLIFFORD_SECTORS["sphere-R-d3-l6"]
-    i_sqrt2 = SqrtTwoScalar(ib=H)
+    assert fock.CLIFFORD_UNITS == (1, -1, 1j, -1j)
     for k in range(10):
-        assert cfg.clifford_action(2 * k, 0) == (HALF_SQRT2, 1 << k)
-        assert cfg.clifford_action(2 * k + 1, 0) == (i_sqrt2, 1 << k)
-        assert cfg.clifford_action(2 * k + 1, 1 << k) == (-1 * i_sqrt2, 0)
-    assert cfg.clifford_action(2, 1) == (-1 * HALF_SQRT2, 3)
+        assert cfg.clifford_action(2 * k, 0) == (1, 1 << k)
+        assert cfg.clifford_action(2 * k + 1, 0) == (1j, 1 << k)
+        assert cfg.clifford_action(2 * k + 1, 1 << k) == (-1j, 0)
+    assert cfg.clifford_action(2, 1) == (-1, 3)
     for sigma in (0, 1, 3, 7, 1023):
         sign = -1 if bin(sigma).count("1") % 2 else 1
-        assert cfg.clifford_action(20, sigma) == (sign * HALF_SQRT2, sigma)
+        assert cfg.clifford_action(20, sigma) == (sign, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every command runs on numpy alone: with scipy blocked from import, each
+"""Every command runs on numpy alone and without the exact Q(i, sqrt2)
+scalars: with scipy and ``km2d.scalars`` blocked from import, each
 subcommand keeps its exit code, the NS runs their unresolved-prescription
 message included.
 """
@@ -13,6 +14,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 WITHOUT_SCIPY = r"""
 import contextlib, io, json, os, sys
 sys.modules["scipy"] = None             # any scipy import raises ImportError
+sys.modules["km2d.scalars"] = None      # and so does the exact scalar type
 from km2d.cli import main
 
 steps = []

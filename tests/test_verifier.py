@@ -524,12 +524,12 @@ def test_one_particle_window_has_the_full_reach(sectors, cut1, cut2, w_z2,
 @example(bracket=(torus_sector("NS", "NS", 3, 5 * H, 3 * H), Window(3, 3, 2),
                   "TT", 2, 2, (1, -1), (-1, 1)))
 # an R,R zero-total bracket whose zero-mode squares read 1.1e-16 when applied
-# as two rounded units 1/sqrt2
+# as two rounded factors 1/sqrt2
 @example(bracket=(torus_sector("R", "R", 3, 2, 1), Window(1, 3, 2),
                   "LL", None, None, (-1, 0), (1, 0)))
 def test_guard_accepts_only_exact_brackets(so3, bracket):
     # whenever the guard accepts, truncation leaves no residual, also with
-    # Clifford zero modes, whose squares the Fock path applies as exactly 1/2
+    # Clifford zero modes, whose 1/sqrt2 the Fock path applies once per term
     from km2d.verifier import TorusAlgebra, _bracket_job, _probe_reach
 
     cfg, window, family, a, b, mode1, mode2 = bracket
@@ -912,8 +912,8 @@ def test_passing_torus_sweep_never_takes_the_fock_path(so3, nsns,
 def test_rr_zero_total_diagonal_is_exact(so3):
     # the engine reads the diagonal as the vacuum trace, exactly -3/4 with
     # residual 0.0; so does the Fock path, which applies the zero modes'
-    # squares as 1/2 (two rounded units 1/sqrt2 read -0.7500000000000001 on
-    # some of the 8 probes)
+    # squares as 1/2 (two rounded factors 1/sqrt2 read -0.7500000000000001
+    # on some of the 8 probes)
     from km2d.verifier import _bracket_job
 
     cfg = torus_sector("R", "R", 3, 2, 1)
@@ -1007,7 +1007,7 @@ def test_vacuum_trace_matches_fock_sandwich(so3, central, eps):
     trace = _value_or_error(
         lambda: _vacuum_trace(family, so3, a, b, m, p, cfg, eps))
     fock = _value_or_error(lambda: vacuum_sandwich(
-        *torus_pair(family, so3, a, b, m, p, cfg, eps, exact=eps == 0), cfg))
+        *torus_pair(family, so3, a, b, m, p, cfg, eps), cfg))
     if eps == 0.0:
         raw = _value_or_error(lambda: measure_central(
             family, m, rep=so3, cfg=cfg, a=a, b=b, p=p, method="raw"))
