@@ -204,14 +204,14 @@ def _apply_config_file(argv: list) -> list:
     rest = argv[:i] + argv[i + 2:]
     extra = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
                 extra += [f"--{key.strip()}", value.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read config {path}: {exc}\n")
         sys.exit(EXIT_USAGE)
     return rest[:1] + extra + rest[1:]

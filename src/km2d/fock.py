@@ -424,32 +424,15 @@ class ModeOperator:
 
     # -- application -------------------------------------------------------
 
-    def _term_requirement(self, key):
-        """Oscillators the term annihilates that it did not create itself."""
-        cfg = self.cfg
-        required, created = set(), set()
-        for mode in reversed(key):
-            kind = cfg.classify(mode)
-            if kind == "ann":
-                if mode in created:
-                    created.discard(mode)
-                else:
-                    required.add(mode)
-            elif kind == "cre":
-                created.add(cfg.conj(mode))
-        return frozenset(required)
-
     def _build_groups(self):
-        groups: dict = {}
-        depth = 0
+        # the (key, coeff) pairs apply_state runs, built once per operator;
+        # a product of k zero modes is scaled by ZERO_MODE_SQUARE ** (k / 2)
+        self._groups = []
         for key, c in self.terms.items():
             zeros = sum(self.cfg.classify(m) == "zero" for m in key)
             if zeros:
                 c = c * ZERO_MODE_SQUARE ** (zeros / 2)
-            req = self._term_requirement(key)
-            depth = max(depth, len(req))
-            groups.setdefault(req, []).append((key, c))
-        self._groups = (groups, depth)
+            self._groups.append((key, c))
         return self._groups
 
     def _apply_term(self, key, coeff, state: FockState, out: StateVector):
@@ -465,19 +448,15 @@ class ModeOperator:
     def apply_state(self, state: FockState) -> StateVector:
         """Image of a basis state on the truncated space.
 
-        Only terms whose annihilated oscillators are all occupied in the
-        state are tried.  Which terms may be compared with the untruncated
-        algebra is the caller's decision (see ``verifier``).
+        Every term is applied in turn, right to left; a term whose
+        annihilator finds its oscillator empty, or whose creator finds it
+        full, yields nothing.  Which terms may be compared with the
+        untruncated algebra is the caller's decision (see ``verifier``).
         """
-        groups, depth = self._groups or self._build_groups()
+        terms = self._build_groups() if self._groups is None else self._groups
         out = StateVector()
-        occ = state.occ
-        subsets = {frozenset()}
-        for n in range(1, min(depth, len(occ)) + 1):
-            subsets.update(frozenset(c) for c in itertools.combinations(occ, n))
-        for req in subsets:
-            for key, coeff in groups.get(req, ()):
-                self._apply_term(key, coeff, state, out)
+        for key, coeff in terms:
+            self._apply_term(key, coeff, state, out)
         return out
 
 

@@ -1156,6 +1156,12 @@ MAX_SECTOR_MODES = 100_000
 # 1.9 s at a 221 MB peak on the same machine.
 MAX_PROBE_SCAN = 1_000_000
 
+# The most probes times modes one window may hold, the shape of the engine's
+# boolean arrays: --max-mode 0 --cutoff-m 93/2 --window 23/2,9/2,2 (21,115 x
+# 2,820 = 59,544,300; the window above holds 59,182,200) takes 1.2-1.5 s at a
+# 205 MB peak on the same machine, 1001/2 (634,716,900) 18.7 s at 1.86 GB.
+MAX_ENGINE_CELLS = 60_000_000
+
 
 def _certify(alg, window: Window, size: int, tol: float, central_method: str,
              central_tol: float) -> CommutatorReport:
@@ -1165,8 +1171,9 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     three bracket families, measures the regulated central charges, and
     refits the [L, T] coefficient independently.  A sector of more than
     MAX_SECTOR_MODES modes, a sweep of more than MAX_SWEEP_BRACKETS
-    brackets, or a window whose listing scans more than MAX_PROBE_SCAN
-    combinations, raises ValueError.
+    brackets, a window whose listing scans more than MAX_PROBE_SCAN
+    combinations, or probes times modes above MAX_ENGINE_CELLS, raises
+    ValueError.
     """
     modes = alg.modes(size)
     if not modes:
@@ -1222,7 +1229,13 @@ def _certify(alg, window: Window, size: int, tol: float, central_method: str,
     charges, charge_pairs = alg.charges(central_lookup)
     report = CommutatorReport(d=cfg.d, rep=rep.name, window=window.describe(),
                               tol=tol, charges=charges, **alg.header())
-    engine = alg.engine(probe_states(cfg, window))
+    probes = probe_states(cfg, window)
+    cells = len(probes) * cfg.mode_count()
+    if cells > MAX_ENGINE_CELLS:
+        raise ValueError(f"window {window.describe()} holds {len(probes)} "
+                         f"probes times {cfg.mode_count()} modes = {cells}, "
+                         f"above the limit of {MAX_ENGINE_CELLS}")
+    engine = alg.engine(probes)
     report.brackets = [res for family, a, b, group in groups for res in
                        engine.jobs(family, a, b, group, tol, central_lookup,
                                    central_tol)]

@@ -234,6 +234,19 @@ def test_config_file_merged_under_flags(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe"],
+                         ids=["missing", "not-utf8"])
+def test_unreadable_config_exits_one(tmp_path, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    proc = _km2d(["verify-torus", "--config", str(cfg)], subprocess.PIPE)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and stdout == b""
+    _assert_one_error_line(stderr)
+    assert stderr.startswith(b"error: cannot read config ")
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "km2d.cli", "regularization"],
                           capture_output=True, text=True)
@@ -529,11 +542,14 @@ def test_window_guard_fails_before_the_window_is_enumerated():
      b"scans 20822901 combinations"),
     (["verify-torus", "--max-mode", "0", "--cutoff-m", "20001/2",
       "--window", "0,0,0"], b"holds 600060 modes, above the limit of 100000"),
-], ids=["car-check", "window", "sector"])
+    (["verify-torus", "--max-mode", "0", "--cutoff-m", "1001/2",
+      "--window", "23/2,9/2,2"], b"holds 21115 probes times 30060 modes"),
+], ids=["car-check", "window", "sector", "engine"])
 def test_oversized_work_is_refused_before_it_is_listed(args, message):
     # a car-check above fock.MAX_CAR_WORK, a window that passes the guard
-    # but scans above verifier.MAX_PROBE_SCAN, and a sector of more than
-    # verifier.MAX_SECTOR_MODES modes exit at once
+    # but scans above verifier.MAX_PROBE_SCAN, a sector of more than
+    # verifier.MAX_SECTOR_MODES modes, and probes times modes above
+    # verifier.MAX_ENGINE_CELLS exit at once
     proc = _km2d(args, subprocess.PIPE)
     try:
         stdout, stderr = proc.communicate(timeout=20)

@@ -956,6 +956,19 @@ def test_probe_scan_limit_counts_the_combinations(so3, nsns, table8,
                                  Window.of(1, 1, 2), max_l=2)
 
 
+def test_engine_cell_limit_counts_probes_times_modes(so3, nsns,
+                                                     monkeypatch):
+    # the default torus window holds 22 probes of a 300-mode sector
+    import km2d.verifier as verifier
+
+    monkeypatch.setattr(verifier, "MAX_ENGINE_CELLS", 6599)
+    with pytest.raises(ValueError, match="22 probes times 300 modes = 6600"):
+        check_torus_algebra(nsns, so3, Window.of(1, 1, 2), max_mode=2)
+    monkeypatch.setattr(verifier, "MAX_ENGINE_CELLS", 6600)
+    assert check_torus_algebra(nsns, so3, Window.of(1, 1, 2),
+                               max_mode=2).passed
+
+
 def test_window_without_probes_is_rejected(so3, nsns):
     # a negative bound admits no probe state, which would certify nothing
     assert probe_states(nsns, Window(-2, 2, 2)) == []
