@@ -134,15 +134,13 @@ class _OrbitIndex:
 
     def rows(self):
         """Per row r1, one ``repeat`` of ``table[:, r1]``: its entries' slice,
-        rows r2, degrees l3, head flags and heads' positions and numbers."""
+        rows r2, degrees l3, and heads' positions and numbers."""
         for r1, n in enumerate(self.count):
             start, first, orbit, lo = np.repeat(self.table[:, r1], n, axis=1)
             r2 = np.repeat(np.arange(len(n)), n)
-            own = np.arange(start[0], start[0] + len(r2))
-            k = own - start
-            head = first + k
-            yield (r1, slice(own[0], own[-1] + 1), r2, lo + 2 * k,
-                   head == own, head, orbit + k)
+            k = np.arange(len(r2)) + (start[0] - start)
+            yield (r1, slice(start[0], start[0] + len(r2)), r2, lo + 2 * k,
+                   first + k, orbit + k)
 
 
 # 10^(16 - e) for the decimal exponents e = -4..-1 of the numpy path, exact
@@ -161,7 +159,10 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     it rounds to the same integer unless its fraction lies within 2^-7 of
     one half.  Those, products outside (10^16, 10^17 - 1), other
     magnitudes, and platforms without the extended type take Python's
-    ``%`` operator.
+    ``%`` operator.  The integer splits into int32 halves of 8 and 9
+    digits, and the digit loop, the last digit first, works in place on
+    them: ``floor_divide`` by 10 (numpy divides int32 by a scalar fast
+    there, not in ``divmod``) and a multiply-subtract for the digit.
     """
     a = abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -177,11 +178,20 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     out[:, 0] = np.signbit(x) * ord("-")
     out[:, 1], out[:, 2] = ord("0"), ord(".")
     out[:, 3:6] = (np.arange(3) < -1 - e[:, None]) * ord("0")
+    high, low = (h.astype(np.int32) for h in np.divmod(n, 10 ** 9))
+    digit, quot = np.empty_like(low), np.empty_like(low)
     nonzero = np.zeros(len(x), bool)
     for col in range(22, 5, -1):            # the last digit first
-        n, digit = np.divmod(n, 10)
-        nonzero |= digit != 0
-        out[:, col] = nonzero * (digit + ord("0"))
+        if col == 13:                       # the 8 digits of the upper half
+            low = high
+        np.floor_divide(low, 10, out=quot)
+        np.multiply(quot, -10, out=digit)
+        digit += low                        # low % 10
+        low, quot = quot, low
+        np.logical_or(nonzero, digit, out=nonzero)
+        digit += ord("0")
+        digit *= nonzero
+        out[:, col] = digit
     out[:, 23] = ord("\n")
     text = out.view("S25").ravel()
     slow = np.flatnonzero(~fast)
@@ -257,7 +267,7 @@ class StructureTable:
                            ("lm3", lm3.dtype), ("value", text.dtype)])
         bits = self.values.view(np.int64)
         fh.write(b"l1,m1,l2,m2,l3,m3,value\n")
-        for r1, block, r2, l3, _, head, orbit in index.rows():
+        for r1, block, r2, l3, head, orbit in index.rows():
             if not np.array_equal(bits[block], bits[head]):
                 raise ValueError(f"structure table row ({ls[r1]}, {ms[r1]}) "
                                  f"differs from its swap or mirror image")
@@ -270,7 +280,8 @@ class StructureTable:
 
 
 # structure-constants --lmax 32 has 8,958,473 entries (growing as L^5): its
-# CSV takes 2.5-3.0 s at a 202 MB peak on 2 vCPUs; int8 keys need l <= 127
+# table builds in 0.40-0.45 s and its CSV takes 2.0-2.7 s in all, at a 199 MB
+# peak, in one process on 2 vCPUs; int8 keys need l <= 127
 MAX_TABLE_DEGREE = 32
 
 
@@ -280,12 +291,16 @@ def structure_table(L_max: int) -> StructureTable:
 
     Each row of the orbit index lists its entries in lexicographic key
     order; the build fills their values only, and the table keeps the index.
-    Its orbit heads take their values in one ``vecdot`` over the rows of
-    ``q``: one ``ddot`` per entry, bit-identical to ``np.dot``.  Every other
-    entry copies its head's value in one gather: c(l1,m1,l2,m2,l3) =
-    c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly, since q1 * q2 commutes
-    in IEEE arithmetic and Q_{l,-m} = (-1)^m Q_{lm}.  A degree outside
-    0..MAX_TABLE_DEGREE raises ValueError before anything is allocated.
+    The head blocks (a block that is the earliest image of its orbit) are
+    taken by block length k, in chunks of about 2^13 entries: each block
+    forms p = q1 * q2 * weights once, and one ``vecdot`` of p against the
+    block's k rows q3 gives its values, one ``ddot`` per entry,
+    bit-identical to ``np.dot``.  Every other entry copies its head's value,
+    at its own position plus first - start, in one gather per 16 rows:
+    c(l1,m1,l2,m2,l3) = c(l2,m2,l1,m1,l3) = c(l1,-m1,l2,-m2,l3) exactly,
+    since q1 * q2 commutes in IEEE arithmetic and Q_{l,-m} = (-1)^m Q_{lm}.
+    A degree outside 0..MAX_TABLE_DEGREE raises ValueError before anything
+    is allocated.
     """
     if not 0 <= L_max <= MAX_TABLE_DEGREE:
         raise ValueError(f"structure table degree {L_max} is not in "
@@ -294,11 +309,23 @@ def structure_table(L_max: int) -> StructureTable:
     index = _OrbitIndex(L_max)
     ms, q = index.ms, _legendre_table(L_max, nodes)
     values = np.empty(index.size)
-    for r1, block, r2, l3, new, head, _ in index.rows():
-        r2, l3 = r2[new], l3[new]
-        r3 = l3 * l3 + l3 + ms[r1] + ms[r2]
-        values[block][new] = 0.5 * np.vecdot(q[r1] * q[r2] * weights, q[r3])
-        values[block] = values[head]
+    r1, r2 = np.nonzero((index.first == index.start) & (index.count > 0))
+    length = index.count[r1, r2]
+    for k in range(1, int(length.max()) + 1):    # head blocks of k entries
+        of_k, step = np.flatnonzero(length == k), (1 << 13) // k
+        for i in range(0, len(of_k), step):
+            a, b = r1[of_k[i:i + step]], r2[of_k[i:i + step]]
+            l3 = index.lo[a, b][:, None] + 2 * np.arange(k)
+            r3 = l3 * l3 + l3 + (ms[a] + ms[b])[:, None]
+            p = q[a] * q[b] * weights
+            at = index.start[a, b][:, None] + np.arange(k)
+            values[at] = 0.5 * np.vecdot(p[:, None], q[r3])
+    for i in range(0, len(q), 16):              # the rest, 16 rows at a time
+        at, rows = index.start[i, 0], slice(i, i + 16)
+        src = np.repeat((index.first[rows] - index.start[rows]).ravel(),
+                        index.count[rows].ravel())
+        src += np.arange(at, at + len(src), dtype=np.int32)
+        values[at:at + len(src)] = values[src]
     table = StructureTable(L_max, values)
     table.index = index
     return table

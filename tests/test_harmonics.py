@@ -205,8 +205,14 @@ def test_format_17g_matches_python():
     x[::2] *= -1
     edges = np.array([0.0, -0.0, 1.0, 0.1, 1e-4, 1e-5, 0.5, 5e-324,
                       1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    # the 17 digits come from int32 halves of 8 and 9 digits: digits that
+    # end at either half, or zeros on both sides of the 10^9 boundary, in
+    # each decade of the numpy path
+    split = np.array([v * 10.0 ** -p for p in range(4)
+                      for v in (0.5, 0.25, 0.12345678, 0.123456789,
+                                0.1000000001, 0.10000000010000001)])
     x = np.concatenate([x, edges, np.nextafter(edges, 0),
-                        np.nextafter(edges, 1)])
+                        np.nextafter(edges, 1), split, -split])
     got = harmonics._format_17g(x).tobytes().translate(None, b"\0")
     assert got == ("%.17g\n" * len(x) % tuple(x.tolist())).encode()
 
@@ -273,6 +279,38 @@ def test_structure_mirror_rows_match_per_entry_oracle():
                 * weights)
         assert value == 0.5 * float(np.dot(prod, legendre_Q(l3, m1 + m2,
                                                             nodes)))
+
+
+def test_grouped_build_matches_per_entry_oracle():
+    # at L = 24 the build takes head blocks of every length k = 1..13 in
+    # groups; a sample of heads of each length, and the swap and mirror
+    # images copied from them, each against its own per-entry quadrature
+    # sum, bit for bit.  The keys come from the selection rules, not the
+    # index.
+    L = 24
+    table = structure_table(L)
+    index = table.index
+    r1, r2 = np.nonzero((index.first == index.start) & (index.count > 0))
+    length = index.count[r1, r2]
+    assert set(length.tolist()) == set(range(1, 14))
+    nodes, weights = quadrature(3 * L // 2 + 1)
+    q = {(l, m): legendre_Q(l, m, nodes)
+         for l in range(L + 1) for m in range(-l, l + 1)}
+    ls, ms = index.ls.tolist(), index.ms.tolist()
+    rng = np.random.default_rng(24)
+    for k in range(1, 14):
+        of_k = np.flatnonzero(length == k)
+        for i in rng.choice(of_k, min(25, len(of_k)), replace=False):
+            l1, m1, l2, m2 = ls[r1[i]], ms[r1[i]], ls[r2[i]], ms[r2[i]]
+            l3s = [l3 for l3 in range(abs(l1 - l2), min(l1 + l2, L) + 1, 2)
+                   if l3 >= abs(m1 + m2)]
+            assert len(l3s) == k
+            for a1, b1, a2, b2 in ((l1, m1, l2, m2), (l2, m2, l1, m1),
+                                   (l1, -m1, l2, -m2), (l2, -m2, l1, -m1)):
+                for l3 in l3s:
+                    prod = q[(a1, b1)] * q[(a2, b2)] * weights
+                    want = 0.5 * float(np.dot(prod, q[(l3, b1 + b2)]))
+                    assert table.get(a1, b1, a2, b2, l3) == want
 
 
 @pytest.mark.parametrize("L", [8, 12])
